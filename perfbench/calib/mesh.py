@@ -1,0 +1,524 @@
+"""Delaunay triangulation and clipped Voronoi dual of a planar site set.
+
+Triangulation is incremental Bowyer-Watson over exact rational
+coordinates, inserting sites in input order inside a synthetic outer
+triangle that is removed afterwards. The outer triangle's size is chosen
+adaptively: after construction the full mesh invariants are checked, and
+on failure the build retries with a larger triangle, so the result never
+silently depends on that choice.
+
+Voronoi cells are built by a second, independent route: each cell is the
+margin box clipped by the exact perpendicular-bisector half-planes of all
+other sites. Keeping the two constructions independent lets the
+edge-duality checks compare them meaningfully.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterable, Optional, Sequence
+
+from .geometry import (
+    Point2,
+    Polygon,
+    circumcenter,
+    clip_halfplane,
+    convex_hull,
+    incircle,
+    is_convex_polygon,
+    orient2d,
+    squared_distance,
+)
+from .rational import scaled_ints
+
+DEFAULT_CLIP_MARGIN = Fraction(1, 10)
+
+Edge = tuple[int, int]
+
+
+class MeshError(ValueError):
+    """A site set or triangulation violates the mesh contracts."""
+
+
+@dataclass(frozen=True, slots=True)
+class Rect:
+    """Axis-aligned rectangle used as the Voronoi clip box."""
+
+    xmin: Fraction
+    ymin: Fraction
+    xmax: Fraction
+    ymax: Fraction
+
+    def corners(self) -> list[Point2]:
+        return [
+            Point2(self.xmin, self.ymin),
+            Point2(self.xmax, self.ymin),
+            Point2(self.xmax, self.ymax),
+            Point2(self.xmin, self.ymax),
+        ]
+
+    def contains(self, p: Point2) -> bool:
+        return self.xmin <= p.x <= self.xmax and self.ymin <= p.y <= self.ymax
+
+    def strictly_contains(self, p: Point2) -> bool:
+        return self.xmin < p.x < self.xmax and self.ymin < p.y < self.ymax
+
+    def on_boundary(self, p: Point2) -> bool:
+        return self.contains(p) and not self.strictly_contains(p)
+
+
+class SiteSet:
+    """An indexed set of at least three distinct, non-collinear sites.
+
+    The clip box covers the sites' extent plus `clip_margin` of that
+    extent on every side; it bounds the otherwise unbounded hull cells of
+    the Voronoi diagram.
+    """
+
+    __slots__ = ("sites", "clip_margin", "bbox")
+
+    def __init__(
+        self,
+        sites: Sequence[Point2],
+        clip_margin: Fraction = DEFAULT_CLIP_MARGIN,
+    ) -> None:
+        sites = tuple(sites)
+        if len(sites) < 3:
+            raise MeshError(f"need at least 3 sites, got {len(sites)}")
+        seen: dict[Point2, int] = {}
+        for i, p in enumerate(sites):
+            if p in seen:
+                raise MeshError(
+                    f"duplicate sites at indices {seen[p]} and {i}: "
+                    f"({p.x}, {p.y})"
+                )
+            seen[p] = i
+        a, b = sites[0], sites[1]
+        if all(orient2d(a, b, p) == 0 for p in sites[2:]):
+            raise MeshError("all sites are collinear")
+        if clip_margin <= 0:
+            raise MeshError("clip margin must be positive")
+        self.sites = sites
+        self.clip_margin = Fraction(clip_margin)
+        xs = [p.x for p in sites]
+        ys = [p.y for p in sites]
+        mx = (max(xs) - min(xs)) * self.clip_margin
+        my = (max(ys) - min(ys)) * self.clip_margin
+        self.bbox = Rect(min(xs) - mx, min(ys) - my, max(xs) + mx, max(ys) + my)
+
+    def __len__(self) -> int:
+        return len(self.sites)
+
+    def __getitem__(self, i: int) -> Point2:
+        return self.sites[i]
+
+
+@dataclass(frozen=True, slots=True)
+class Triangle:
+    """Counterclockwise triangle of site indices, smallest index first."""
+
+    v0: int
+    v1: int
+    v2: int
+
+    @property
+    def indices(self) -> tuple[int, int, int]:
+        return (self.v0, self.v1, self.v2)
+
+    def edges(self) -> tuple[Edge, Edge, Edge]:
+        i, j, k = self.indices
+        return (_edge(i, j), _edge(j, k), _edge(k, i))
+
+    def __contains__(self, vertex: int) -> bool:
+        return vertex in self.indices
+
+
+@dataclass(frozen=True, slots=True)
+class VoronoiRegion:
+    """Closed Voronoi cell of one site, clipped to the mesh clip box."""
+
+    site: int
+    cell: Polygon
+    clipped: bool
+
+
+def make_triangle(i: int, j: int, k: int, sites: SiteSet) -> Triangle:
+    """Normalize an index triple to a counterclockwise Triangle."""
+    if len({i, j, k}) != 3:
+        raise MeshError(f"triangle indices not distinct: {(i, j, k)}")
+    o = orient2d(sites[i], sites[j], sites[k])
+    if o == 0:
+        raise MeshError(f"degenerate triangle {(i, j, k)}: collinear sites")
+    if o < 0:
+        j, k = k, j
+    ring = (i, j, k)
+    shift = ring.index(min(ring))
+    return Triangle(*(ring[shift:] + ring[:shift]))
+
+
+class Mesh:
+    """Immutable triangulation of a site set plus its Voronoi dual.
+
+    Adjacency queries and the relation algebra in `complexes` work off
+    the index maps built here; nothing mutates a Mesh after construction.
+    """
+
+    __slots__ = (
+        "site_set",
+        "triangles",
+        "edge_triangles",
+        "vertex_triangles",
+        "hull",
+        "clip_box",
+        "voronoi",
+    )
+
+    def __init__(
+        self,
+        site_set: SiteSet,
+        triangles: Sequence[Triangle],
+        validate: bool = True,
+        clip_box: Optional[Rect] = None,
+    ) -> None:
+        self.site_set = site_set
+        self.triangles = tuple(triangles)
+        edge_map: dict[Edge, list[int]] = {}
+        vertex_map: dict[int, list[int]] = {i: [] for i in range(len(site_set))}
+        for t_idx, tri in enumerate(self.triangles):
+            for e in tri.edges():
+                edge_map.setdefault(e, []).append(t_idx)
+            for v in tri.indices:
+                vertex_map[v].append(t_idx)
+        self.edge_triangles = {e: tuple(ts) for e, ts in sorted(edge_map.items())}
+        self.vertex_triangles = {v: tuple(ts) for v, ts in vertex_map.items()}
+        self.hull = convex_hull(site_set.sites)
+        if validate:
+            self._validate()
+        self.clip_box = clip_box if clip_box is not None else self._derive_clip_box()
+        self.voronoi = tuple(voronoi(site_set, self.clip_box))
+
+    def _derive_clip_box(self) -> Rect:
+        """Clip box: the sites' extent widened to cover every triangle
+        circumcenter, plus the margin on each side.
+
+        Covering the circumcenters keeps all Voronoi vertices strictly
+        inside the box, so every true shared cell boundary, including the
+        outward rays of hull cells, retains positive length after
+        clipping. Without this, shared-segment edge detection would
+        depend on how far the fixed-margin box happens to reach.
+        """
+        sites = self.site_set.sites
+        xs = [p.x for p in sites]
+        ys = [p.y for p in sites]
+        xmin, xmax = min(xs), max(xs)
+        ymin, ymax = min(ys), max(ys)
+        mx = (xmax - xmin) * self.site_set.clip_margin
+        my = (ymax - ymin) * self.site_set.clip_margin
+        for tri in self.triangles:
+            u = circumcenter(*self.triangle_points(tri))
+            xmin = min(xmin, u.x)
+            xmax = max(xmax, u.x)
+            ymin = min(ymin, u.y)
+            ymax = max(ymax, u.y)
+        return Rect(xmin - mx, ymin - my, xmax + mx, ymax + my)
+
+    @property
+    def sites(self) -> tuple[Point2, ...]:
+        return self.site_set.sites
+
+    @property
+    def bbox(self) -> Rect:
+        return self.clip_box
+
+    @property
+    def edges(self) -> Iterable[Edge]:
+        return self.edge_triangles.keys()
+
+    def site(self, i: int) -> Point2:
+        return self.site_set[i]
+
+    def is_hull_site(self, i: int) -> bool:
+        """True when the site lies on the convex hull boundary (vertex or
+        on a hull edge); exactly these sites own unbounded cells."""
+        return self.hull.on_boundary(self.site_set[i])
+
+    def is_interior_vertex(self, i: int) -> bool:
+        return not self.is_hull_site(i)
+
+    def triangle_points(self, t: Triangle) -> tuple[Point2, Point2, Point2]:
+        return tuple(self.site_set[v] for v in t.indices)
+
+    def _validate(self) -> None:
+        if not self.triangles:
+            raise MeshError("mesh has no triangles")
+        sites = self.site_set
+        used = {v for t in self.triangles for v in t.indices}
+        if used != set(range(len(sites))):
+            missing = sorted(set(range(len(sites))) - used)
+            raise MeshError(f"sites missing from triangulation: {missing}")
+        for tri in self.triangles:
+            if not is_delaunay_triangle(tri, sites):
+                raise MeshError(f"triangle {tri.indices} has a site inside "
+                                "its circumcircle")
+        for e, ts in self.edge_triangles.items():
+            if len(ts) > 2:
+                raise MeshError(f"edge {e} shared by {len(ts)} triangles")
+        # Euler relation for a triangulated disk, outer face excluded.
+        v = len(sites)
+        e = len(self.edge_triangles)
+        f = len(self.triangles)
+        if v - e + f != 1:
+            raise MeshError(f"Euler relation violated: V-E+F = {v - e + f}")
+        area2 = Fraction(0)
+        for tri in self.triangles:
+            a, b, c = self.triangle_points(tri)
+            area2 += (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
+        if area2 != self.hull.area() * 2:
+            raise MeshError("triangle union does not cover the site hull")
+
+
+def is_delaunay_triangle(t: Triangle, sites: SiteSet) -> bool:
+    """True when no site lies strictly inside the triangle's circumcircle."""
+    a, b, c = (sites[v] for v in t.indices)
+    return all(
+        incircle(a, b, c, sites[s]) <= 0
+        for s in range(len(sites))
+        if s not in t.indices
+    )
+
+
+def triangles_sharing_edge(mesh: Mesh, p: int, q: int) -> tuple[int, ...]:
+    """Indices of the 0-2 mesh triangles incident to undirected edge pq."""
+    if p == q:
+        raise MeshError("edge endpoints must differ")
+    return mesh.edge_triangles.get(_edge(p, q), ())
+
+
+def triangulate(site_set: SiteSet) -> Mesh:
+    """Delaunay triangulation of the sites, deterministic in input order.
+
+    Cocircular quadrilaterals are resolved by a fixed symbolic rule: of
+    the two candidate diagonals, keep the one whose smaller endpoint
+    index is smaller.
+    """
+    scale = 1 << 16
+    last_error: Optional[MeshError] = None
+    for _ in range(8):
+        tris = _bowyer_watson(site_set, scale)
+        tris = _normalize_cocircular(tris, site_set)
+        try:
+            return Mesh(site_set, tris)
+        except MeshError as exc:
+            # Outer triangle interfered with a huge circumcircle; retry
+            # with a larger one.
+            last_error = exc
+            scale <<= 16
+    raise MeshError(f"triangulation failed to stabilize: {last_error}")
+
+
+def voronoi(
+    site_set: SiteSet, box: Optional[Rect] = None
+) -> list[VoronoiRegion]:
+    """Voronoi cells of all sites, clipped to a bounding box.
+
+    Each cell is computed as the clip box intersected with the closed
+    bisector half-planes toward every other site, processed nearest
+    first so that once the remaining sites are more than twice as far as
+    the cell reaches, the rest cannot cut and are skipped. The default
+    box is the site set's margin box; meshes pass their own wider box.
+    """
+    sites = site_set.sites
+    hull = convex_hull(sites)
+    if box is None:
+        box = site_set.bbox
+    regions: list[VoronoiRegion] = []
+    for i, p in enumerate(sites):
+        order = sorted(
+            (j for j in range(len(sites)) if j != i),
+            key=lambda j: (squared_distance(p, sites[j]), j),
+        )
+        verts = box.corners()
+        reach = max(squared_distance(p, v) for v in verts)
+        for j in order:
+            d2 = squared_distance(p, sites[j])
+            if d2 > 4 * reach:
+                break
+            q = sites[j]
+            mid = Point2((p.x + q.x) / 2, (p.y + q.y) / 2)
+            along = Point2(mid.x - (q.y - p.y), mid.y + (q.x - p.x))
+            verts = clip_halfplane(verts, mid, along)
+            reach = max(squared_distance(p, v) for v in verts)
+        cell = Polygon(verts)
+        if not is_convex_polygon(cell):
+            raise MeshError(f"voronoi cell of site {i} is not convex")
+        if not cell.contains(p):
+            raise MeshError(f"voronoi cell of site {i} excludes its site")
+        clipped = hull.on_boundary(p) or any(
+            box.on_boundary(v) for v in cell.vertices
+        )
+        regions.append(VoronoiRegion(site=i, cell=cell, clipped=clipped))
+    return regions
+
+
+def is_delaunay_edge(p: int, q: int, mesh: Mesh) -> bool:
+    """True when the clipped cells of p and q share a boundary segment of
+    positive length (meeting at a single point does not count)."""
+    if p == q:
+        raise MeshError("edge endpoints must differ")
+    sites = mesh.site_set
+    if not (0 <= p < len(sites) and 0 <= q < len(sites)):
+        raise MeshError(f"site index out of range: {(p, q)}")
+    a, b = sites[p], sites[q]
+    mid = Point2((a.x + b.x) / 2, (a.y + b.y) / 2)
+    direction = Point2(-(b.y - a.y), b.x - a.x)
+    span_p = _line_span_in_cell(mid, direction, mesh.voronoi[p].cell)
+    if span_p is None:
+        return False
+    span_q = _line_span_in_cell(mid, direction, mesh.voronoi[q].cell)
+    if span_q is None:
+        return False
+    lo = max(span_p[0], span_q[0])
+    hi = min(span_p[1], span_q[1])
+    return lo < hi
+
+
+def shared_cell_boundary(
+    mesh: Mesh, p: int, q: int
+) -> Optional[tuple[Point2, Point2]]:
+    """Endpoints of the positive-length boundary shared by cells p and q,
+    or None."""
+    a, b = mesh.site_set[p], mesh.site_set[q]
+    mid = Point2((a.x + b.x) / 2, (a.y + b.y) / 2)
+    d = Point2(-(b.y - a.y), b.x - a.x)
+    span_p = _line_span_in_cell(mid, d, mesh.voronoi[p].cell)
+    span_q = _line_span_in_cell(mid, d, mesh.voronoi[q].cell)
+    if span_p is None or span_q is None:
+        return None
+    lo = max(span_p[0], span_q[0])
+    hi = min(span_p[1], span_q[1])
+    if lo >= hi:
+        return None
+    return (
+        Point2(mid.x + d.x * lo, mid.y + d.y * lo),
+        Point2(mid.x + d.x * hi, mid.y + d.y * hi),
+    )
+
+
+def _edge(i: int, j: int) -> Edge:
+    return (i, j) if i < j else (j, i)
+
+
+def _line_span_in_cell(
+    origin: Point2, direction: Point2, cell: Polygon
+) -> Optional[tuple[Fraction, Fraction]]:
+    """Parameter interval of {origin + t*direction} inside a convex cell.
+
+    Each edge contributes one linear constraint alpha + beta*t >= 0.
+    Both coefficients are evaluated on a per-edge integer rescaling; the
+    common factor cancels in the bound -alpha/beta, so the interval is
+    exact.
+    """
+    lo: Optional[Fraction] = None
+    hi: Optional[Fraction] = None
+    for a, b in cell.edges():
+        ax, ay, bx, by, ox, oy, dx, dy = scaled_ints(
+            a.x, a.y, b.x, b.y, origin.x, origin.y, direction.x, direction.y
+        )
+        ex = bx - ax
+        ey = by - ay
+        alpha = ex * (oy - ay) - ey * (ox - ax)
+        beta = ex * dy - ey * dx
+        if beta == 0:
+            if alpha < 0:
+                return None
+            continue
+        bound = Fraction(-alpha, beta)
+        if beta > 0:
+            lo = bound if lo is None else max(lo, bound)
+        else:
+            hi = bound if hi is None else min(hi, bound)
+    if lo is None or hi is None or lo > hi:
+        return None
+    return (lo, hi)
+
+
+def _bowyer_watson(site_set: SiteSet, scale: int) -> list[Triangle]:
+    sites = list(site_set.sites)
+    n = len(sites)
+    xs = [p.x for p in sites]
+    ys = [p.y for p in sites]
+    cx = (min(xs) + max(xs)) / 2
+    cy = (min(ys) + max(ys)) / 2
+    ext = max(max(xs) - min(xs), max(ys) - min(ys))
+    big = ext * scale
+    pts = sites + [
+        Point2(cx - 3 * big, cy - 2 * big),
+        Point2(cx + 3 * big, cy - 2 * big),
+        Point2(cx, cy + 4 * big),
+    ]
+
+    def ccw(i: int, j: int, k: int) -> tuple[int, int, int]:
+        if orient2d(pts[i], pts[j], pts[k]) < 0:
+            j, k = k, j
+        return (i, j, k)
+
+    active: set[tuple[int, int, int]] = {ccw(n, n + 1, n + 2)}
+    for idx in range(n):
+        p = pts[idx]
+        bad = [
+            t
+            for t in active
+            if incircle(pts[t[0]], pts[t[1]], pts[t[2]], p) > 0
+        ]
+        directed: set[tuple[int, int]] = set()
+        for i, j, k in bad:
+            for e in ((i, j), (j, k), (k, i)):
+                directed.add(e)
+        active.difference_update(bad)
+        for i, j in directed:
+            if (j, i) in directed:
+                continue
+            active.add((i, j, idx))
+    result = []
+    for t in active:
+        if all(v < n for v in t):
+            result.append(make_triangle(*t, site_set))
+    return result
+
+
+def _normalize_cocircular(
+    tris: list[Triangle], site_set: SiteSet
+) -> list[Triangle]:
+    """Apply the symbolic diagonal rule to every cocircular quad."""
+    current = set(tris)
+    changed = True
+    while changed:
+        changed = False
+        edge_map: dict[Edge, list[Triangle]] = {}
+        for t in current:
+            for e in t.edges():
+                edge_map.setdefault(e, []).append(t)
+        for e in sorted(edge_map):
+            pair = edge_map[e]
+            if len(pair) != 2:
+                continue
+            t1, t2 = pair
+            c = next(v for v in t1.indices if v not in e)
+            d = next(v for v in t2.indices if v not in e)
+            a, b = e
+            pc, pd = site_set[c], site_set[d]
+            if incircle(*(site_set[v] for v in t1.indices), pd) != 0:
+                continue
+            if min(c, d) >= min(a, b):
+                continue
+            # Flip is only geometrically valid for a strictly convex quad.
+            if orient2d(pc, pd, site_set[a]) * orient2d(pc, pd, site_set[b]) >= 0:
+                continue
+            current.discard(t1)
+            current.discard(t2)
+            current.add(make_triangle(c, d, a, site_set))
+            current.add(make_triangle(c, d, b, site_set))
+            changed = True
+            break
+    return sorted(current, key=lambda t: t.indices)

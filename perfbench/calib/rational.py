@@ -1,0 +1,44 @@
+"""Exact rational coordinate helpers.
+
+All geometry in this package runs on ``fractions.Fraction``. These helpers
+parse user-facing coordinate strings exactly, render them canonically, and
+rescale point tuples to plain integers so that sign-of-determinant
+predicates can run on int arithmetic instead of Fraction arithmetic.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+
+class ParseError(ValueError):
+    """A coordinate or file field could not be parsed exactly."""
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse a decimal or fraction string into an exact Fraction.
+
+    Accepts "1.25", "-3", "7/3", "2.5e-3". Floats are never involved, so
+    the value is exactly the written one.
+    """
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"not an exact rational: {text!r}") from exc
+
+
+def format_rational(value: Fraction) -> str:
+    """Canonical string for a Fraction: "p/q", or "p" when integral."""
+    return str(value)
+
+
+def scaled_ints(*coords: Fraction) -> list[int]:
+    """Rescale rationals by the lcm of their denominators.
+
+    The common positive factor preserves the sign of any homogeneous
+    polynomial in the coordinates' differences, which is all the exact
+    predicates need.
+    """
+    lcm = math.lcm(*(c.denominator for c in coords))
+    return [c.numerator * (lcm // c.denominator) for c in coords]
