@@ -12,6 +12,7 @@ instead of asserting them away.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -21,7 +22,7 @@ from . import complexes as cx
 from . import regions as rg
 from . import visibility as vis
 from .geometry import Point2
-from .mesh import DEFAULT_CLIP_MARGIN, Mesh, SiteSet, triangulate
+from .mesh import DEFAULT_CLIP_MARGIN, Mesh, MeshError, SiteSet, triangulate
 
 PASS = "pass"
 FAIL = "fail"
@@ -108,15 +109,20 @@ def generate_sites(
         ]
         try:
             return SiteSet(pts, clip_margin=clip_margin), resamples
-        except Exception:
+        except MeshError:
             continue
     raise ValueError(
         f"could not draw a valid site set after {max_resamples} resamples"
     )
 
 
+@functools.cache
 def mesh_for_trial(seed: int, trial: int, max_sites: int = 30) -> Mesh:
-    """Deterministic per-trial mesh with 4..max_sites sites."""
+    """Deterministic per-trial mesh with 4..max_sites sites.
+
+    Memoized, since the suites of one pass share trial meshes and a Mesh
+    is immutable; `run_suite` empties the memo when it returns.
+    """
     rng = random.Random(seed * 7_919 + trial)
     count = rng.randint(4, max_sites)
     sites, _ = generate_sites(rng.randrange(2**32), count)
@@ -130,7 +136,10 @@ def run_suite(
     mesh: Optional[Mesh] = None,
     region_mode: str = rg.PAIRWISE_STRONG,
 ) -> list[SuiteResult]:
-    """Run one named suite (or all of them) and return its results."""
+    """Run one named suite (or all of them) and return its results.
+
+    Trial meshes are memoized for the duration of the call only.
+    """
     runners = {
         "axioms": suite_axioms,
         "lemma31": suite_near_visible_agreement,
@@ -141,13 +150,16 @@ def run_suite(
         "regions": lambda t, s, m: suite_regions(t, s, m, mode=region_mode),
         "leader": suite_leader,
     }
-    if name == "all":
-        results = [fn(trials, seed, mesh) for fn in runners.values()]
-        results.append(suite_relation_coverage(trials, seed, mesh))
-        return results
-    if name not in runners:
-        raise ValueError(f"unknown suite: {name!r}")
-    return [runners[name](trials, seed, mesh)]
+    try:
+        if name == "all":
+            results = [fn(trials, seed, mesh) for fn in runners.values()]
+            results.append(suite_relation_coverage(trials, seed, mesh))
+            return results
+        if name not in runners:
+            raise ValueError(f"unknown suite: {name!r}")
+        return [runners[name](trials, seed, mesh)]
+    finally:
+        mesh_for_trial.cache_clear()
 
 
 def _trial_mesh(mesh: Optional[Mesh], seed: int, trial: int) -> Mesh:

@@ -131,13 +131,17 @@ def read_mesh(path: PathLike) -> Mesh:
             for x, y in doc["sites"]
         ]
         margin = parse_rational(doc["clip_margin"])
-        box_vals = [parse_rational(v) for v in doc["clip_box"]]
+        box = Rect(*(parse_rational(v) for v in doc["clip_box"]))
         tri_rows = [tuple(int(v) for v in row) for row in doc["triangles"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: malformed mesh document: {exc}") from exc
     site_set = SiteSet(sites, clip_margin=margin)
+    # Cells are built from the box only on first access, so check it now.
+    for i, p in enumerate(sites):
+        if not box.contains(p):
+            raise FileFormatError(f"{path}: clip_box does not contain site {i}")
     triangles = [make_triangle(i, j, k, site_set) for i, j, k in tri_rows]
-    return Mesh(site_set, triangles, clip_box=Rect(*box_vals))
+    return Mesh(site_set, triangles, clip_box=box)
 
 
 def write_subcomplex(path: PathLike, sub, mesh_ref: str) -> None:

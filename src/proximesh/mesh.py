@@ -7,10 +7,16 @@ adaptively: after construction the full mesh invariants are checked, and
 on failure the build retries with a larger triangle, so the result never
 silently depends on that choice.
 
-Voronoi cells are built by a second, independent route: each cell is the
-margin box clipped by the exact perpendicular-bisector half-planes of all
-other sites. Keeping the two constructions independent lets the
-edge-duality checks compare them meaningfully.
+Validation is local: once the triangles are proven to tile the convex
+hull, an empty circumcircle across every interior edge implies a
+Delaunay triangulation (the Delaunay lemma).
+
+Voronoi cells are the Delaunay dual: each cell is the clip box cut by
+the exact perpendicular-bisector half-planes toward the site's Delaunay
+neighbors. They are built on first access, since only the `voronoi`
+output, cell rendering and the Delaunay-characterization audit read
+them. The tests keep an all-sites bisector construction as an
+independent oracle for these cells.
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ from .geometry import (
     incircle,
     is_convex_polygon,
     orient2d,
-    squared_distance,
 )
 from .rational import scaled_ints
 
@@ -161,7 +166,8 @@ class Mesh:
     """Immutable triangulation of a site set plus its Voronoi dual.
 
     Adjacency queries and the relation algebra in `complexes` work off
-    the index maps built here; nothing mutates a Mesh after construction.
+    the index maps built here; nothing mutates a Mesh after construction
+    except the cache of its Voronoi cells, filled on first access.
     """
 
     __slots__ = (
@@ -171,14 +177,13 @@ class Mesh:
         "vertex_triangles",
         "hull",
         "clip_box",
-        "voronoi",
+        "_voronoi",
     )
 
     def __init__(
         self,
         site_set: SiteSet,
         triangles: Sequence[Triangle],
-        validate: bool = True,
         clip_box: Optional[Rect] = None,
     ) -> None:
         self.site_set = site_set
@@ -193,10 +198,17 @@ class Mesh:
         self.edge_triangles = {e: tuple(ts) for e, ts in sorted(edge_map.items())}
         self.vertex_triangles = {v: tuple(ts) for v, ts in vertex_map.items()}
         self.hull = convex_hull(site_set.sites)
-        if validate:
-            self._validate()
+        self._validate()
         self.clip_box = clip_box if clip_box is not None else self._derive_clip_box()
-        self.voronoi = tuple(voronoi(site_set, self.clip_box))
+        self._voronoi: Optional[tuple[VoronoiRegion, ...]] = None
+
+    @property
+    def voronoi(self) -> tuple[VoronoiRegion, ...]:
+        """Voronoi cells indexed by site, built on first access."""
+        if self._voronoi is None:
+            # The module-level `voronoi` function, not this property.
+            self._voronoi = tuple(voronoi(self))
+        return self._voronoi
 
     def _derive_clip_box(self) -> Rect:
         """Clip box: the sites' extent widened to cover every triangle
@@ -250,6 +262,19 @@ class Mesh:
         return tuple(self.site_set[v] for v in t.indices)
 
     def _validate(self) -> None:
+        """Check that the triangles are a Delaunay triangulation of the
+        sites.
+
+        The checks before the incircle tests prove that the triangles
+        tile the convex hull. Each triangle is counterclockwise and each
+        directed edge is used once, so the triangle boundaries cancel on
+        every two-triangle edge; the one-triangle edges all lie on the
+        hull boundary, so the triangles cover the hull a whole number of
+        times, and the area check makes that number one. On such a
+        tiling, an empty circumcircle across every interior edge implies
+        that every circumcircle is empty (the Delaunay lemma), so one
+        incircle test per interior edge replaces a scan over all sites.
+        """
         if not self.triangles:
             raise MeshError("mesh has no triangles")
         sites = self.site_set
@@ -257,10 +282,13 @@ class Mesh:
         if used != set(range(len(sites))):
             missing = sorted(set(range(len(sites))) - used)
             raise MeshError(f"sites missing from triangulation: {missing}")
+        directed: set[Edge] = set()
         for tri in self.triangles:
-            if not is_delaunay_triangle(tri, sites):
-                raise MeshError(f"triangle {tri.indices} has a site inside "
-                                "its circumcircle")
+            i, j, k = tri.indices
+            for e in ((i, j), (j, k), (k, i)):
+                if e in directed:
+                    raise MeshError(f"directed edge {e} used by two triangles")
+                directed.add(e)
         for e, ts in self.edge_triangles.items():
             if len(ts) > 2:
                 raise MeshError(f"edge {e} shared by {len(ts)} triangles")
@@ -273,9 +301,27 @@ class Mesh:
         area2 = Fraction(0)
         for tri in self.triangles:
             a, b, c = self.triangle_points(tri)
-            area2 += (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
+            tri_area2 = (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
+            if tri_area2 <= 0:
+                raise MeshError(f"triangle {tri.indices} is not counterclockwise")
+            area2 += tri_area2
         if area2 != self.hull.area() * 2:
             raise MeshError("triangle union does not cover the site hull")
+        for e, ts in self.edge_triangles.items():
+            if len(ts) == 1:
+                # Sites lie in the hull, so a midpoint on its boundary
+                # puts the whole edge on one hull edge.
+                a, b = sites[e[0]], sites[e[1]]
+                mid = Point2((a.x + b.x) / 2, (a.y + b.y) / 2)
+                if not self.hull.on_boundary(mid):
+                    raise MeshError(f"edge {e} bounds one triangle but is "
+                                    "not on the convex hull")
+                continue
+            t1, t2 = (self.triangles[t] for t in ts)
+            d = next(v for v in t2.indices if v not in e)
+            if incircle(*self.triangle_points(t1), sites[d]) > 0:
+                raise MeshError(f"edge {e} is not locally Delaunay: site {d} "
+                                f"is inside the circumcircle of {t1.indices}")
 
 
 def is_delaunay_triangle(t: Triangle, sites: SiteSet) -> bool:
@@ -317,44 +363,34 @@ def triangulate(site_set: SiteSet) -> Mesh:
     raise MeshError(f"triangulation failed to stabilize: {last_error}")
 
 
-def voronoi(
-    site_set: SiteSet, box: Optional[Rect] = None
-) -> list[VoronoiRegion]:
-    """Voronoi cells of all sites, clipped to a bounding box.
+def voronoi(mesh: Mesh) -> list[VoronoiRegion]:
+    """Voronoi cells of all mesh sites, clipped to the mesh clip box.
 
-    Each cell is computed as the clip box intersected with the closed
-    bisector half-planes toward every other site, processed nearest
-    first so that once the remaining sites are more than twice as far as
-    the cell reaches, the rest cannot cut and are skipped. The default
-    box is the site set's margin box; meshes pass their own wider box.
+    Each cell is the clip box intersected with the closed bisector
+    half-planes toward the site's Delaunay neighbors. On a Delaunay
+    triangulation that is the same cell as the one cut by all other
+    sites, at one clip per incident edge.
     """
-    sites = site_set.sites
-    hull = convex_hull(sites)
-    if box is None:
-        box = site_set.bbox
+    sites = mesh.sites
+    box = mesh.clip_box
+    neighbors: list[list[int]] = [[] for _ in sites]
+    for i, j in mesh.edges:
+        neighbors[i].append(j)
+        neighbors[j].append(i)
     regions: list[VoronoiRegion] = []
     for i, p in enumerate(sites):
-        order = sorted(
-            (j for j in range(len(sites)) if j != i),
-            key=lambda j: (squared_distance(p, sites[j]), j),
-        )
         verts = box.corners()
-        reach = max(squared_distance(p, v) for v in verts)
-        for j in order:
-            d2 = squared_distance(p, sites[j])
-            if d2 > 4 * reach:
-                break
+        for j in neighbors[i]:
             q = sites[j]
             mid = Point2((p.x + q.x) / 2, (p.y + q.y) / 2)
             along = Point2(mid.x - (q.y - p.y), mid.y + (q.x - p.x))
             verts = clip_halfplane(verts, mid, along)
-            reach = max(squared_distance(p, v) for v in verts)
         cell = Polygon(verts)
         if not is_convex_polygon(cell):
             raise MeshError(f"voronoi cell of site {i} is not convex")
         if not cell.contains(p):
             raise MeshError(f"voronoi cell of site {i} excludes its site")
-        clipped = hull.on_boundary(p) or any(
+        clipped = mesh.hull.on_boundary(p) or any(
             box.on_boundary(v) for v in cell.vertices
         )
         regions.append(VoronoiRegion(site=i, cell=cell, clipped=clipped))
@@ -381,28 +417,6 @@ def is_delaunay_edge(p: int, q: int, mesh: Mesh) -> bool:
     lo = max(span_p[0], span_q[0])
     hi = min(span_p[1], span_q[1])
     return lo < hi
-
-
-def shared_cell_boundary(
-    mesh: Mesh, p: int, q: int
-) -> Optional[tuple[Point2, Point2]]:
-    """Endpoints of the positive-length boundary shared by cells p and q,
-    or None."""
-    a, b = mesh.site_set[p], mesh.site_set[q]
-    mid = Point2((a.x + b.x) / 2, (a.y + b.y) / 2)
-    d = Point2(-(b.y - a.y), b.x - a.x)
-    span_p = _line_span_in_cell(mid, d, mesh.voronoi[p].cell)
-    span_q = _line_span_in_cell(mid, d, mesh.voronoi[q].cell)
-    if span_p is None or span_q is None:
-        return None
-    lo = max(span_p[0], span_q[0])
-    hi = min(span_p[1], span_q[1])
-    if lo >= hi:
-        return None
-    return (
-        Point2(mid.x + d.x * lo, mid.y + d.y * lo),
-        Point2(mid.x + d.x * hi, mid.y + d.y * hi),
-    )
 
 
 def _edge(i: int, j: int) -> Edge:

@@ -1,13 +1,19 @@
 """Independent brute-force oracles used only by the tests.
 
 These deliberately avoid the construction paths they are used to check:
-the triangulation oracle decides empty circumcircles through explicit
-circumcenter equations rather than the incircle determinant, and the
-convexity oracle samples points instead of comparing traced areas.
+the triangulation oracles decide empty circumcircles through explicit
+circumcenter equations rather than the incircle determinant and scan
+every site instead of testing edges locally, the Voronoi oracle cuts
+each cell by the bisectors of all other sites instead of only the
+Delaunay neighbors, and the convexity oracle samples points instead of
+comparing traced areas.
 """
 
 from fractions import Fraction
 from itertools import combinations
+
+from proximesh.geometry import Point2, Polygon, clip_halfplane, convex_hull
+from proximesh.mesh import VoronoiRegion
 
 
 def _sub(p, q):
@@ -36,26 +42,111 @@ def brute_force_delaunay(points):
     With no four cocircular sites this is exactly the Delaunay triangle
     set. Returns frozensets of index triples.
     """
-    n = len(points)
     out = set()
-    for i, j, k in combinations(range(n), 3):
-        center = circumcenter_by_equations(points[i], points[j], points[k])
-        if center is None:
-            continue
-        ux, uy = center
-        dx, dy = points[i].x - ux, points[i].y - uy
-        r2 = dx * dx + dy * dy
-        empty = True
-        for s in range(n):
-            if s in (i, j, k):
-                continue
-            dx, dy = points[s].x - ux, points[s].y - uy
-            if dx * dx + dy * dy < r2:
-                empty = False
-                break
-        if empty:
+    for i, j, k in combinations(range(len(points)), 3):
+        if _empty_circumcircle(points, i, j, k):
             out.add(frozenset((i, j, k)))
     return out
+
+
+def _empty_circumcircle(points, i, j, k):
+    """Points i, j, k have a circumcircle, and no point lies strictly
+    inside it."""
+    center = circumcenter_by_equations(points[i], points[j], points[k])
+    if center is None:
+        return False
+    ux, uy = center
+    dx, dy = points[i].x - ux, points[i].y - uy
+    r2 = dx * dx + dy * dy
+    for s, p in enumerate(points):
+        if s in (i, j, k):
+            continue
+        dx, dy = p.x - ux, p.y - uy
+        if dx * dx + dy * dy < r2:
+            return False
+    return True
+
+
+def _separated(t, u):
+    """Some edge line of one counterclockwise triangle has the whole
+    other triangle on its closed outer side (separating axis test)."""
+    for a, b in ((t, u), (u, t)):
+        for e in range(3):
+            p, q = a[e], a[(e + 1) % 3]
+            if all(_cross(_sub(q, p), _sub(r, p)) <= 0 for r in b):
+                return True
+    return False
+
+
+def is_delaunay_triangulation(points, triples):
+    """Whether index triples are a Delaunay triangulation of the points,
+    decided globally.
+
+    Every triple must be a counterclockwise triangle, every point a
+    vertex, the triangles pairwise interior-disjoint, and their areas
+    must sum to the hull area; together these make the triangles tile
+    the hull. Every circumcircle must then be empty of all points.
+    """
+    n = len(points)
+    tris = []
+    for triple in triples:
+        if len(set(triple)) != 3 or not all(0 <= v < n for v in triple):
+            return False
+        a, b, c = (points[v] for v in triple)
+        if _cross(_sub(b, a), _sub(c, a)) <= 0:
+            return False
+        tris.append((a, b, c))
+    if {v for triple in triples for v in triple} != set(range(n)):
+        return False
+    for t, u in combinations(tris, 2):
+        if not _separated(t, u):
+            return False
+    hull = [points[i] for i in _hull_indices(points)]
+    hull_area2 = sum(
+        _cross(_sub(hull[i], hull[0]), _sub(hull[i + 1], hull[0]))
+        for i in range(1, len(hull) - 1)
+    )
+    if sum(_cross(_sub(b, a), _sub(c, a)) for a, b, c in tris) != hull_area2:
+        return False
+    return all(_empty_circumcircle(points, *triple) for triple in triples)
+
+
+def all_sites_voronoi(sites, box):
+    """Voronoi cells of all sites, each cut by the bisectors of every
+    other site, nearest first.
+
+    Once the remaining sites are more than twice as far as the cell
+    reaches, the rest cannot cut and are skipped. The `clipped` flag
+    follows the library rule: a hull site, or a cell touching the box.
+    """
+    hull = convex_hull(sites)
+    regions = []
+    for i, p in enumerate(sites):
+        order = sorted(
+            (j for j in range(len(sites)) if j != i),
+            key=lambda j: (_squared_distance(p, sites[j]), j),
+        )
+        verts = box.corners()
+        reach = max(_squared_distance(p, v) for v in verts)
+        for j in order:
+            if _squared_distance(p, sites[j]) > 4 * reach:
+                break
+            q = sites[j]
+            mid = Point2((p.x + q.x) / 2, (p.y + q.y) / 2)
+            along = Point2(mid.x - (q.y - p.y), mid.y + (q.x - p.x))
+            verts = clip_halfplane(verts, mid, along)
+            reach = max(_squared_distance(p, v) for v in verts)
+        cell = Polygon(verts)
+        clipped = hull.on_boundary(p) or any(
+            box.on_boundary(v) for v in cell.vertices
+        )
+        regions.append(VoronoiRegion(site=i, cell=cell, clipped=clipped))
+    return regions
+
+
+def _squared_distance(p, q):
+    dx, dy = _sub(p, q)
+    return dx * dx + dy * dy
 
 
 def edge_set(triangles):

@@ -11,7 +11,12 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import brute_force_delaunay, edge_set, sampling_convexity_oracle
+from oracles import (
+    all_sites_voronoi,
+    brute_force_delaunay,
+    edge_set,
+    sampling_convexity_oracle,
+)
 from proximesh import io
 from proximesh.cli import main
 from proximesh.complexes import (
@@ -105,6 +110,21 @@ def test_voronoi_edge_duality(seeded_meshes_n50):
         }
         assert dual == set(mesh.edges), f"mesh {idx} (n={n})"
     _report("voronoi-edge-duality")
+
+
+def test_voronoi_cells_match_all_sites_oracle(
+    seeded_meshes_n50, square_mesh, wheel_mesh, grid5_mesh
+):
+    """The mesh's cells, cut by Delaunay neighbors only, equal the cells
+    cut by every other site, on the 100 seeded meshes with n <= 50 and
+    on the cocircular square, the wheel and the 5x5 lattice. With this,
+    the edge-duality criterion compares the mesh edges with an
+    independent construction."""
+    meshes = list(seeded_meshes_n50) + [square_mesh, wheel_mesh, grid5_mesh]
+    for idx, mesh in enumerate(meshes):
+        expected = all_sites_voronoi(mesh.sites, mesh.clip_box)
+        assert mesh.voronoi == tuple(expected), f"mesh {idx}"
+    _report("voronoi-cells-match-all-sites-oracle")
 
 
 def test_near_visible_agreement():

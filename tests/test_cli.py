@@ -158,6 +158,39 @@ class TestRelate:
         assert "references mesh" in capsys.readouterr().err
 
 
+class TestClipBoxOutsideSites:
+    """A mesh file whose clip box misses a site is refused on load, by
+    every command, whether or not it reads the cells."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["relate", "--relation", "near", "--a", "{a}", "--b", "{b}"],
+            ["render", "--out", "{out}"],
+            ["render", "--voronoi", "--out", "{out}"],
+        ],
+        ids=["relate", "render", "render-voronoi"],
+    )
+    def test_exit_two_with_one_error_line(self, workspace, capsys, command):
+        tmp_path, _, mesh_file, a, b = workspace
+        doc = json.loads(mesh_file.read_text())
+        doc["clip_box"][0] = doc["sites"][0][0]
+        doc["clip_box"][2] = doc["sites"][0][0]
+        mesh_file.write_text(json.dumps(doc))
+        out = tmp_path / "x.svg"
+        argv = [arg.format(a=a, b=b, out=out) for arg in command]
+        code = main([argv[0], "--mesh", str(mesh_file)] + argv[1:])
+        captured = capsys.readouterr()
+        assert code == 2
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert "clip_box does not contain site" in lines[0]
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+
 class TestCheck:
     def test_text_report(self, tmp_path, capsys):
         code = main(["check", "--suite", "lemma31", "--trials", "10",

@@ -19,6 +19,7 @@ from proximesh.harness import (
     sample_strongly_far_config,
     suite_strong_visibility,
 )
+from proximesh.mesh import triangulate
 
 
 class TestGenerateSites:
@@ -82,6 +83,20 @@ class TestSuites:
         ]
         assert all(r.failed == 0 for r in results)
 
+    def test_run_suite_empties_trial_mesh_memo(self):
+        mesh_for_trial(5, 2)
+        run_suite("lemma33", 3, seed=4)
+        assert mesh_for_trial.cache_info().currsize == 0
+        mesh_for_trial(5, 2)
+        with pytest.raises(ValueError, match="unknown suite"):
+            run_suite("bogus", 1, 0)
+        assert mesh_for_trial.cache_info().currsize == 0
+
+    def test_consecutive_passes_identical(self):
+        a = run_suite("all", 3, seed=6)
+        b = run_suite("all", 3, seed=6)
+        assert a == b
+
     def test_deterministic_results(self):
         a = run_suite("lemma33", 10, seed=3)
         b = run_suite("lemma33", 10, seed=3)
@@ -112,10 +127,17 @@ class TestSuites:
 
 class TestSamplers:
     def test_mesh_for_trial_deterministic(self):
+        # Compare against a fresh build: under the memo a second call
+        # would return the very same object.
         a = mesh_for_trial(5, 2)
-        b = mesh_for_trial(5, 2)
+        rng = random.Random(5 * 7_919 + 2)
+        count = rng.randint(4, 30)
+        sites, _ = generate_sites(rng.randrange(2**32), count)
+        fresh = triangulate(sites)
+        assert fresh is not a
+        assert a.sites == fresh.sites
         assert [t.indices for t in a.triangles] == [
-            t.indices for t in b.triangles
+            t.indices for t in fresh.triangles
         ]
 
     def test_chain_region_valid(self, grid5_mesh):

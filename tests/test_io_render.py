@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -64,6 +65,24 @@ class TestMeshFile:
         path2 = tmp_path / "again.json"
         io.write_mesh(path2, loaded)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_clip_box_must_hold_every_site(self, tmp_path, fan_mesh):
+        path = tmp_path / "mesh.json"
+        io.write_mesh(path, fan_mesh)
+        doc = json.loads(path.read_text())
+        doc["clip_box"] = ["0", "0", "4", "2"]  # site 2 is (2, 3)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(io.FileFormatError, match="contain site 2"):
+            io.read_mesh(path)
+
+    def test_closed_clip_box_accepted(self, tmp_path, fan_mesh):
+        path = tmp_path / "mesh.json"
+        io.write_mesh(path, fan_mesh)
+        doc = json.loads(path.read_text())
+        doc["clip_box"] = ["0", "0", "4", "3"]  # the sites' own extent
+        path.write_text(json.dumps(doc))
+        loaded = io.read_mesh(path)
+        assert len(loaded.voronoi) == 4
 
     def test_voronoi_payload(self, fan_mesh):
         payload = io.mesh_payload(fan_mesh, include_voronoi=True)

@@ -3,12 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import brute_force_delaunay
+from oracles import (
+    all_sites_voronoi,
+    brute_force_delaunay,
+    is_delaunay_triangulation,
+)
 from proximesh.geometry import Point2, is_convex_polygon, squared_distance
 from proximesh.mesh import (
     Mesh,
     MeshError,
+    Rect,
     SiteSet,
+    Triangle,
     is_delaunay_edge,
     is_delaunay_triangle,
     make_triangle,
@@ -159,20 +165,49 @@ class TestTrianglesSharingEdge:
 
 class TestVoronoi:
     def test_three_cells_meet_at_circumcenter(self):
-        regions = voronoi(SiteSet([P(0, 0), P(2, 0), P(1, 2)]))
+        regions = voronoi(triangulate(SiteSet([P(0, 0), P(2, 0), P(1, 2)])))
         meet = P(1, Fraction(3, 4))
         assert all(r.cell.contains(meet) for r in regions)
         assert all(r.clipped for r in regions)
 
     def test_grid_2x2_congruent_cells(self):
-        regions = voronoi(SiteSet([P(0, 0), P(2, 0), P(0, 2), P(2, 2)]))
+        sites = SiteSet([P(0, 0), P(2, 0), P(0, 2), P(2, 2)])
+        regions = all_sites_voronoi(sites.sites, sites.bbox)
         areas = {r.cell.area() for r in regions}
         assert len(areas) == 1
         assert all(r.clipped for r in regions)
+        assert triangulate(sites).voronoi == tuple(regions)
 
     def test_collinear_rejected(self):
-        with pytest.raises(MeshError):
-            voronoi(SiteSet([P(0, 0), P(1, 0), P(2, 0)]))
+        with pytest.raises(MeshError, match="collinear"):
+            triangulate(SiteSet([P(0, 0), P(1, 0), P(2, 0)]))
+
+    def test_cells_built_on_first_access(self, monkeypatch):
+        import proximesh.mesh as mesh_module
+
+        calls = []
+        original = mesh_module.voronoi
+
+        def counted(mesh):
+            calls.append(mesh)
+            return original(mesh)
+
+        monkeypatch.setattr(mesh_module, "voronoi", counted)
+        mesh = triangulate(random_sites(4, 9))
+        assert calls == []
+        first = mesh.voronoi
+        assert mesh.voronoi is first
+        assert calls == [mesh]
+
+    def test_tight_box_matches_all_sites_oracle(self):
+        # A loaded mesh may carry any box that holds the sites, including
+        # one that cuts cells short of their Voronoi vertices.
+        base = triangulate(random_sites(21, 15))
+        xs = [p.x for p in base.sites]
+        ys = [p.y for p in base.sites]
+        box = Rect(min(xs), min(ys), max(xs), max(ys))
+        mesh = Mesh(base.site_set, base.triangles, clip_box=box)
+        assert mesh.voronoi == tuple(all_sites_voronoi(mesh.sites, box))
 
     def test_cells_partition_box(self):
         mesh = triangulate(random_sites(7, 12))
@@ -213,3 +248,94 @@ class TestMeshValidation:
         ]
         with pytest.raises(MeshError):
             Mesh(ss, bad)
+
+    def test_annulus_plus_detached_triangle_rejected(self):
+        # An annulus of six triangles around a triangular hole, plus a
+        # detached triangle of the hole's area lying over the annulus.
+        # Sites used, edge multiplicity, Euler, total area, orientation
+        # and every per-edge incircle test all pass; only the one-triangle
+        # edges off the hull give it away.
+        ss = SiteSet([
+            P(0, 0), P(12, 0), P(6, 12), P(5, 4), P(7, 4), P(6, 6),
+            P(5, Fraction(3, 2)), P(7, Fraction(3, 2)),
+            P(6, Fraction(7, 2)),
+        ])
+        triples = [(0, 3, 4), (0, 1, 4), (1, 2, 4), (2, 4, 5), (2, 5, 3),
+                   (2, 0, 3), (6, 7, 8)]
+        assert not is_delaunay_triangulation(ss.sites, triples)
+        with pytest.raises(MeshError, match="not on the convex hull"):
+            Mesh(ss, [make_triangle(*t, ss) for t in triples])
+
+    def test_triangle_and_its_reverse_rejected(self, square_mesh):
+        # A triangle over a new site plus the same triangle reversed: the
+        # two cancel in area, add one site, three edges and two faces
+        # (Euler holds), use each directed edge once, and pass every
+        # per-edge incircle test. Only the orientation check is left.
+        ss = SiteSet(list(square_mesh.sites) + [P(Fraction(1, 2),
+                                                  Fraction(1, 4))])
+        pair = [Triangle(1, 3, 4), Triangle(1, 4, 3)]
+        tris = list(square_mesh.triangles) + pair
+        assert not is_delaunay_triangulation(
+            ss.sites, [t.indices for t in tris]
+        )
+        with pytest.raises(MeshError, match="not counterclockwise"):
+            Mesh(ss, tris)
+
+
+def _mutations(mesh, rng):
+    """Triangle lists one edit away from a mesh: each interior edge
+    flipped, and each triangle dropped, duplicated, reversed, or with one
+    vertex swapped for another site."""
+    tris = list(mesh.triangles)
+    ss = mesh.site_set
+    for e, ts in mesh.edge_triangles.items():
+        if len(ts) != 2:
+            continue
+        c, d = (next(v for v in tris[t].indices if v not in e) for t in ts)
+        try:
+            flipped = [make_triangle(c, d, v, ss) for v in e]
+        except MeshError:
+            continue  # collinear flip: not a triangle list
+        yield f"flip {e}", [
+            t for i, t in enumerate(tris) if i not in ts
+        ] + flipped
+    for i, t in enumerate(tris):
+        rest = tris[:i] + tris[i + 1:]
+        yield f"drop {t.indices}", rest
+        yield f"duplicate {t.indices}", tris + [t]
+        yield f"reverse {t.indices}", rest + [Triangle(t.v0, t.v2, t.v1)]
+        slot = rng.randrange(3)
+        other = rng.randrange(len(ss))
+        swapped = list(t.indices)
+        swapped[slot] = other
+        yield f"swap {t.indices} -> {swapped}", rest + [Triangle(*swapped)]
+
+
+@pytest.mark.parametrize(
+    "name", ["fan", "square", "wheel", "grid", "random"]
+)
+def test_validation_agrees_with_global_oracle(name, request):
+    """Mesh() rejects a one-edit mutation exactly when the global oracle
+    does; cocircular flips on the square and grid stay valid."""
+    if name == "random":
+        meshes = [triangulate(random_sites(seed + 400, 9)) for seed in range(4)]
+    else:
+        meshes = [request.getfixturevalue(f"{name}_mesh")]
+    rng = random.Random(name)
+    accepted = rejected = 0
+    for mesh in meshes:
+        for label, tris in _mutations(mesh, rng):
+            ok = is_delaunay_triangulation(
+                mesh.sites, [t.indices for t in tris]
+            )
+            if ok:
+                accepted += 1
+                Mesh(mesh.site_set, tris)
+            else:
+                rejected += 1
+                with pytest.raises(MeshError):
+                    Mesh(mesh.site_set, tris)
+                    pytest.fail(f"accepted {label}")
+    assert rejected
+    if name in ("square", "grid"):
+        assert accepted
