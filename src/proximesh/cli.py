@@ -127,21 +127,18 @@ def _parse_box(text: str) -> tuple[Fraction, Fraction, Fraction, Fraction]:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    config = harness.RunConfig(
-        seed=args.seed, site_count=args.count, box=args.bbox
-    )
     site_set, resamples = harness.generate_sites(
-        config.seed, config.site_count, config.box
+        args.seed, args.count, args.bbox
     )
     if resamples:
         print(f"resampled {resamples} degenerate draws", file=sys.stderr)
-    box = ",".join(str(v) for v in config.box)
+    box = ",".join(str(v) for v in args.bbox)
     io.write_sites(
         args.out,
         site_set.sites,
         header=[
-            f"sites generated seed={config.seed} "
-            f"count={config.site_count} bbox={box}",
+            f"sites generated seed={args.seed} "
+            f"count={args.count} bbox={box}",
             f"resamples={resamples}",
         ],
     )
@@ -187,30 +184,19 @@ def _cmd_relate(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     from .regions import EDGE_CHAIN, PAIRWISE_STRONG
 
-    config = harness.RunConfig(seed=args.seed, trials=args.trials)
     region_mode = PAIRWISE_STRONG if args.mode == "pairwise" else EDGE_CHAIN
     mesh = io.read_mesh(args.mesh) if args.mesh else None
-    if args.constraints and args.suite not in ("thm37", "all"):
-        raise ValueError("--constraints only applies to the thm37 suite")
+    constraints = None
     if args.constraints:
+        if args.suite not in ("thm37", "all"):
+            raise ValueError("--constraints only applies to the thm37 suite")
         constraints = io.read_constraints(args.constraints)
         if mesh is None:
             raise ValueError("--constraints requires --mesh")
-        results = [
-            harness.suite_segment_visibility(
-                config.trials, config.seed, mesh, constraints
-            )
-        ]
-        if args.suite == "all":
-            results += harness.run_suite(
-                "all", config.trials, config.seed, mesh,
-                region_mode=region_mode,
-            )
-    else:
-        results = harness.run_suite(
-            args.suite, config.trials, config.seed, mesh,
-            region_mode=region_mode,
-        )
+    results = harness.run_suite(
+        args.suite, args.trials, args.seed, mesh,
+        region_mode=region_mode, constraints=constraints,
+    )
     text = (
         _format_structured(results)
         if args.format == "structured"

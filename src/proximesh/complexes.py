@@ -113,14 +113,18 @@ class SubComplex:
 
 @dataclass(frozen=True, slots=True)
 class RelationReport:
-    """Outcome of one relation evaluation or one checked claim."""
+    """Outcome of one relation evaluation or one checked claim.
+
+    `operands` is filled only by the audits, as the label of the checked
+    item (a triangle, a site pair); relation calls leave it empty.
+    """
 
     relation: str
-    operands: tuple[str, ...]
     verdict: bool
     witness: Optional[tuple] = None
     counterexample: Optional[tuple] = None
     note: str = ""
+    operands: tuple[str, ...] = ()
 
 
 def closure(a: SubComplex) -> SubComplex:
@@ -171,10 +175,9 @@ def interior(a: SubComplex) -> SubComplex:
 
 def near(a: SubComplex, b: SubComplex) -> RelationReport:
     """Closures intersect in at least one simplex."""
-    shared = _shared_simplex(a, b)
+    shared = _shared_simplex(*_closures(a, b))
     return RelationReport(
         relation="near",
-        operands=(a.describe(), b.describe()),
         verdict=shared is not None,
         witness=shared,
     )
@@ -182,10 +185,9 @@ def near(a: SubComplex, b: SubComplex) -> RelationReport:
 
 def far(a: SubComplex, b: SubComplex) -> RelationReport:
     """Closures are disjoint; the negation of near."""
-    shared = _shared_simplex(a, b)
+    shared = _shared_simplex(*_closures(a, b))
     return RelationReport(
         relation="far",
-        operands=(a.describe(), b.describe()),
         verdict=shared is None,
         counterexample=shared,
     )
@@ -193,10 +195,9 @@ def far(a: SubComplex, b: SubComplex) -> RelationReport:
 
 def strongly_near(a: SubComplex, b: SubComplex) -> RelationReport:
     """Closures share at least one full edge."""
-    shared = _shared_edge(a, b)
+    shared = _shared_edge(*_closures(a, b))
     return RelationReport(
         relation="strongly_near",
-        operands=(a.describe(), b.describe()),
         verdict=shared is not None,
         witness=shared,
     )
@@ -204,10 +205,9 @@ def strongly_near(a: SubComplex, b: SubComplex) -> RelationReport:
 
 def visible(a: SubComplex, b: SubComplex) -> RelationReport:
     """Closures share at least one vertex."""
-    shared = _shared_vertex(a, b)
+    shared = _shared_vertex(*_closures(a, b))
     return RelationReport(
         relation="visible",
-        operands=(a.describe(), b.describe()),
         verdict=shared is not None,
         witness=shared,
     )
@@ -215,10 +215,9 @@ def visible(a: SubComplex, b: SubComplex) -> RelationReport:
 
 def invisible(a: SubComplex, b: SubComplex) -> RelationReport:
     """No shared vertex between the closures; the negation of visible."""
-    shared = _shared_vertex(a, b)
+    shared = _shared_vertex(*_closures(a, b))
     return RelationReport(
         relation="invisible",
-        operands=(a.describe(), b.describe()),
         verdict=shared is None,
         counterexample=shared,
     )
@@ -227,21 +226,19 @@ def invisible(a: SubComplex, b: SubComplex) -> RelationReport:
 def strongly_visible(a: SubComplex, b: SubComplex) -> RelationReport:
     """Closures share an edge, or one nonempty operand's closure is
     contained in the other's."""
-    shared = _shared_edge(a, b)
+    cl_a, cl_b = _closures(a, b)
+    shared = _shared_edge(cl_a, cl_b)
     if shared is not None:
         verdict = True
         witness: Optional[tuple] = shared
+    elif not cl_a.is_empty() and cl_a.issubset(cl_b):
+        verdict, witness = True, ("containment", "first within second")
+    elif not cl_b.is_empty() and cl_b.issubset(cl_a):
+        verdict, witness = True, ("containment", "second within first")
     else:
-        cl_a, cl_b = closure(a), closure(b)
-        if not cl_a.is_empty() and cl_a.issubset(cl_b):
-            verdict, witness = True, ("containment", "first within second")
-        elif not cl_b.is_empty() and cl_b.issubset(cl_a):
-            verdict, witness = True, ("containment", "second within first")
-        else:
-            verdict, witness = False, None
+        verdict, witness = False, None
     return RelationReport(
         relation="strongly_visible",
-        operands=(a.describe(), b.describe()),
         verdict=verdict,
         witness=witness,
     )
@@ -254,18 +251,17 @@ def strongly_invisible(a: SubComplex, b: SubComplex) -> RelationReport:
     b; an empty or triangle-free b passes vacuously.
     """
     _require_same_mesh(a, b)
+    seen_from_a = closure(a).vertices
     for t in sorted(b.triangles):
-        single = SubComplex.of_triangles(b.mesh, [t])
-        if visible(single, a).verdict:
+        # A lone triangle's closure has exactly its three vertices.
+        if not seen_from_a.isdisjoint(b.mesh.triangles[t].indices):
             return RelationReport(
                 relation="strongly_invisible",
-                operands=(a.describe(), b.describe()),
                 verdict=False,
                 counterexample=("triangle", t),
             )
     return RelationReport(
         relation="strongly_invisible",
-        operands=(a.describe(), b.describe()),
         verdict=True,
         witness=("all_triangle_subsets_invisible", len(b.triangles)),
     )
@@ -287,28 +283,26 @@ def strongly_far(
     if a.is_empty() or c.is_empty():
         return RelationReport(
             relation="strongly_far",
-            operands=(a.describe(), c.describe()),
             verdict=False,
             note="operands must be nonempty",
         )
+    cl_a, cl_c = closure(a), closure(c)
     if witness_b is not None:
-        ok = _witnesses_strongly_far(a, c, witness_b)
+        ok = _witnesses_strongly_far(cl_a, cl_c, witness_b)
         return RelationReport(
             relation="strongly_far",
-            operands=(a.describe(), c.describe()),
             verdict=ok,
             witness=("witness_set", witness_b.describe()) if ok else None,
             note="explicit witness",
         )
     mesh = a.mesh
-    seed = _incident_triangles(closure(c))
+    seed = _incident_triangles(cl_c)
     frontier = set(seed)
     for radius in (1, 2, 3):
         candidate = SubComplex.of_triangles(mesh, frontier)
-        if _witnesses_strongly_far(a, c, candidate):
+        if _witnesses_strongly_far(cl_a, cl_c, candidate):
             return RelationReport(
                 relation="strongly_far",
-                operands=(a.describe(), c.describe()),
                 verdict=True,
                 witness=("witness_set", candidate.describe()),
                 note=f"witness found at adjacency radius {radius}",
@@ -316,7 +310,6 @@ def strongly_far(
         frontier |= _edge_adjacent_triangles(mesh, frontier)
     return RelationReport(
         relation="strongly_far",
-        operands=(a.describe(), c.describe()),
         verdict=False,
         note="bounded witness search exhausted (radius 3)",
     )
@@ -347,7 +340,6 @@ def check_cech_axioms(
         reports.append(
             RelationReport(
                 relation=f"cech_axioms[{relation}]",
-                operands=(a.describe(), b.describe(), c.describe()),
                 verdict=failure is None,
                 counterexample=failure,
                 note=f"trial {trial}",
@@ -356,14 +348,12 @@ def check_cech_axioms(
     return reports
 
 
-def random_triangle_subcomplex(
-    mesh: Mesh,
-    rng: random.Random,
-    probability: Fraction = TRIANGLE_PICK_PROBABILITY,
-) -> SubComplex:
+def random_triangle_subcomplex(mesh: Mesh, rng: random.Random) -> SubComplex:
     """Closure of a triangle set sampled with fixed per-triangle odds."""
     picked = [
-        t for t in range(len(mesh.triangles)) if rng.random() < probability
+        t
+        for t in range(len(mesh.triangles))
+        if rng.random() < TRIANGLE_PICK_PROBABILITY
     ]
     return closure(SubComplex.of_triangles(mesh, picked))
 
@@ -399,32 +389,33 @@ def _has_full_fan(cl: SubComplex, v: int) -> bool:
     """The vertex's complete mesh fan is present and it is off the hull,
     so the triangle union covers a whole neighborhood of it."""
     mesh = cl.mesh
-    if not mesh.is_interior_vertex(v):
+    if mesh.is_hull_site(v):
         return False
     fan = mesh.vertex_triangles[v]
     return bool(fan) and all(t in cl.triangles for t in fan)
 
 
-def _shared_vertex(a: SubComplex, b: SubComplex) -> Optional[tuple]:
+def _closures(a: SubComplex, b: SubComplex) -> tuple[SubComplex, SubComplex]:
     _require_same_mesh(a, b)
-    shared = closure(a).vertices & closure(b).vertices
+    return closure(a), closure(b)
+
+
+def _shared_vertex(cl_a: SubComplex, cl_b: SubComplex) -> Optional[tuple]:
+    shared = cl_a.vertices & cl_b.vertices
     if shared:
         return ("vertex", min(shared))
     return None
 
 
-def _shared_edge(a: SubComplex, b: SubComplex) -> Optional[tuple]:
-    _require_same_mesh(a, b)
-    shared = closure(a).edges & closure(b).edges
+def _shared_edge(cl_a: SubComplex, cl_b: SubComplex) -> Optional[tuple]:
+    shared = cl_a.edges & cl_b.edges
     if shared:
         return ("edge", min(shared))
     return None
 
 
-def _shared_simplex(a: SubComplex, b: SubComplex) -> Optional[tuple]:
+def _shared_simplex(cl_a: SubComplex, cl_b: SubComplex) -> Optional[tuple]:
     """Lowest-dimensional simplex common to both closures."""
-    _require_same_mesh(a, b)
-    cl_a, cl_b = closure(a), closure(b)
     shared_v = cl_a.vertices & cl_b.vertices
     if shared_v:
         return ("vertex", min(shared_v))
@@ -438,11 +429,13 @@ def _shared_simplex(a: SubComplex, b: SubComplex) -> Optional[tuple]:
 
 
 def _witnesses_strongly_far(
-    a: SubComplex, c: SubComplex, witness_b: SubComplex
+    cl_a: SubComplex, cl_c: SubComplex, witness_b: SubComplex
 ) -> bool:
-    if not far(a, witness_b).verdict:
+    """The witness is far from cl_a and its interior holds cl_c."""
+    _require_same_mesh(cl_a, witness_b)
+    if _shared_simplex(cl_a, closure(witness_b)) is not None:
         return False
-    return closure(c).issubset(interior(witness_b))
+    return cl_c.issubset(interior(witness_b))
 
 
 def _incident_triangles(cl: SubComplex) -> set[int]:

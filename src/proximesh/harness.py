@@ -22,36 +22,14 @@ from . import complexes as cx
 from . import regions as rg
 from . import visibility as vis
 from .geometry import Point2
-from .mesh import DEFAULT_CLIP_MARGIN, Mesh, MeshError, SiteSet, triangulate
+from .mesh import Mesh, MeshError, SiteSet, triangulate
 
 PASS = "pass"
 FAIL = "fail"
 DIVERGENCE = "expected_divergence"
 
 DEFAULT_BOX = (Fraction(0), Fraction(0), Fraction(1), Fraction(1))
-
-
-@dataclass(frozen=True, slots=True)
-class RunConfig:
-    """Knobs shared by the CLI commands."""
-
-    seed: int = 0
-    trials: int = 100
-    site_count: int = 20
-    box: tuple[Fraction, Fraction, Fraction, Fraction] = DEFAULT_BOX
-    clip_margin: Fraction = DEFAULT_CLIP_MARGIN
-    mode: str = rg.PAIRWISE_STRONG
-
-    def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.site_count < 3:
-            raise ValueError("site count must be >= 3")
-        xmin, ymin, xmax, ymax = self.box
-        if xmin >= xmax or ymin >= ymax:
-            raise ValueError("box must have positive area")
-        if self.clip_margin <= 0:
-            raise ValueError("clip margin must be positive")
+MAX_RESAMPLES = 64
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,13 +61,16 @@ class SuiteResult:
     def ok(self) -> bool:
         return self.failed == 0
 
+    def check(self, label: str, ok: bool, detail: str = "") -> None:
+        """Record a pass, or a failure that carries `detail`."""
+        record = CheckRecord(label, PASS if ok else FAIL, "" if ok else detail)
+        self.records.append(record)
+
 
 def generate_sites(
     seed: int,
     count: int,
     box: tuple[Fraction, Fraction, Fraction, Fraction] = DEFAULT_BOX,
-    clip_margin: Fraction = DEFAULT_CLIP_MARGIN,
-    max_resamples: int = 64,
 ) -> tuple[SiteSet, int]:
     """Deterministic random sites in a box; resamples whole draws that
     come out degenerate (duplicates or all collinear) and reports how
@@ -101,18 +82,18 @@ def generate_sites(
         raise ValueError("box must have positive area")
     w, h = xmax - xmin, ymax - ymin
     rng = random.Random(seed)
-    for resamples in range(max_resamples):
+    for resamples in range(MAX_RESAMPLES):
         pts = [
             Point2(xmin + w * Fraction(rng.random()),
                    ymin + h * Fraction(rng.random()))
             for _ in range(count)
         ]
         try:
-            return SiteSet(pts, clip_margin=clip_margin), resamples
+            return SiteSet(pts), resamples
         except MeshError:
             continue
     raise ValueError(
-        f"could not draw a valid site set after {max_resamples} resamples"
+        f"could not draw a valid site set after {MAX_RESAMPLES} resamples"
     )
 
 
@@ -135,18 +116,24 @@ def run_suite(
     seed: int,
     mesh: Optional[Mesh] = None,
     region_mode: str = rg.PAIRWISE_STRONG,
+    constraints: Optional[vis.ConstraintSet] = None,
 ) -> list[SuiteResult]:
     """Run one named suite (or all of them) and return its results.
 
-    Trial meshes are memoized for the duration of the call only.
+    `region_mode` reaches the regions suite and `constraints` the thm37
+    suite. Trial meshes are memoized for the duration of the call only.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     runners = {
         "axioms": suite_axioms,
         "lemma31": suite_near_visible_agreement,
         "lemma33": suite_strong_visibility,
         "thm35": suite_strongly_far,
         "thm36": suite_delaunay_characterizations,
-        "thm37": suite_segment_visibility,
+        "thm37": lambda t, s, m: suite_segment_visibility(
+            t, s, m, constraints
+        ),
         "regions": lambda t, s, m: suite_regions(t, s, m, mode=region_mode),
         "leader": suite_leader,
     }
@@ -177,18 +164,11 @@ def suite_axioms(
         m = _trial_mesh(mesh, seed, 0)
         reports = cx.check_cech_axioms(m, relation, per_relation, seed)
         for i, rep in enumerate(reports):
-            if rep.verdict:
-                result.records.append(
-                    CheckRecord(f"axioms[{relation}] trial={i}", PASS)
-                )
-            else:
-                result.records.append(
-                    CheckRecord(
-                        f"axioms[{relation}] trial={i}",
-                        FAIL,
-                        f"violated={rep.counterexample} seed={seed}",
-                    )
-                )
+            result.check(
+                f"axioms[{relation}] trial={i}",
+                rep.verdict,
+                f"violated={rep.counterexample} seed={seed}",
+            )
     return result
 
 
@@ -230,16 +210,12 @@ def _record_agreement(
 ) -> None:
     n = cx.near(a, b).verdict
     v = cx.visible(a, b).verdict
-    if n == v:
-        result.records.append(CheckRecord(f"near=visible {label}", PASS))
-    else:
-        result.records.append(
-            CheckRecord(
-                f"near=visible {label}",
-                FAIL,
-                f"near={n} visible={v} A=({a.describe()}) B=({b.describe()})",
-            )
-        )
+    result.check(
+        f"near=visible {label}",
+        n == v,
+        "" if n == v else
+        f"near={n} visible={v} A=({a.describe()}) B=({b.describe()})",
+    )
 
 
 def suite_strong_visibility(
@@ -308,26 +284,19 @@ def suite_strongly_far(
             and cx.closure(c).issubset(cx.interior(witness))
         )
         inv = cx.invisible(a, c).verdict
-        if re_eval and inv:
-            result.records.append(
-                CheckRecord(f"strongly_far config={produced}", PASS)
-            )
-        else:
-            result.records.append(
-                CheckRecord(
-                    f"strongly_far config={produced}",
-                    FAIL,
-                    f"re_eval={re_eval} invisible={inv} "
-                    f"A=({a.describe()}) C=({c.describe()}) seed={seed}",
-                )
-            )
+        ok = re_eval and inv
+        result.check(
+            f"strongly_far config={produced}",
+            ok,
+            "" if ok else
+            f"re_eval={re_eval} invisible={inv} "
+            f"A=({a.describe()}) C=({c.describe()}) seed={seed}",
+        )
     if produced < trials:
-        result.records.append(
-            CheckRecord(
-                "strongly_far generation",
-                FAIL,
-                f"only {produced}/{trials} configurations found",
-            )
+        result.check(
+            "strongly_far generation",
+            False,
+            f"only {produced}/{trials} configurations found",
         )
     return result
 
@@ -342,7 +311,7 @@ def sample_strongly_far_config(
         t
         for t in range(len(mesh.triangles))
         if all(
-            mesh.is_interior_vertex(v) for v in mesh.triangles[t].indices
+            not mesh.is_hull_site(v) for v in mesh.triangles[t].indices
         )
     ]
     if not candidates:
@@ -383,18 +352,11 @@ def suite_delaunay_characterizations(
     )
     for m_idx, m in enumerate(meshes):
         for rep in rg.audit_delaunay_characterizations(m):
-            if rep.verdict:
-                result.records.append(
-                    CheckRecord(f"mesh={m_idx} {rep.operands[0]}", PASS)
-                )
-            else:
-                result.records.append(
-                    CheckRecord(
-                        f"mesh={m_idx} {rep.operands[0]}",
-                        FAIL,
-                        f"verdicts={rep.witness} seed={seed}",
-                    )
-                )
+            result.check(
+                f"mesh={m_idx} {rep.operands[0]}",
+                rep.verdict,
+                f"verdicts={rep.witness} seed={seed}",
+            )
     return result
 
 
@@ -476,9 +438,8 @@ def suite_regions(
             expected = bool(
                 region.subcomplex().vertices & other.subcomplex().vertices
             )
-            status = PASS if rel.verdict == expected else FAIL
-            result.records.append(
-                CheckRecord(f"regions_proximal trial={trial}", status)
+            result.check(
+                f"regions_proximal trial={trial}", rel.verdict == expected
             )
     return result
 
@@ -551,16 +512,11 @@ def suite_leader(
         ]
         nm_visible = rg.leader_topology(region, family, relation="visible")
         nm_near = rg.leader_topology(region, family, relation="near")
-        if nm_visible.near_sets == nm_near.near_sets:
-            result.records.append(CheckRecord(f"leader trial={trial}", PASS))
-        else:
-            result.records.append(
-                CheckRecord(
-                    f"leader trial={trial}",
-                    FAIL,
-                    f"visible/near neighborhood maps differ seed={seed}",
-                )
-            )
+        result.check(
+            f"leader trial={trial}",
+            nm_visible.near_sets == nm_near.near_sets,
+            f"visible/near neighborhood maps differ seed={seed}",
+        )
     return result
 
 
@@ -601,11 +557,9 @@ def suite_relation_coverage(
             and verdicts["invisible"] == verdicts["strongly_invisible"]
             and (not verdicts["strongly_far"] or verdicts["invisible"])
         )
-        result.records.append(
-            CheckRecord(
-                f"relation consistency trial={trial}",
-                PASS if consistent else FAIL,
-                "" if consistent else f"verdicts={verdicts} seed={seed}",
-            )
+        result.check(
+            f"relation consistency trial={trial}",
+            consistent,
+            f"verdicts={verdicts} seed={seed}",
         )
     return result

@@ -132,7 +132,8 @@ def read_mesh(path: PathLike) -> Mesh:
         ]
         margin = parse_rational(doc["clip_margin"])
         box = Rect(*(parse_rational(v) for v in doc["clip_box"]))
-        tri_rows = [tuple(int(v) for v in row) for row in doc["triangles"]]
+        n = len(sites)
+        tri_rows = [_triangle_row(row, n) for row in doc["triangles"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: malformed mesh document: {exc}") from exc
     site_set = SiteSet(sites, clip_margin=margin)
@@ -142,6 +143,19 @@ def read_mesh(path: PathLike) -> Mesh:
             raise FileFormatError(f"{path}: clip_box does not contain site {i}")
     triangles = [make_triangle(i, j, k, site_set) for i, j, k in tri_rows]
     return Mesh(site_set, triangles, clip_box=box)
+
+
+def _triangle_row(row, n: int) -> tuple[int, int, int]:
+    """Three site indices in [0, n); bools and floats are not indices."""
+    if not (
+        isinstance(row, list)
+        and len(row) == 3
+        and all(type(v) is int and 0 <= v < n for v in row)
+    ):
+        raise FileFormatError(
+            f"triangle {row!r} is not 3 site indices in [0, {n})"
+        )
+    return tuple(row)
 
 
 def write_subcomplex(path: PathLike, sub, mesh_ref: str) -> None:

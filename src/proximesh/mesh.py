@@ -76,12 +76,12 @@ class Rect:
 class SiteSet:
     """An indexed set of at least three distinct, non-collinear sites.
 
-    The clip box covers the sites' extent plus `clip_margin` of that
-    extent on every side; it bounds the otherwise unbounded hull cells of
-    the Voronoi diagram.
+    `clip_margin` is the share of the sites' extent that a mesh's clip
+    box adds on every side; the box bounds the otherwise unbounded hull
+    cells of the Voronoi diagram.
     """
 
-    __slots__ = ("sites", "clip_margin", "bbox")
+    __slots__ = ("sites", "clip_margin")
 
     def __init__(
         self,
@@ -106,11 +106,6 @@ class SiteSet:
             raise MeshError("clip margin must be positive")
         self.sites = sites
         self.clip_margin = Fraction(clip_margin)
-        xs = [p.x for p in sites]
-        ys = [p.y for p in sites]
-        mx = (max(xs) - min(xs)) * self.clip_margin
-        my = (max(ys) - min(ys)) * self.clip_margin
-        self.bbox = Rect(min(xs) - mx, min(ys) - my, max(xs) + mx, max(ys) + my)
 
     def __len__(self) -> int:
         return len(self.sites)
@@ -177,6 +172,7 @@ class Mesh:
         "vertex_triangles",
         "hull",
         "clip_box",
+        "_hull_sites",
         "_voronoi",
     )
 
@@ -199,6 +195,14 @@ class Mesh:
         self.vertex_triangles = {v: tuple(ts) for v, ts in vertex_map.items()}
         self.hull = convex_hull(site_set.sites)
         self._validate()
+        # On a proven tiling of the hull, the one-triangle edges are
+        # exactly the hull boundary, collinear hull sites included.
+        self._hull_sites = frozenset(
+            v
+            for e, ts in self.edge_triangles.items()
+            if len(ts) == 1
+            for v in e
+        )
         self.clip_box = clip_box if clip_box is not None else self._derive_clip_box()
         self._voronoi: Optional[tuple[VoronoiRegion, ...]] = None
 
@@ -240,10 +244,6 @@ class Mesh:
         return self.site_set.sites
 
     @property
-    def bbox(self) -> Rect:
-        return self.clip_box
-
-    @property
     def edges(self) -> Iterable[Edge]:
         return self.edge_triangles.keys()
 
@@ -253,10 +253,7 @@ class Mesh:
     def is_hull_site(self, i: int) -> bool:
         """True when the site lies on the convex hull boundary (vertex or
         on a hull edge); exactly these sites own unbounded cells."""
-        return self.hull.on_boundary(self.site_set[i])
-
-    def is_interior_vertex(self, i: int) -> bool:
-        return not self.is_hull_site(i)
+        return i in self._hull_sites
 
     def triangle_points(self, t: Triangle) -> tuple[Point2, Point2, Point2]:
         return tuple(self.site_set[v] for v in t.indices)
@@ -390,7 +387,7 @@ def voronoi(mesh: Mesh) -> list[VoronoiRegion]:
             raise MeshError(f"voronoi cell of site {i} is not convex")
         if not cell.contains(p):
             raise MeshError(f"voronoi cell of site {i} excludes its site")
-        clipped = mesh.hull.on_boundary(p) or any(
+        clipped = mesh.is_hull_site(i) or any(
             box.on_boundary(v) for v in cell.vertices
         )
         regions.append(VoronoiRegion(site=i, cell=cell, clipped=clipped))

@@ -158,7 +158,6 @@ def regions_proximal(r1: Region, r2: Region) -> RelationReport:
     report = visible(r1.subcomplex(), r2.subcomplex())
     return RelationReport(
         relation="regions_proximal",
-        operands=(f"t={sorted(r1.triangles)}", f"t={sorted(r2.triangles)}"),
         verdict=report.verdict,
         witness=report.witness,
     )

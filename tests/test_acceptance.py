@@ -127,6 +127,22 @@ def test_voronoi_cells_match_all_sites_oracle(
     _report("voronoi-cells-match-all-sites-oracle")
 
 
+def test_hull_sites_match_hull_boundary(
+    seeded_meshes_n50, grid_mesh, wheel_mesh
+):
+    """The hull sites a mesh reads off its one-triangle edges are the
+    sites on the convex hull boundary, collinear hull sites included (the
+    4x4 grid has eight), on the grid, the wheel and the 100 seeded
+    meshes."""
+    meshes = list(seeded_meshes_n50) + [grid_mesh, wheel_mesh]
+    for idx, mesh in enumerate(meshes):
+        for i, p in enumerate(mesh.sites):
+            assert mesh.is_hull_site(i) == mesh.hull.on_boundary(p), (
+                f"mesh {idx} site {i}"
+            )
+    _report("hull-sites-match-hull-boundary")
+
+
 def test_near_visible_agreement():
     """Nearness equals visibility: exhaustively on every mesh with at
     most 5 triangles, and on 1000 randomized pairs on larger meshes."""

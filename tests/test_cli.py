@@ -191,7 +191,73 @@ class TestClipBoxOutsideSites:
         assert not out.exists()
 
 
+class TestTriangleIndices:
+    """A mesh triangle row must be three plain ints in [0, n)."""
+
+    @pytest.mark.parametrize(
+        "row",
+        [[-1, 1, 2], [0, 1, 99], [0.4, 1, 2], [True, 2, 3], [0, 1]],
+        ids=["negative", "too-large", "float", "bool", "short"],
+    )
+    def test_exit_two_with_one_error_line(self, workspace, capsys, row):
+        tmp_path, _, mesh_file, *_ = workspace
+        doc = json.loads(mesh_file.read_text())
+        doc["triangles"][0] = row
+        mesh_file.write_text(json.dumps(doc))
+        out = tmp_path / "x.svg"
+        code = main(["render", "--mesh", str(mesh_file), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert "not 3 site indices" in lines[0]
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+
+
+def _suite_section(report: str, suite: str) -> list[str]:
+    lines = report.splitlines()
+    start = next(i for i, line in enumerate(lines)
+                 if line.startswith(f"suite {suite} "))
+    end = next(i for i, line in enumerate(lines)
+               if line.startswith(f"summary suite={suite} "))
+    return lines[start:end + 1]
+
+
 class TestCheck:
+    def test_zero_trials_exit_two(self, capsys):
+        code = main(["check", "--suite", "axioms", "--trials", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert captured.out == ""
+
+    def test_all_with_constraints_runs_thm37_once(self, workspace, tmp_path):
+        _, _, mesh_file, *_ = workspace
+        mesh = io.read_mesh(mesh_file)
+        constraints = tmp_path / "constraints.txt"
+        constraints.write_text(
+            "\n".join(f"{p},{q}" for p, q in sorted(mesh.edges)[:3]) + "\n"
+        )
+        reports = {}
+        for suite in ("all", "thm37"):
+            out = tmp_path / f"{suite}.txt"
+            # A 12-site mesh has no strongly-far configuration, so only
+            # the thm37 run is green.
+            code = main(["check", "--suite", suite, "--trials", "6",
+                         "--seed", "2", "--mesh", str(mesh_file),
+                         "--constraints", str(constraints),
+                         "--out", str(out)])
+            assert code == (1 if suite == "all" else 0)
+            reports[suite] = out.read_text()
+        assert reports["all"].count("suite thm37 ") == 1
+        assert _suite_section(reports["all"], "thm37") == (
+            reports["thm37"].splitlines()
+        )
+
     def test_text_report(self, tmp_path, capsys):
         code = main(["check", "--suite", "lemma31", "--trials", "10",
                      "--seed", "5"])

@@ -23,6 +23,7 @@ from proximesh.complexes import (
 )
 from proximesh.geometry import Point2
 from proximesh.mesh import SiteSet, triangulate
+from proximesh.regions import PAIRWISE_STRONG, build_region, regions_proximal
 
 P = Point2
 
@@ -46,7 +47,7 @@ def buried_config(grid5_mesh):
         t
         for t in range(len(mesh.triangles))
         if all(
-            mesh.is_interior_vertex(v) for v in mesh.triangles[t].indices
+            not mesh.is_hull_site(v) for v in mesh.triangles[t].indices
         )
     ]
     t = candidates[0]
@@ -177,6 +178,11 @@ class TestNearFar:
     def test_mesh_mismatch(self, fan_mesh, wheel_mesh):
         with pytest.raises(MeshMismatchError):
             near(tri_sub(fan_mesh, 0), tri_sub(wheel_mesh, 0))
+
+    def test_witness_on_other_mesh_rejected(self, fan_mesh, wheel_mesh):
+        a, c = tri_sub(fan_mesh, 0), tri_sub(fan_mesh, 1)
+        with pytest.raises(MeshMismatchError):
+            strongly_far(a, c, tri_sub(wheel_mesh, 0))
 
 
 class TestStrongRelations:
@@ -460,3 +466,44 @@ class TestNearVisibleAgreement:
                 ),
             )
             assert near(a, b).verdict == visible(a, b).verdict
+
+
+class TestReportsRenderNothing:
+    """Relation reports do not render their operands; `describe()` runs
+    only where its text is output (a failure or an sfar witness)."""
+
+    def test_no_describe_calls(self, grid5_mesh, monkeypatch):
+        mesh = grid5_mesh
+        t0 = 0
+        t1 = next(
+            t
+            for e in mesh.triangles[t0].edges()
+            for t in mesh.edge_triangles[e]
+            if t != t0
+        )
+        far_t = next(
+            t
+            for t in range(len(mesh.triangles))
+            if not set(mesh.triangles[t].indices)
+            & set(mesh.triangles[t0].indices)
+        )
+        a, b, d = (tri_sub(mesh, t) for t in (t0, t1, far_t))
+        regions = [
+            build_region(mesh, [t], mode=PAIRWISE_STRONG) for t in (t0, t1)
+        ]
+
+        def refuse(self):
+            raise AssertionError("describe() called")
+
+        monkeypatch.setattr(SubComplex, "describe", refuse)
+        for rel in (near, far, strongly_near, visible, strongly_visible,
+                    invisible, strongly_invisible):
+            rel(a, b)
+            rel(a, d)
+        # Adjacent operands: no witness is found, so none is rendered.
+        assert not strongly_far(a, b).verdict
+        assert not strongly_far(a, b, b).verdict
+        regions_proximal(*regions)
+        for relation in ("near", "visible"):
+            reports = check_cech_axioms(mesh, relation, 5, seed=3)
+            assert all(r.verdict for r in reports)

@@ -8,9 +8,9 @@ import proximesh.regions as rg
 import proximesh.visibility as vis
 from proximesh.harness import (
     DIVERGENCE,
+    CheckRecord,
     FAIL,
     PASS,
-    RunConfig,
     SuiteResult,
     generate_sites,
     mesh_for_trial,
@@ -49,14 +49,16 @@ class TestGenerateSites:
             assert box[0] <= p.x <= box[2] and box[1] <= p.y <= box[3]
 
 
-class TestRunConfig:
+class TestArgumentChecks:
     def test_validation(self):
+        with pytest.raises(ValueError, match="trials"):
+            run_suite("axioms", 0, 0)
         with pytest.raises(ValueError):
-            RunConfig(trials=0)
-        with pytest.raises(ValueError):
-            RunConfig(site_count=2)
-        with pytest.raises(ValueError):
-            RunConfig(box=(Fraction(1), Fraction(0), Fraction(1), Fraction(2)))
+            generate_sites(0, 2)
+        with pytest.raises(ValueError, match="positive area"):
+            generate_sites(
+                0, 20, (Fraction(1), Fraction(0), Fraction(1), Fraction(2))
+            )
 
 
 class TestSuites:
@@ -114,8 +116,6 @@ class TestSuites:
         assert len(result.records) == len(grid_mesh.triangles)
 
     def test_suite_result_counters(self):
-        from proximesh.harness import CheckRecord
-
         r = SuiteResult("x", 0, 3)
         r.records.append(CheckRecord("a", PASS))
         r.records.append(CheckRecord("b", DIVERGENCE, "noted"))
@@ -123,6 +123,25 @@ class TestSuites:
         assert r.ok()
         r.records.append(CheckRecord("c", FAIL, "boom"))
         assert not r.ok()
+
+    def test_passing_checks_render_no_operands(self, fan_mesh, monkeypatch):
+        # lemma31 is exhaustive on this 3-triangle mesh; its failure
+        # detail must not be rendered for the 64 passing pairs.
+        def refuse(self):
+            raise AssertionError("describe() called")
+
+        monkeypatch.setattr(cx.SubComplex, "describe", refuse)
+        for name in ("axioms", "lemma31"):
+            (result,) = run_suite(name, 4, seed=1, mesh=fan_mesh)
+            assert result.failed == 0 and result.records
+
+    def test_check_keeps_detail_only_on_failure(self):
+        r = SuiteResult("x", 0, 2)
+        r.check("a", True, "unused")
+        r.check("b", False, "boom")
+        assert r.records == [
+            CheckRecord("a", PASS), CheckRecord("b", FAIL, "boom")
+        ]
 
 
 class TestSamplers:

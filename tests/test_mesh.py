@@ -47,9 +47,9 @@ class TestSiteSet:
             SiteSet([P(0, 0), P(1, 1), P(2, 2), P(3, 3)])
 
     def test_bbox_margin(self):
-        ss = SiteSet([P(0, 0), P(10, 0), P(0, 10)])
-        assert ss.bbox.xmin == -1 and ss.bbox.xmax == 11
-        assert ss.bbox.ymin == -1 and ss.bbox.ymax == 11
+        box = triangulate(SiteSet([P(0, 0), P(10, 0), P(0, 10)])).clip_box
+        assert box.xmin == -1 and box.xmax == 11
+        assert box.ymin == -1 and box.ymax == 11
 
 
 class TestTriangulate:
@@ -172,11 +172,12 @@ class TestVoronoi:
 
     def test_grid_2x2_congruent_cells(self):
         sites = SiteSet([P(0, 0), P(2, 0), P(0, 2), P(2, 2)])
-        regions = all_sites_voronoi(sites.sites, sites.bbox)
+        mesh = triangulate(sites)
+        regions = all_sites_voronoi(sites.sites, mesh.clip_box)
         areas = {r.cell.area() for r in regions}
         assert len(areas) == 1
         assert all(r.clipped for r in regions)
-        assert triangulate(sites).voronoi == tuple(regions)
+        assert mesh.voronoi == tuple(regions)
 
     def test_collinear_rejected(self):
         with pytest.raises(MeshError, match="collinear"):
