@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from . import complexes as cx
 from . import harness, io, render
-from .mesh import triangulate
+from .mesh import DEFAULT_CLIP_MARGIN, triangulate
 from .rational import parse_rational
 
 RELATIONS = {
@@ -31,17 +31,7 @@ RELATIONS = {
     "sinvisible": cx.strongly_invisible,
 }
 
-SUITES = (
-    "axioms",
-    "lemma31",
-    "lemma33",
-    "thm35",
-    "thm36",
-    "thm37",
-    "regions",
-    "leader",
-    "all",
-)
+SUITES = (*harness.SUITES, "all")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -78,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--sites", required=True)
         p.add_argument("--clip-margin", type=parse_rational,
-                       default=Fraction(1, 10))
+                       default=DEFAULT_CLIP_MARGIN)
         p.add_argument("--out", required=True)
         p.set_defaults(func=_cmd_build_mesh, include_voronoi=include_voronoi)
 

@@ -307,7 +307,7 @@ def strongly_far(
                 witness=("witness_set", candidate.describe()),
                 note=f"witness found at adjacency radius {radius}",
             )
-        frontier |= _edge_adjacent_triangles(mesh, frontier)
+        frontier |= {u for t in frontier for u in mesh.triangle_neighbors[t]}
     return RelationReport(
         relation="strongly_far",
         verdict=False,
@@ -445,11 +445,3 @@ def _incident_triangles(cl: SubComplex) -> set[int]:
         out.update(mesh.vertex_triangles[v])
     out.update(cl.triangles)
     return out
-
-
-def _edge_adjacent_triangles(mesh: Mesh, group: set[int]) -> set[int]:
-    out: set[int] = set()
-    for t in group:
-        for e in mesh.triangles[t].edges():
-            out.update(mesh.edge_triangles[e])
-    return out - group

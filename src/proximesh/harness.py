@@ -125,26 +125,17 @@ def run_suite(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    runners = {
-        "axioms": suite_axioms,
-        "lemma31": suite_near_visible_agreement,
-        "lemma33": suite_strong_visibility,
-        "thm35": suite_strongly_far,
-        "thm36": suite_delaunay_characterizations,
-        "thm37": lambda t, s, m: suite_segment_visibility(
-            t, s, m, constraints
-        ),
-        "regions": lambda t, s, m: suite_regions(t, s, m, mode=region_mode),
-        "leader": suite_leader,
-    }
+    names = list(SUITES) if name == "all" else [name]
     try:
-        if name == "all":
-            results = [fn(trials, seed, mesh) for fn in runners.values()]
-            results.append(suite_relation_coverage(trials, seed, mesh))
-            return results
-        if name not in runners:
+        if name != "all" and name not in SUITES:
             raise ValueError(f"unknown suite: {name!r}")
-        return [runners[name](trials, seed, mesh)]
+        results = [
+            SUITES[n](trials, seed, mesh, region_mode, constraints)
+            for n in names
+        ]
+        if name == "all":
+            results.append(suite_relation_coverage(trials, seed, mesh))
+        return results
     finally:
         mesh_for_trial.cache_clear()
 
@@ -449,12 +440,7 @@ def sample_strong_region(
 ) -> Optional[rg.Region]:
     """A pairwise-strong region: one triangle or an edge-adjacent pair."""
     start = rng.randrange(len(mesh.triangles))
-    neighbors = sorted(
-        t2
-        for e in mesh.triangles[start].edges()
-        for t2 in mesh.edge_triangles[e]
-        if t2 != start
-    )
+    neighbors = sorted(mesh.triangle_neighbors[start])
     chosen = {start}
     if neighbors and rng.random() < 0.7:
         chosen.add(rng.choice(neighbors))
@@ -472,12 +458,7 @@ def sample_chain_region(
     frontier = [start]
     while len(chosen) < size and frontier:
         t = rng.choice(frontier)
-        neighbors = [
-            t2
-            for e in mesh.triangles[t].edges()
-            for t2 in mesh.edge_triangles[e]
-            if t2 not in chosen
-        ]
+        neighbors = [u for u in mesh.triangle_neighbors[t] if u not in chosen]
         if not neighbors:
             frontier.remove(t)
             continue
@@ -563,3 +544,18 @@ def suite_relation_coverage(
             f"verdicts={verdicts} seed={seed}",
         )
     return result
+
+
+# Suite name -> runner(trials, seed, mesh, region_mode, constraints). The
+# runners look the suite functions up when called, so a wrapper put on a
+# module attribute, as by a tracer, sees every suite run.
+SUITES = {
+    "axioms": lambda t, s, m, rm, c: suite_axioms(t, s, m),
+    "lemma31": lambda t, s, m, rm, c: suite_near_visible_agreement(t, s, m),
+    "lemma33": lambda t, s, m, rm, c: suite_strong_visibility(t, s, m),
+    "thm35": lambda t, s, m, rm, c: suite_strongly_far(t, s, m),
+    "thm36": lambda t, s, m, rm, c: suite_delaunay_characterizations(t, s, m),
+    "thm37": lambda t, s, m, rm, c: suite_segment_visibility(t, s, m, c),
+    "regions": lambda t, s, m, rm, c: suite_regions(t, s, m, mode=rm),
+    "leader": lambda t, s, m, rm, c: suite_leader(t, s, m),
+}

@@ -133,7 +133,7 @@ def read_mesh(path: PathLike) -> Mesh:
         margin = parse_rational(doc["clip_margin"])
         box = Rect(*(parse_rational(v) for v in doc["clip_box"]))
         n = len(sites)
-        tri_rows = [_triangle_row(row, n) for row in doc["triangles"]]
+        tri_rows = [_index(row, n, arity=3) for row in doc["triangles"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: malformed mesh document: {exc}") from exc
     site_set = SiteSet(sites, clip_margin=margin)
@@ -145,17 +145,21 @@ def read_mesh(path: PathLike) -> Mesh:
     return Mesh(site_set, triangles, clip_box=box)
 
 
-def _triangle_row(row, n: int) -> tuple[int, int, int]:
-    """Three site indices in [0, n); bools and floats are not indices."""
+def _index(value, n: int, of: str = "site", arity: int = 0):
+    """One `of` index in [0, n), or with `arity` a list of that many.
+
+    Only plain ints are indices: JSON `true` and `1.7` would otherwise
+    read as 1.
+    """
+    row = value if arity else [value]
     if not (
         isinstance(row, list)
-        and len(row) == 3
+        and len(row) == max(arity, 1)
         and all(type(v) is int and 0 <= v < n for v in row)
     ):
-        raise FileFormatError(
-            f"triangle {row!r} is not 3 site indices in [0, {n})"
-        )
-    return tuple(row)
+        count = f"{arity} {of} indices" if arity else f"a {of} index"
+        raise FileFormatError(f"{value!r} is not {count} in [0, {n})")
+    return tuple(row) if arity else value
 
 
 def write_subcomplex(path: PathLike, sub, mesh_ref: str) -> None:
@@ -180,12 +184,13 @@ def read_subcomplex(path: PathLike, mesh: Mesh):
             f"{path}: subcomplex references mesh {ref!r}, "
             f"but loaded mesh is {actual!r}"
         )
+    n, t = len(mesh.sites), len(mesh.triangles)
     try:
         return SubComplex.of(
             mesh,
-            vertices=[int(v) for v in doc["vertices"]],
-            edges=[(int(i), int(j)) for i, j in doc["edges"]],
-            triangles=[int(t) for t in doc["triangles"]],
+            vertices=[_index(v, n) for v in doc["vertices"]],
+            edges=[_index(e, n, arity=2) for e in doc["edges"]],
+            triangles=[_index(i, t, "triangle") for i in doc["triangles"]],
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: malformed subcomplex: {exc}") from exc
@@ -211,13 +216,14 @@ def read_region(path: PathLike, mesh: Mesh):
         raise FileFormatError(
             f"{path}: region references mesh {ref!r}, loaded {actual!r}"
         )
+    t = len(mesh.triangles)
     try:
         return build_region(
             mesh,
-            [int(t) for t in doc["triangles"]],
+            [_index(i, t, "triangle") for i in doc["triangles"]],
             mode=doc["mode"],
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, FileFormatError) as exc:
         raise FileFormatError(f"{path}: malformed region: {exc}") from exc
 
 

@@ -1,11 +1,10 @@
 """Delaunay triangulation and clipped Voronoi dual of a planar site set.
 
 Triangulation is incremental Bowyer-Watson over exact rational
-coordinates, inserting sites in input order inside a synthetic outer
-triangle that is removed afterwards. The outer triangle's size is chosen
-adaptively: after construction the full mesh invariants are checked, and
-on failure the build retries with a larger triangle, so the result never
-silently depends on that choice.
+coordinates, inserting sites in input order. The hull edges carry ghost
+triangles through one vertex at infinity instead of a finite outer
+triangle, so every conflict test is an exact predicate and one pass
+gives the Delaunay triangulation of any non-collinear site set.
 
 Validation is local: once the triangles are proven to tile the convex
 hull, an empty circumcircle across every interior edge implies a
@@ -28,14 +27,16 @@ from typing import Iterable, Optional, Sequence
 from .geometry import (
     Point2,
     Polygon,
+    Segment,
     circumcenter,
     clip_halfplane,
     convex_hull,
     incircle,
     is_convex_polygon,
     orient2d,
+    point_in_segment_interior,
+    segments_share_interior_point,
 )
-from .rational import scaled_ints
 
 DEFAULT_CLIP_MARGIN = Fraction(1, 10)
 
@@ -170,6 +171,7 @@ class Mesh:
         "triangles",
         "edge_triangles",
         "vertex_triangles",
+        "triangle_neighbors",
         "hull",
         "clip_box",
         "_hull_sites",
@@ -195,6 +197,12 @@ class Mesh:
         self.vertex_triangles = {v: tuple(ts) for v, ts in vertex_map.items()}
         self.hull = convex_hull(site_set.sites)
         self._validate()
+        # Edge-neighbors of each triangle, across its edges in the order
+        # (v0v1, v1v2, v2v0).
+        self.triangle_neighbors = tuple(
+            tuple(u for e in tri.edges() for u in edge_map[e] if u != t)
+            for t, tri in enumerate(self.triangles)
+        )
         # On a proven tiling of the hull, the one-triangle edges are
         # exactly the hull boundary, collinear hull sites included.
         self._hull_sites = frozenset(
@@ -345,19 +353,8 @@ def triangulate(site_set: SiteSet) -> Mesh:
     the two candidate diagonals, keep the one whose smaller endpoint
     index is smaller.
     """
-    scale = 1 << 16
-    last_error: Optional[MeshError] = None
-    for _ in range(8):
-        tris = _bowyer_watson(site_set, scale)
-        tris = _normalize_cocircular(tris, site_set)
-        try:
-            return Mesh(site_set, tris)
-        except MeshError as exc:
-            # Outer triangle interfered with a huge circumcircle; retry
-            # with a larger one.
-            last_error = exc
-            scale <<= 16
-    raise MeshError(f"triangulation failed to stabilize: {last_error}")
+    tris = _bowyer_watson(site_set)
+    return Mesh(site_set, _normalize_cocircular(tris, site_set))
 
 
 def voronoi(mesh: Mesh) -> list[VoronoiRegion]:
@@ -396,7 +393,12 @@ def voronoi(mesh: Mesh) -> list[VoronoiRegion]:
 
 def is_delaunay_edge(p: int, q: int, mesh: Mesh) -> bool:
     """True when the clipped cells of p and q share a boundary segment of
-    positive length (meeting at a single point does not count)."""
+    positive length (meeting at a single point does not count).
+
+    Each cell lies on its own site's side of the p-q bisector, so it
+    meets that line in at most one of its edges; the cells share a wall
+    exactly when those two edges overlap.
+    """
     if p == q:
         raise MeshError("edge endpoints must differ")
     sites = mesh.site_set
@@ -404,98 +406,76 @@ def is_delaunay_edge(p: int, q: int, mesh: Mesh) -> bool:
         raise MeshError(f"site index out of range: {(p, q)}")
     a, b = sites[p], sites[q]
     mid = Point2((a.x + b.x) / 2, (a.y + b.y) / 2)
-    direction = Point2(-(b.y - a.y), b.x - a.x)
-    span_p = _line_span_in_cell(mid, direction, mesh.voronoi[p].cell)
-    if span_p is None:
-        return False
-    span_q = _line_span_in_cell(mid, direction, mesh.voronoi[q].cell)
-    if span_q is None:
-        return False
-    lo = max(span_p[0], span_q[0])
-    hi = min(span_p[1], span_q[1])
-    return lo < hi
+    along = Point2(mid.x - (b.y - a.y), mid.y + (b.x - a.x))
+    walls = []
+    for site in (p, q):
+        wall = next(
+            (
+                Segment(u, v)
+                for u, v in mesh.voronoi[site].cell.edges()
+                if orient2d(mid, along, u) == 0 and orient2d(mid, along, v) == 0
+            ),
+            None,
+        )
+        if wall is None:
+            return False
+        walls.append(wall)
+    return segments_share_interior_point(*walls)
 
 
 def _edge(i: int, j: int) -> Edge:
     return (i, j) if i < j else (j, i)
 
 
-def _line_span_in_cell(
-    origin: Point2, direction: Point2, cell: Polygon
-) -> Optional[tuple[Fraction, Fraction]]:
-    """Parameter interval of {origin + t*direction} inside a convex cell.
+def _bowyer_watson(site_set: SiteSet) -> list[Triangle]:
+    """Incremental Bowyer-Watson with one ghost vertex at infinity.
 
-    Each edge contributes one linear constraint alpha + beta*t >= 0.
-    Both coefficients are evaluated on a per-edge integer rescaling; the
-    common factor cancels in the bound -alpha/beta, so the interval is
-    exact.
+    Each hull edge i->j, directed with the hull on its right, carries a
+    ghost triangle (i, j, ghost). Its circumcircle degenerates to the
+    open half-plane left of i->j plus the open segment ij, so a site
+    outside the current hull, or on a hull edge, finds its cavity with
+    exact predicates alone.
     """
-    lo: Optional[Fraction] = None
-    hi: Optional[Fraction] = None
-    for a, b in cell.edges():
-        ax, ay, bx, by, ox, oy, dx, dy = scaled_ints(
-            a.x, a.y, b.x, b.y, origin.x, origin.y, direction.x, direction.y
-        )
-        ex = bx - ax
-        ey = by - ay
-        alpha = ex * (oy - ay) - ey * (ox - ax)
-        beta = ex * dy - ey * dx
-        if beta == 0:
-            if alpha < 0:
-                return None
+    sites = site_set.sites
+    ghost = len(sites)
+    k = next(k for k in range(2, ghost) if orient2d(*sites[:2], sites[k]))
+    i, j = (0, 1) if orient2d(*sites[:2], sites[k]) > 0 else (1, 0)
+    active = {(i, j, k), (j, i, ghost), (k, j, ghost), (i, k, ghost)}
+    for idx in range(2, ghost):
+        if idx == k:
             continue
-        bound = Fraction(-alpha, beta)
-        if beta > 0:
-            lo = bound if lo is None else max(lo, bound)
-        else:
-            hi = bound if hi is None else min(hi, bound)
-    if lo is None or hi is None or lo > hi:
-        return None
-    return (lo, hi)
-
-
-def _bowyer_watson(site_set: SiteSet, scale: int) -> list[Triangle]:
-    sites = list(site_set.sites)
-    n = len(sites)
-    xs = [p.x for p in sites]
-    ys = [p.y for p in sites]
-    cx = (min(xs) + max(xs)) / 2
-    cy = (min(ys) + max(ys)) / 2
-    ext = max(max(xs) - min(xs), max(ys) - min(ys))
-    big = ext * scale
-    pts = sites + [
-        Point2(cx - 3 * big, cy - 2 * big),
-        Point2(cx + 3 * big, cy - 2 * big),
-        Point2(cx, cy + 4 * big),
-    ]
-
-    def ccw(i: int, j: int, k: int) -> tuple[int, int, int]:
-        if orient2d(pts[i], pts[j], pts[k]) < 0:
-            j, k = k, j
-        return (i, j, k)
-
-    active: set[tuple[int, int, int]] = {ccw(n, n + 1, n + 2)}
-    for idx in range(n):
-        p = pts[idx]
-        bad = [
-            t
-            for t in active
-            if incircle(pts[t[0]], pts[t[1]], pts[t[2]], p) > 0
-        ]
-        directed: set[tuple[int, int]] = set()
-        for i, j, k in bad:
-            for e in ((i, j), (j, k), (k, i)):
-                directed.add(e)
+        p = sites[idx]
+        bad = [t for t in active if _in_conflict(t, p, sites)]
+        directed: set[Edge] = set()
+        for a, b, c in bad:
+            directed.update(((a, b), (b, c), (c, a)))
         active.difference_update(bad)
-        for i, j in directed:
-            if (j, i) in directed:
+        for a, b in directed:
+            if (b, a) in directed:
                 continue
-            active.add((i, j, idx))
-    result = []
-    for t in active:
-        if all(v < n for v in t):
-            result.append(make_triangle(*t, site_set))
-    return result
+            # Rotate new ghost triangles so that the ghost stays last.
+            if a == ghost:
+                active.add((b, idx, ghost))
+            elif b == ghost:
+                active.add((idx, a, ghost))
+            else:
+                active.add((a, b, idx))
+    return [make_triangle(*t, site_set) for t in active if t[2] != ghost]
+
+
+def _in_conflict(
+    t: tuple[int, int, int], p: Point2, sites: Sequence[Point2]
+) -> bool:
+    """Whether p lies strictly inside the circumcircle of t; for a ghost
+    triangle (third index len(sites)), in the open half-plane beyond its
+    hull edge or on the open edge."""
+    i, j, k = t
+    if k < len(sites):
+        return incircle(sites[i], sites[j], sites[k], p) > 0
+    side = orient2d(sites[i], sites[j], p)
+    return side > 0 or (
+        side == 0 and point_in_segment_interior(p, Segment(sites[i], sites[j]))
+    )
 
 
 def _normalize_cocircular(

@@ -95,9 +95,8 @@ def build_region(
     if mode == PAIRWISE_STRONG:
         ordered = sorted(tris)
         for i, t1 in enumerate(ordered):
-            e1 = set(mesh.triangles[t1].edges())
             for t2 in ordered[i + 1 :]:
-                if not e1 & set(mesh.triangles[t2].edges()):
+                if t2 not in mesh.triangle_neighbors[t1]:
                     raise RegionError(
                         f"triangles {t1} and {t2} share no edge; not a "
                         "pairwise-strong region"
@@ -255,9 +254,8 @@ def _edge_connected(mesh: Mesh, tris: frozenset[int]) -> bool:
     stack = [start]
     while stack:
         t = stack.pop()
-        for e in mesh.triangles[t].edges():
-            for other in mesh.edge_triangles[e]:
-                if other in tris and other not in seen:
-                    seen.add(other)
-                    stack.append(other)
+        for other in mesh.triangle_neighbors[t]:
+            if other in tris and other not in seen:
+                seen.add(other)
+                stack.append(other)
     return seen == tris

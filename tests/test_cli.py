@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from oracles import brute_force_delaunay
 from proximesh import io
 from proximesh.cli import main
 from proximesh.complexes import SubComplex
@@ -83,6 +84,19 @@ class TestBuildMesh:
                      "--out", str(tmp_path / "m.json")])
         assert code == 2
         assert "collinear" in capsys.readouterr().err
+
+
+    def test_flat_hull_triangulates_exactly(self, tmp_path, capsys):
+        # Site 2 sits 2^-200 above the hull edge 0-1.
+        sites = tmp_path / "flat.txt"
+        sites.write_text(f"0,0\n1,0\n1/2,1/{2**200}\n1/2,1\n")
+        mesh_file = tmp_path / "flat.json"
+        code = main(["triangulate", "--sites", str(sites),
+                     "--out", str(mesh_file)])
+        assert code == 0, capsys.readouterr().err
+        mesh = io.read_mesh(mesh_file)
+        got = {frozenset(t.indices) for t in mesh.triangles}
+        assert got == brute_force_delaunay(mesh.sites)
 
 
 class TestRelate:
@@ -213,6 +227,56 @@ class TestTriangleIndices:
         assert lines[0].startswith("error: ")
         assert "not 3 site indices" in lines[0]
         assert "Traceback" not in captured.err
+        assert not out.exists()
+
+
+class TestSubcomplexIndices:
+    """Subcomplex vertices and triangles must be plain ints in range,
+    and edge rows two of them."""
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("vertices", [True]),
+            ("vertices", [1.7]),
+            ("vertices", [-1]),
+            ("vertices", [99]),
+            ("edges", [[0, True]]),
+            ("edges", [[0, 1, 2]]),
+            ("edges", [[0]]),
+            ("triangles", [0.9]),
+            ("triangles", [True]),
+            ("triangles", [999]),
+        ],
+        ids=["vertex-bool", "vertex-float", "vertex-negative",
+             "vertex-too-large", "edge-bool", "edge-long", "edge-short",
+             "triangle-float", "triangle-bool", "triangle-too-large"],
+    )
+    @pytest.mark.parametrize("command", ["relate", "render"])
+    def test_exit_two_with_one_error_line(
+        self, workspace, capsys, command, field, value
+    ):
+        tmp_path, _, mesh_file, a, b = workspace
+        doc = json.loads(a.read_text())
+        doc[field] = value
+        a.write_text(json.dumps(doc))
+        out = tmp_path / "x.svg"
+        if command == "relate":
+            argv = ["relate", "--mesh", str(mesh_file), "--a", str(a),
+                    "--b", str(b), "--relation", "near"]
+        else:
+            argv = ["render", "--mesh", str(mesh_file), "--subcomplex",
+                    str(a), "--out", str(out)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert "malformed subcomplex" in lines[0]
+        assert " is not " in lines[0]
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
         assert not out.exists()
 
 

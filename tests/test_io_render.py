@@ -128,6 +128,22 @@ class TestRegionFile:
         assert loaded.triangles == region.triangles
         assert loaded.mode == EDGE_CHAIN
 
+    @pytest.mark.parametrize(
+        "triangles",
+        [[0, True], [0, 1.0], [0.9], [-1], [18], ["0"]],
+        ids=["bool", "integral-float", "float", "negative", "too-large",
+             "string"],
+    )
+    def test_triangle_indices_strict(self, tmp_path, grid_mesh, triangles):
+        region = build_region(grid_mesh, [0, 1], mode=EDGE_CHAIN)
+        path = tmp_path / "region.json"
+        io.write_region(path, region, io.mesh_id(grid_mesh))
+        doc = json.loads(path.read_text())
+        doc["triangles"] = triangles
+        path.write_text(json.dumps(doc))
+        with pytest.raises(io.FileFormatError, match="malformed region"):
+            io.read_region(path, grid_mesh)
+
 
 class TestConstraintsFile:
     def test_roundtrip(self, tmp_path):

@@ -2,13 +2,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     all_sites_voronoi,
     brute_force_delaunay,
     is_delaunay_triangulation,
 )
-from proximesh.geometry import Point2, is_convex_polygon, squared_distance
+from proximesh.geometry import (
+    Point2,
+    incircle,
+    is_convex_polygon,
+    squared_distance,
+)
 from proximesh.mesh import (
     Mesh,
     MeshError,
@@ -103,6 +110,110 @@ class TestTriangulate:
             is_delaunay_triangle(t, grid_mesh.site_set)
             for t in grid_mesh.triangles
         )
+
+
+# A hull edge 0-1 with site 2 at height 2^-200 above its midpoint: any
+# finite outer triangle of moderate size cuts the circumcircle of the
+# flat triangle (0, 1, 2).
+FLAT_HULL = [P(0, 0), P(1, 0), P(Fraction(1, 2), Fraction(1, 2**200)),
+             P(Fraction(1, 2), 1)]
+
+
+def _indices(mesh):
+    return [t.indices for t in mesh.triangles]
+
+
+def _shared_wall_expected(mesh, p, q):
+    """Dual rule: pq is a mesh edge whose two triangles (if two) are not
+    cocircular, so the cells share a wall of positive length."""
+    ts = mesh.edge_triangles.get((p, q), ())
+    if len(ts) != 2:
+        return len(ts) == 1
+    t1, t2 = (mesh.triangles[t] for t in ts)
+    d = next(v for v in t2.indices if v not in (p, q))
+    return incircle(*mesh.triangle_points(t1), mesh.sites[d]) != 0
+
+
+lattice_sites = st.lists(
+    st.tuples(st.integers(0, 4), st.integers(0, 3)),
+    min_size=3,
+    max_size=10,
+    unique=True,
+).map(lambda pts: [P(x, y) for x, y in pts])
+
+
+class TestExactPass:
+    def test_flat_hull_matches_brute_force(self):
+        mesh = triangulate(SiteSet(FLAT_HULL))
+        got = {frozenset(t.indices) for t in mesh.triangles}
+        assert got == brute_force_delaunay(FLAT_HULL)
+
+    def test_one_mesh_per_call(self, monkeypatch):
+        built = []
+        init = Mesh.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Mesh, "__init__", counted)
+        inputs = [
+            FLAT_HULL,
+            [P(i, j) for j in range(5) for i in range(5)],
+            random_sites(7, 30).sites,
+        ]
+        for sites in inputs:
+            built.clear()
+            triangulate(SiteSet(sites))
+            assert len(built) == 1
+
+    @pytest.mark.parametrize(
+        "sites",
+        [
+            # Sites 0-3 and 6-7 lie on one line; 4 is the first off it.
+            [P(0, 0), P(1, 0), P(2, 0), P(3, 0), P(1, 1), P(2, -1),
+             P(5, 0), P(-1, 0)],
+            [P(3, 0), P(1, 0), P(2, 0), P(0, 0), P(1, 5), P(-2, 0)],
+            [P(i, j) for j in range(6) for i in range(7)],
+        ],
+        ids=["collinear-prefix", "collinear-prefix-unsorted", "grid-7x6"],
+    )
+    def test_degenerate_inputs_match_global_oracle(self, sites):
+        mesh = triangulate(SiteSet(sites))
+        assert is_delaunay_triangulation(sites, _indices(mesh))
+
+    @settings(max_examples=60, deadline=None)
+    @given(lattice_sites)
+    def test_lattice_sites_match_global_oracle(self, sites):
+        a, b = sites[:2]
+        assume(any(
+            (b.x - a.x) * (c.y - a.y) != (b.y - a.y) * (c.x - a.x)
+            for c in sites[2:]
+        ))
+        mesh = triangulate(SiteSet(sites))
+        assert is_delaunay_triangulation(sites, _indices(mesh))
+        assert _indices(triangulate(SiteSet(sites))) == _indices(mesh)
+        n = len(sites)
+        for p in range(n):
+            for q in range(p + 1, n):
+                assert is_delaunay_edge(p, q, mesh) == (
+                    _shared_wall_expected(mesh, p, q)
+                )
+
+
+class TestTriangleNeighbors:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_neighbors_follow_edge_order(self, seed, grid_mesh):
+        for mesh in (grid_mesh, triangulate(random_sites(seed, 20))):
+            for t, tri in enumerate(mesh.triangles):
+                expected = tuple(
+                    u
+                    for e in tri.edges()
+                    for u in mesh.edge_triangles[e]
+                    if u != t
+                )
+                assert mesh.triangle_neighbors[t] == expected
+                assert all(t in mesh.triangle_neighbors[u] for u in expected)
 
 
 class TestIsDelaunayTriangle:
