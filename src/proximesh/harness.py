@@ -12,8 +12,8 @@ instead of asserting them away.
 
 from __future__ import annotations
 
-import functools
 import random
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -66,6 +66,10 @@ class SuiteResult:
         record = CheckRecord(label, PASS if ok else FAIL, "" if ok else detail)
         self.records.append(record)
 
+    def skip(self, label: str, detail: str) -> None:
+        """Record a check with nothing to test, as a pass with `detail`."""
+        self.records.append(CheckRecord(label, PASS, detail))
+
 
 def generate_sites(
     seed: int,
@@ -97,13 +101,13 @@ def generate_sites(
     )
 
 
-@functools.cache
-def mesh_for_trial(seed: int, trial: int, max_sites: int = 30) -> Mesh:
-    """Deterministic per-trial mesh with 4..max_sites sites.
+# The trial meshes of the `run_suite` call in progress, by (seed, trial).
+_TRIAL_MEMO: ContextVar[dict[tuple[int, int], Mesh]] = ContextVar("trial_memo")
 
-    Memoized, since the suites of one pass share trial meshes and a Mesh
-    is immutable; `run_suite` empties the memo when it returns.
-    """
+
+def mesh_for_trial(seed: int, trial: int, max_sites: int = 30) -> Mesh:
+    """Deterministic per-trial mesh with 4..max_sites sites, built anew
+    on every call."""
     rng = random.Random(seed * 7_919 + trial)
     count = rng.randint(4, max_sites)
     sites, _ = generate_sites(rng.randrange(2**32), count)
@@ -121,11 +125,13 @@ def run_suite(
     """Run one named suite (or all of them) and return its results.
 
     `region_mode` reaches the regions suite and `constraints` the thm37
-    suite. Trial meshes are memoized for the duration of the call only.
+    suite. The suites share each trial mesh, built once for the duration
+    of the call.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     names = list(SUITES) if name == "all" else [name]
+    token = _TRIAL_MEMO.set({})
     try:
         if name != "all" and name not in SUITES:
             raise ValueError(f"unknown suite: {name!r}")
@@ -137,11 +143,16 @@ def run_suite(
             results.append(suite_relation_coverage(trials, seed, mesh))
         return results
     finally:
-        mesh_for_trial.cache_clear()
+        _TRIAL_MEMO.reset(token)
 
 
 def _trial_mesh(mesh: Optional[Mesh], seed: int, trial: int) -> Mesh:
-    return mesh if mesh is not None else mesh_for_trial(seed, trial)
+    if mesh is not None:
+        return mesh
+    memo = _TRIAL_MEMO.get({})  # outside run_suite: a throwaway memo
+    if (seed, trial) not in memo:
+        memo[seed, trial] = mesh_for_trial(seed, trial)
+    return memo[seed, trial]
 
 
 def suite_axioms(
@@ -241,9 +252,7 @@ def suite_strong_visibility(
                 )
             )
         else:
-            result.records.append(
-                CheckRecord(f"strongly_visible=>visible trial={trial}", PASS)
-            )
+            result.check(f"strongly_visible=>visible trial={trial}", True)
     return result
 
 
@@ -253,8 +262,15 @@ def suite_strongly_far(
     """Configurations where the strongly-far relation holds must also be
     invisible pairs, and the relation's two facades (proximity flavor
     and visibility flavor) must agree with an independent re-evaluation
-    from the public closure operations."""
+    from the public closure operations. A supplied mesh that offers no
+    such configuration is skipped."""
     result = SuiteResult("thm35", seed, trials)
+    if mesh is not None and not any(
+        _witness_and_free(mesh, t)[1] for t in _off_hull_triangles(mesh)
+    ):
+        result.skip("strongly_far generation",
+                    "no strongly-far configuration in the mesh; skipped")
+        return result
     produced = 0
     trial = 0
     attempts_limit = trials * 40
@@ -298,36 +314,47 @@ def sample_strongly_far_config(
     """Draw (a, c, witness) with c a triangle buried inside the witness
     and a drawn from triangles not touching the witness; None when the
     mesh offers no such configuration."""
-    candidates = [
-        t
-        for t in range(len(mesh.triangles))
-        if all(
-            not mesh.is_hull_site(v) for v in mesh.triangles[t].indices
-        )
-    ]
+    candidates = _off_hull_triangles(mesh)
     if not candidates:
         return None
     t = rng.choice(candidates)
-    c = cx.SubComplex.of_triangles(mesh, [t])
-    witness_tris = {
-        t2
-        for v in mesh.triangles[t].indices
-        for t2 in mesh.vertex_triangles[v]
-    }
-    witness = cx.closure(cx.SubComplex.of_triangles(mesh, witness_tris))
-    blocked = {
-        t2
-        for v in witness.vertices
-        for t2 in mesh.vertex_triangles[v]
-    }
-    free = [t2 for t2 in range(len(mesh.triangles)) if t2 not in blocked]
+    witness_tris, free = _witness_and_free(mesh, t)
     if not free:
         return None
+    c = cx.SubComplex.of_triangles(mesh, [t])
+    witness = cx.closure(cx.SubComplex.of_triangles(mesh, witness_tris))
     picked = [t2 for t2 in free if rng.random() < Fraction(1, 2)] or [
         rng.choice(free)
     ]
     a = cx.closure(cx.SubComplex.of_triangles(mesh, picked))
     return a, c, witness
+
+
+def _off_hull_triangles(mesh: Mesh) -> list[int]:
+    """Triangles whose three vertices are all off the hull."""
+    return [
+        t
+        for t, tri in enumerate(mesh.triangles)
+        if not any(mesh.is_hull_site(v) for v in tri.indices)
+    ]
+
+
+def _witness_and_free(mesh: Mesh, t: int) -> tuple[set[int], list[int]]:
+    """The triangles around t's vertices, which form t's witness, and
+    the triangles that touch none of the witness's vertices."""
+    witness_tris = {
+        t2
+        for v in mesh.triangles[t].indices
+        for t2 in mesh.vertex_triangles[v]
+    }
+    blocked = {
+        t3
+        for t2 in witness_tris
+        for v in mesh.triangles[t2].indices
+        for t3 in mesh.vertex_triangles[v]
+    }
+    free = [t2 for t2 in range(len(mesh.triangles)) if t2 not in blocked]
+    return witness_tris, free
 
 
 def suite_delaunay_characterizations(
@@ -336,11 +363,8 @@ def suite_delaunay_characterizations(
     """Per-triangle agreement of the circumcircle, dual-vertex, and
     shared-wall characterizations, plus triangle convexity."""
     result = SuiteResult("thm36", seed, trials)
-    meshes = (
-        [mesh]
-        if mesh is not None
-        else [mesh_for_trial(seed, t) for t in range(max(1, trials // 10))]
-    )
+    count = 1 if mesh is not None else max(1, trials // 10)
+    meshes = [_trial_mesh(mesh, seed, t) for t in range(count)]
     for m_idx, m in enumerate(meshes):
         for rep in rg.audit_delaunay_characterizations(m):
             result.check(
@@ -401,19 +425,12 @@ def suite_regions(
         rng = random.Random(seed * 22_695_477 + trial)
         region = sampler(m, rng)
         if region is None:
-            result.records.append(
-                CheckRecord(
-                    f"region trial={trial}",
-                    PASS,
-                    "no traceable region sampled; skipped",
-                )
-            )
+            result.skip(f"region trial={trial}",
+                        "no traceable region sampled; skipped")
             continue
         report = rg.region_convexity(region)
         if report.is_convex:
-            result.records.append(
-                CheckRecord(f"region convex trial={trial}", PASS)
-            )
+            result.check(f"region convex trial={trial}", True)
         else:
             result.records.append(
                 CheckRecord(
@@ -484,9 +501,7 @@ def suite_leader(
         rng = random.Random(seed * 67_867_967 + trial)
         region = sample_chain_region(m, rng, max_size=8)
         if region is None:
-            result.records.append(
-                CheckRecord(f"leader trial={trial}", PASS, "skipped")
-            )
+            result.skip(f"leader trial={trial}", "skipped")
             continue
         family = [
             _random_region_member(region, rng) for _ in range(rng.randint(2, 5))

@@ -9,6 +9,7 @@ match.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from pathlib import Path
@@ -115,6 +116,9 @@ def mesh_payload(mesh: Mesh, include_voronoi: bool = False) -> dict:
     return payload
 
 
+# Kept for the last mesh, which every operand read asks about. A Mesh is
+# immutable and compares by identity; its lazy cells are not in the id.
+@functools.lru_cache(maxsize=1)
 def mesh_id(mesh: Mesh) -> str:
     return mesh_payload(mesh)["mesh_id"]
 

@@ -4,7 +4,10 @@ Triangulation is incremental Bowyer-Watson over exact rational
 coordinates, inserting sites in input order. The hull edges carry ghost
 triangles through one vertex at infinity instead of a finite outer
 triangle, so every conflict test is an exact predicate and one pass
-gives the Delaunay triangulation of any non-collinear site set.
+gives the Delaunay triangulation of any non-collinear site set. The
+conflict test alone decides cocircular ties, by a symbolic perturbation
+of the lifted sites: each cocircular Delaunay polygon is fanned from its
+least site index; the triangles do not depend on insertion order.
 
 Validation is local: once the triangles are proven to tile the convex
 hull, an empty circumcircle across every interior edge implies a
@@ -347,14 +350,13 @@ def triangles_sharing_edge(mesh: Mesh, p: int, q: int) -> tuple[int, ...]:
 
 
 def triangulate(site_set: SiteSet) -> Mesh:
-    """Delaunay triangulation of the sites, deterministic in input order.
+    """Delaunay triangulation of the sites, triangles sorted by indices.
 
-    Cocircular quadrilaterals are resolved by a fixed symbolic rule: of
-    the two candidate diagonals, keep the one whose smaller endpoint
-    index is smaller.
+    Each cocircular Delaunay polygon is fanned from its least site
+    index; the triangles do not depend on insertion order.
     """
     tris = _bowyer_watson(site_set)
-    return Mesh(site_set, _normalize_cocircular(tris, site_set))
+    return Mesh(site_set, sorted(tris, key=lambda t: t.indices))
 
 
 def voronoi(mesh: Mesh) -> list[VoronoiRegion]:
@@ -444,8 +446,7 @@ def _bowyer_watson(site_set: SiteSet) -> list[Triangle]:
     for idx in range(2, ghost):
         if idx == k:
             continue
-        p = sites[idx]
-        bad = [t for t in active if _in_conflict(t, p, sites)]
+        bad = [t for t in active if _in_conflict(t, idx, sites)]
         directed: set[Edge] = set()
         for a, b, c in bad:
             directed.update(((a, b), (b, c), (c, a)))
@@ -464,52 +465,31 @@ def _bowyer_watson(site_set: SiteSet) -> list[Triangle]:
 
 
 def _in_conflict(
-    t: tuple[int, int, int], p: Point2, sites: Sequence[Point2]
+    t: tuple[int, int, int], idx: int, sites: Sequence[Point2]
 ) -> bool:
-    """Whether p lies strictly inside the circumcircle of t; for a ghost
-    triangle (third index len(sites)), in the open half-plane beyond its
-    hull edge or on the open edge."""
+    """Whether site idx lies inside the circumcircle of the
+    counterclockwise triangle t; for a ghost triangle (third index
+    len(sites)), in the open half-plane beyond its hull edge or on the
+    open edge.
+
+    A tie on the circle lowers each site i's lift by ε^(i+1), so the
+    least index m of t and idx decides: idx is inside if idx < m, else
+    if it lies strictly right of t's edge a->b opposite m, where the
+    lowered m tilts the lifted plane up. (idx is never on line ab,
+    which meets the circle only at a and b.) So each cocircular Delaunay
+    polygon is fanned from its least site index; the triangles do not
+    depend on insertion order.
+    """
     i, j, k = t
+    p = sites[idx]
     if k < len(sites):
-        return incircle(sites[i], sites[j], sites[k], p) > 0
+        side = incircle(sites[i], sites[j], sites[k], p)
+        if side:
+            return side > 0
+        m = min(t)
+        a, b = (j, k) if m == i else (k, i) if m == j else (i, j)
+        return idx < m or orient2d(sites[a], sites[b], p) < 0
     side = orient2d(sites[i], sites[j], p)
     return side > 0 or (
         side == 0 and point_in_segment_interior(p, Segment(sites[i], sites[j]))
     )
-
-
-def _normalize_cocircular(
-    tris: list[Triangle], site_set: SiteSet
-) -> list[Triangle]:
-    """Apply the symbolic diagonal rule to every cocircular quad."""
-    current = set(tris)
-    changed = True
-    while changed:
-        changed = False
-        edge_map: dict[Edge, list[Triangle]] = {}
-        for t in current:
-            for e in t.edges():
-                edge_map.setdefault(e, []).append(t)
-        for e in sorted(edge_map):
-            pair = edge_map[e]
-            if len(pair) != 2:
-                continue
-            t1, t2 = pair
-            c = next(v for v in t1.indices if v not in e)
-            d = next(v for v in t2.indices if v not in e)
-            a, b = e
-            pc, pd = site_set[c], site_set[d]
-            if incircle(*(site_set[v] for v in t1.indices), pd) != 0:
-                continue
-            if min(c, d) >= min(a, b):
-                continue
-            # Flip is only geometrically valid for a strictly convex quad.
-            if orient2d(pc, pd, site_set[a]) * orient2d(pc, pd, site_set[b]) >= 0:
-                continue
-            current.discard(t1)
-            current.discard(t2)
-            current.add(make_triangle(c, d, a, site_set))
-            current.add(make_triangle(c, d, b, site_set))
-            changed = True
-            break
-    return sorted(current, key=lambda t: t.indices)

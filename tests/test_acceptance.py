@@ -198,8 +198,9 @@ def test_strong_visibility_forward_and_converse():
     converse fails on a vertex-fan mesh and is reported as an expected
     divergence, not a failure."""
     rng = random.Random(555)
+    meshes = [mesh_for_trial(88_005, t, max_sites=25) for t in range(20)]
     for trial in range(300):
-        mesh = mesh_for_trial(88_005, trial % 20, max_sites=25)
+        mesh = meshes[trial % len(meshes)]
         a = random_triangle_subcomplex(mesh, rng)
         b = random_triangle_subcomplex(mesh, rng)
         if strongly_visible(a, b).verdict:
@@ -299,8 +300,9 @@ def test_region_convexity_audit():
     checked = 0
     counterexamples = []
     trial = 0
+    meshes = [mesh_for_trial(55_010, t, max_sites=30) for t in range(40)]
     while checked < 200 and trial < 2_000:
-        mesh = mesh_for_trial(55_010, trial % 40, max_sites=30)
+        mesh = meshes[trial % len(meshes)]
         trial += 1
         region = sample_chain_region(mesh, rng)
         if region is None:
@@ -341,8 +343,9 @@ def test_leader_neighborhood_maps():
     rng = random.Random(66_011)
     built = 0
     trial = 0
+    meshes = [mesh_for_trial(74_012, t, max_sites=28) for t in range(25)]
     while built < 100 and trial < 1_000:
-        mesh = mesh_for_trial(74_012, trial % 25, max_sites=28)
+        mesh = meshes[trial % len(meshes)]
         trial += 1
         region = sample_chain_region(mesh, rng, max_size=8)
         if region is None:

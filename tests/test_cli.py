@@ -309,18 +309,31 @@ class TestCheck:
         reports = {}
         for suite in ("all", "thm37"):
             out = tmp_path / f"{suite}.txt"
-            # A 12-site mesh has no strongly-far configuration, so only
-            # the thm37 run is green.
             code = main(["check", "--suite", suite, "--trials", "6",
                          "--seed", "2", "--mesh", str(mesh_file),
                          "--constraints", str(constraints),
                          "--out", str(out)])
-            assert code == (1 if suite == "all" else 0)
+            assert code == 0
             reports[suite] = out.read_text()
         assert reports["all"].count("suite thm37 ") == 1
         assert _suite_section(reports["all"], "thm37") == (
             reports["thm37"].splitlines()
         )
+
+    def test_all_skips_thm35_on_mesh_without_config(self, workspace, tmp_path):
+        # The 12-site mesh has one triangle off the hull, and the star of
+        # its vertices touches every triangle: nothing can be strongly far.
+        _, _, mesh_file, *_ = workspace
+        out = tmp_path / "all.txt"
+        code = main(["check", "--suite", "all", "--trials", "6", "--seed",
+                     "2", "--mesh", str(mesh_file), "--out", str(out)])
+        assert code == 0
+        assert _suite_section(out.read_text(), "thm35") == [
+            "suite thm35 seed=2 trials=6",
+            "check strongly_far generation status=pass detail=no "
+            "strongly-far configuration in the mesh; skipped",
+            "summary suite=thm35 pass=1 fail=0 expected_divergence=0",
+        ]
 
     def test_text_report(self, tmp_path, capsys):
         code = main(["check", "--suite", "lemma31", "--trials", "10",

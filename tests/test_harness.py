@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import proximesh.complexes as cx
+import proximesh.harness as hs
 import proximesh.regions as rg
 import proximesh.visibility as vis
 from proximesh.harness import (
@@ -18,6 +19,7 @@ from proximesh.harness import (
     sample_chain_region,
     sample_strongly_far_config,
     suite_strong_visibility,
+    suite_strongly_far,
 )
 from proximesh.mesh import triangulate
 
@@ -85,14 +87,35 @@ class TestSuites:
         ]
         assert all(r.failed == 0 for r in results)
 
-    def test_run_suite_empties_trial_mesh_memo(self):
-        mesh_for_trial(5, 2)
-        run_suite("lemma33", 3, seed=4)
-        assert mesh_for_trial.cache_info().currsize == 0
-        mesh_for_trial(5, 2)
+    def test_trial_meshes_built_once_per_pass(self, monkeypatch):
+        built = []
+        real_triangulate = hs.triangulate
+        monkeypatch.setattr(
+            hs, "triangulate", lambda ss: built.append(ss) or real_triangulate(ss)
+        )
+        requested = []
+        real_mesh_for_trial = hs.mesh_for_trial
+
+        def counted(seed, trial, *args):
+            requested.append((seed, trial))
+            return real_mesh_for_trial(seed, trial, *args)
+
+        monkeypatch.setattr(hs, "mesh_for_trial", counted)
+        # Every suite reads trial 0, and most read trials 1..19 as well.
+        run_suite("all", 20, seed=4)
+        n = len(built)
+        assert len(set(requested)) == len(requested) == n >= 20
+        run_suite("all", 20, seed=4)
+        assert len(built) == 2 * n
+        # No memo outside run_suite: direct calls and direct suite runs
+        # build every time, also after a pass that raised.
         with pytest.raises(ValueError, match="unknown suite"):
-            run_suite("bogus", 1, 0)
-        assert mesh_for_trial.cache_info().currsize == 0
+            run_suite("bogus", 1, seed=4)
+        a, b = hs.mesh_for_trial(4, 0), hs.mesh_for_trial(4, 0)
+        assert a is not b and len(built) == 2 * n + 2
+        suite_strong_visibility(2, seed=4)
+        suite_strong_visibility(2, seed=4)
+        assert len(built) == 2 * n + 6
 
     def test_consecutive_passes_identical(self):
         a = run_suite("all", 3, seed=6)
@@ -103,6 +126,20 @@ class TestSuites:
         a = run_suite("lemma33", 10, seed=3)
         b = run_suite("lemma33", 10, seed=3)
         assert [r.records for r in a] == [r.records for r in b]
+
+    def test_strongly_far_shortfall(self, wheel_mesh, monkeypatch):
+        # The wheel's only off-hull site is its hub, so it offers no
+        # configuration: skipped when supplied, a failure when generated.
+        result = suite_strongly_far(3, seed=1, mesh=wheel_mesh)
+        assert result.records == [CheckRecord(
+            "strongly_far generation", PASS,
+            "no strongly-far configuration in the mesh; skipped",
+        )]
+        monkeypatch.setattr(hs, "mesh_for_trial", lambda seed, trial: wheel_mesh)
+        result = suite_strongly_far(3, seed=1)
+        assert result.records == [CheckRecord(
+            "strongly_far generation", FAIL, "only 0/3 configurations found"
+        )]
 
     def test_lemma33_converse_divergence_on_wheel(self, wheel_mesh):
         # The wheel guarantees vertex-only visible pairs, so the
@@ -146,8 +183,7 @@ class TestSuites:
 
 class TestSamplers:
     def test_mesh_for_trial_deterministic(self):
-        # Compare against a fresh build: under the memo a second call
-        # would return the very same object.
+        # Compare against a fresh build of the same sites.
         a = mesh_for_trial(5, 2)
         rng = random.Random(5 * 7_919 + 2)
         count = rng.randint(4, 30)

@@ -118,6 +118,25 @@ class TestSubComplexFile:
         with pytest.raises(io.FileFormatError, match="references mesh"):
             io.read_subcomplex(path, wheel_mesh)
 
+    def test_mesh_hashed_once_per_mesh(
+        self, tmp_path, fan_mesh, wheel_mesh, monkeypatch
+    ):
+        hashed = []
+        payload = io.mesh_payload
+        monkeypatch.setattr(
+            io, "mesh_payload", lambda m, *a: hashed.append(m) or payload(m, *a)
+        )
+        io.mesh_id.cache_clear()
+        fan_id = io.mesh_id(fan_mesh)
+        path = tmp_path / "sub.json"
+        io.write_subcomplex(path, SubComplex.of_triangles(fan_mesh, [0]), fan_id)
+        for _ in range(3):
+            io.read_subcomplex(path, fan_mesh)
+        assert hashed == [fan_mesh]
+        assert io.mesh_id(wheel_mesh) == payload(wheel_mesh)["mesh_id"]
+        assert io.mesh_id(fan_mesh) == fan_id == payload(fan_mesh)["mesh_id"]
+        assert hashed == [fan_mesh, wheel_mesh, fan_mesh]
+
 
 class TestRegionFile:
     def test_roundtrip(self, tmp_path, grid_mesh):

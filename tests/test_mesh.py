@@ -134,6 +134,15 @@ def _shared_wall_expected(mesh, p, q):
     return incircle(*mesh.triangle_points(t1), mesh.sites[d]) != 0
 
 
+def _assert_fanned_from_least(mesh):
+    """Every interior edge between two cocircular triangles has the least
+    of their four site indices as an endpoint."""
+    for e, ts in mesh.edge_triangles.items():
+        if len(ts) == 2 and not _shared_wall_expected(mesh, *e):
+            quad = {v for t in ts for v in mesh.triangles[t].indices}
+            assert min(quad) in e, (e, quad)
+
+
 lattice_sites = st.lists(
     st.tuples(st.integers(0, 4), st.integers(0, 3)),
     min_size=3,
@@ -199,6 +208,20 @@ class TestExactPass:
                 assert is_delaunay_edge(p, q, mesh) == (
                     _shared_wall_expected(mesh, p, q)
                 )
+        _assert_fanned_from_least(mesh)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("r2, count", [(25, 12), (65, 16)])
+    def test_lattice_circle_fanned_from_least_index(self, r2, count, order):
+        sites = [P(x, y) for x in range(-8, 9) for y in range(-8, 9)
+                 if x * x + y * y == r2]
+        assert len(sites) == count
+        random.Random(order).shuffle(sites)
+        mesh = triangulate(SiteSet(sites))
+        assert is_delaunay_triangulation(sites, _indices(mesh))
+        _assert_fanned_from_least(mesh)
+        # All sites lie on one circle, so the polygon is the whole set.
+        assert all(0 in t for t in mesh.triangles)
 
 
 class TestTriangleNeighbors:
