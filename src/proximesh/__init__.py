@@ -27,11 +27,9 @@ from .geometry import (
     circumcenter,
     convex_hull,
     incircle,
-    intersect_convex,
     is_convex_polygon,
     orient2d,
     point_in_segment_interior,
-    point_set_distance,
     segments_share_interior_point,
 )
 from .mesh import (
@@ -42,7 +40,6 @@ from .mesh import (
     VoronoiRegion,
     is_delaunay_edge,
     is_delaunay_triangle,
-    triangles_sharing_edge,
     triangulate,
     voronoi,
 )
@@ -60,7 +57,6 @@ from .regions import (
 from .visibility import (
     ConstraintSet,
     audit_segment_visibility,
-    collinear_visible,
     segment_visible,
 )
 

@@ -1,18 +1,15 @@
 """Exact planar primitives.
 
-Points carry arbitrary-precision rational coordinates, and every predicate
-in this module decides its sign exactly. Floating point appears only in
-`point_set_distance`, where the final square root is presentation output;
-the underlying minimum is still selected by exact squared-distance
-comparison.
+Points carry arbitrary-precision rational coordinates, every predicate
+in this module decides its sign exactly, and no function here returns a
+float.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .rational import scaled_ints
 
@@ -224,26 +221,6 @@ def is_convex_polygon(poly: Polygon) -> bool:
     )
 
 
-def intersect_convex(p1: Polygon, p2: Polygon) -> Optional[Polygon]:
-    """Intersection of two convex polygons.
-
-    Returns None when the intersection is empty or has zero area (disjoint
-    interiors that at most touch along a point or segment).
-    """
-    for poly in (p1, p2):
-        if not is_convex_polygon(poly):
-            raise ValueError("intersect_convex requires convex operands")
-    verts: list[Point2] = list(p1.vertices)
-    for a, b in p2.edges():
-        verts = clip_halfplane(verts, a, b)
-        if not verts:
-            return None
-    try:
-        return Polygon(verts)
-    except DegenerateInputError:
-        return None
-
-
 def clip_halfplane(verts: list[Point2], a: Point2, b: Point2) -> list[Point2]:
     """Clip a convex ring to the closed half-plane left of directed line ab.
 
@@ -270,22 +247,6 @@ def clip_halfplane(verts: list[Point2], a: Point2, b: Point2) -> list[Point2]:
                 Point2(vi.x + (vj.x - vi.x) * t, vi.y + (vj.y - vi.y) * t)
             )
     return out
-
-
-def point_set_distance(p: Point2, points: Iterable[Point2]) -> float:
-    """Minimum Euclidean distance from p to a nonempty point set.
-
-    The minimizing squared distance is selected exactly; only the final
-    square root is floating point.
-    """
-    best: Optional[Fraction] = None
-    for q in points:
-        d2 = squared_distance(p, q)
-        if best is None or d2 < best:
-            best = d2
-    if best is None:
-        raise ValueError("point_set_distance over an empty set")
-    return math.sqrt(best)
 
 
 def _line_side(a: Point2, b: Point2, p: Point2) -> Fraction:

@@ -1,10 +1,10 @@
-"""File formats: sites, meshes, subcomplexes, regions, constraints.
+"""File formats: sites, constraints, meshes, subcomplexes.
 
-Sites and constraints are line-oriented text with # comments; meshes,
-subcomplexes and regions are JSON documents with exact coordinates
-rendered as canonical fraction strings. Every writer is deterministic,
-and meshes carry a content id that subcomplex and region files must
-match.
+Sites and constraints are line-oriented text with # comments
+(constraints are only read); meshes and subcomplexes are JSON documents
+with exact coordinates rendered as canonical fraction strings. Every
+writer is deterministic, and meshes carry a content id that subcomplex
+files must match.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .visibility import ConstraintSet
 
 MESH_FORMAT = "proximesh-mesh/1"
 SUBCOMPLEX_FORMAT = "proximesh-subcomplex/1"
-REGION_FORMAT = "proximesh-region/1"
 
 PathLike = Union[str, Path]
 
@@ -75,11 +74,6 @@ def read_constraints(path: PathLike) -> ConstraintSet:
             ) from exc
         pairs.append((p, q))
     return ConstraintSet.of(pairs)
-
-
-def write_constraints(path: PathLike, constraints: ConstraintSet) -> None:
-    lines = [f"{p},{q}" for p, q in sorted(constraints.pairs)]
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def mesh_payload(mesh: Mesh, include_voronoi: bool = False) -> dict:
@@ -200,37 +194,6 @@ def read_subcomplex(path: PathLike, mesh: Mesh):
         raise FileFormatError(f"{path}: malformed subcomplex: {exc}") from exc
 
 
-def write_region(path: PathLike, region, mesh_ref: str) -> None:
-    payload = {
-        "format": REGION_FORMAT,
-        "mesh": mesh_ref,
-        "mode": region.mode,
-        "triangles": sorted(region.triangles),
-    }
-    _dump(path, payload)
-
-
-def read_region(path: PathLike, mesh: Mesh):
-    from .regions import build_region
-
-    doc = _load(path, REGION_FORMAT)
-    ref = doc.get("mesh", "")
-    actual = mesh_id(mesh)
-    if ref != actual:
-        raise FileFormatError(
-            f"{path}: region references mesh {ref!r}, loaded {actual!r}"
-        )
-    t = len(mesh.triangles)
-    try:
-        return build_region(
-            mesh,
-            [_index(i, t, "triangle") for i in doc["triangles"]],
-            mode=doc["mode"],
-        )
-    except (KeyError, TypeError, FileFormatError) as exc:
-        raise FileFormatError(f"{path}: malformed region: {exc}") from exc
-
-
 def _payload_id(payload: dict) -> str:
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
@@ -247,6 +210,8 @@ def _load(path: PathLike, expected_format: str) -> dict:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FileFormatError(f"{path}: JSON nested too deeply") from exc
     if not isinstance(doc, dict) or doc.get("format") != expected_format:
         raise FileFormatError(
             f"{path}: expected a {expected_format} document"

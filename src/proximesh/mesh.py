@@ -258,9 +258,6 @@ class Mesh:
     def edges(self) -> Iterable[Edge]:
         return self.edge_triangles.keys()
 
-    def site(self, i: int) -> Point2:
-        return self.site_set[i]
-
     def is_hull_site(self, i: int) -> bool:
         """True when the site lies on the convex hull boundary (vertex or
         on a hull edge); exactly these sites own unbounded cells."""
@@ -342,13 +339,6 @@ def is_delaunay_triangle(t: Triangle, sites: SiteSet) -> bool:
     )
 
 
-def triangles_sharing_edge(mesh: Mesh, p: int, q: int) -> tuple[int, ...]:
-    """Indices of the 0-2 mesh triangles incident to undirected edge pq."""
-    if p == q:
-        raise MeshError("edge endpoints must differ")
-    return mesh.edge_triangles.get(_edge(p, q), ())
-
-
 def triangulate(site_set: SiteSet) -> Mesh:
     """Delaunay triangulation of the sites, triangles sorted by indices.
 
@@ -377,10 +367,7 @@ def voronoi(mesh: Mesh) -> list[VoronoiRegion]:
     for i, p in enumerate(sites):
         verts = box.corners()
         for j in neighbors[i]:
-            q = sites[j]
-            mid = Point2((p.x + q.x) / 2, (p.y + q.y) / 2)
-            along = Point2(mid.x - (q.y - p.y), mid.y + (q.x - p.x))
-            verts = clip_halfplane(verts, mid, along)
+            verts = clip_halfplane(verts, *_bisector(p, sites[j]))
         cell = Polygon(verts)
         if not is_convex_polygon(cell):
             raise MeshError(f"voronoi cell of site {i} is not convex")
@@ -406,9 +393,7 @@ def is_delaunay_edge(p: int, q: int, mesh: Mesh) -> bool:
     sites = mesh.site_set
     if not (0 <= p < len(sites) and 0 <= q < len(sites)):
         raise MeshError(f"site index out of range: {(p, q)}")
-    a, b = sites[p], sites[q]
-    mid = Point2((a.x + b.x) / 2, (a.y + b.y) / 2)
-    along = Point2(mid.x - (b.y - a.y), mid.y + (b.x - a.x))
+    mid, along = _bisector(sites[p], sites[q])
     walls = []
     for site in (p, q):
         wall = next(
@@ -427,6 +412,13 @@ def is_delaunay_edge(p: int, q: int, mesh: Mesh) -> bool:
 
 def _edge(i: int, j: int) -> Edge:
     return (i, j) if i < j else (j, i)
+
+
+def _bisector(p: Point2, q: Point2) -> tuple[Point2, Point2]:
+    """Two points on the perpendicular bisector of pq, in the direction
+    that puts p on its left."""
+    mid = Point2((p.x + q.x) / 2, (p.y + q.y) / 2)
+    return mid, Point2(mid.x - (q.y - p.y), mid.y + (q.x - p.x))
 
 
 def _bowyer_watson(site_set: SiteSet) -> list[Triangle]:

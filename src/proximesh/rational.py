@@ -12,6 +12,14 @@ import math
 from fractions import Fraction
 
 
+# Bounds on a number's text, checked before Fraction() builds 10**e for
+# its exponent e, which takes seconds for e in the millions. MAX_DIGITS
+# is CPython's int-to-text limit, so each number a writer emits reads
+# back.
+MAX_DIGITS = 4300
+MAX_EXPONENT = 1000
+
+
 class ParseError(ValueError):
     """A coordinate or file field could not be parsed exactly."""
 
@@ -20,8 +28,24 @@ def parse_rational(text: str) -> Fraction:
     """Parse a decimal or fraction string into an exact Fraction.
 
     Accepts "1.25", "-3", "7/3", "2.5e-3". Floats are never involved, so
-    the value is exactly the written one.
+    the value is exactly the written one. Each integer in the text has
+    at most MAX_DIGITS digits, and an exponent is within +-MAX_EXPONENT.
     """
+    if not isinstance(text, str):
+        raise ParseError(f"expected a rational as a string, got "
+                         f"{type(text).__name__}")
+    mantissa, _, exponent = text.lower().partition("e")
+    if len(text) > MAX_DIGITS and any(
+        sum(map(str.isdecimal, part)) > MAX_DIGITS
+        for part in (*mantissa.split("/"), exponent)
+    ):
+        raise ParseError(f"a number has more than {MAX_DIGITS} digits")
+    try:
+        power = abs(int(exponent or 0))
+    except ValueError:
+        power = 0  # Not an exponent; Fraction() rejects the text below.
+    if power > MAX_EXPONENT:
+        raise ParseError(f"exponent magnitude exceeds {MAX_EXPONENT}")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

@@ -1,9 +1,10 @@
 """Visibility among sites with constraining segments.
 
-Two sites see each other when the open segment between them contains no
-third site and meets no constraint in an interior point. Endpoint
-contact with a constraint does not block visibility: the blocking test
-is interior-disjointness, not empty intersection, and the audit reports
+Two sites, named by index, see each other when the open segment between
+them contains no third site and meets no constraint in an interior
+point; `segment_visible` is that one test. Endpoint contact with a
+constraint does not block visibility: the blocking test is
+interior-disjointness, not empty intersection, and the audit reports
 pairs where the two readings would differ.
 """
 
@@ -53,21 +54,6 @@ class ConstraintSet:
             (pair, Segment(sites[pair[0]], sites[pair[1]]))
             for pair in sorted(self.pairs)
         ]
-
-
-def collinear_visible(p: Point2, q: Point2, sites: SiteSet) -> bool:
-    """True when no third site lies strictly between sites p and q."""
-    if p == q:
-        raise ValueError("visibility needs two distinct sites")
-    for name, pt in (("first", p), ("second", q)):
-        if pt not in sites.sites:
-            raise ValueError(f"{name} point is not a site: ({pt.x}, {pt.y})")
-    seg = Segment(p, q)
-    return not any(
-        point_in_segment_interior(s, seg)
-        for s in sites.sites
-        if s != p and s != q
-    )
 
 
 def segment_visible(

@@ -5,8 +5,10 @@ the triangulation oracles decide empty circumcircles through explicit
 circumcenter equations rather than the incircle determinant and scan
 every site instead of testing edges locally, the Voronoi oracle cuts
 each cell by the bisectors of all other sites instead of only the
-Delaunay neighbors, and the convexity oracle samples points instead of
-comparing traced areas.
+Delaunay neighbors, the convexity oracle samples points instead of
+comparing traced areas, and the visibility oracle finds sites between
+two others by cross and dot products instead of orientation and span
+tests.
 """
 
 from fractions import Fraction
@@ -147,6 +149,19 @@ def all_sites_voronoi(sites, box):
 def _squared_distance(p, q):
     dx, dy = _sub(p, q)
     return dx * dx + dy * dy
+
+
+def collinear_visible(p, q, sites):
+    """True when no third site lies strictly between points p and q:
+    on their line, at a dot product with q - p strictly between 0 and
+    |q - p|^2."""
+    d = _sub(q, p)
+    length2 = d[0] * d[0] + d[1] * d[1]
+    for s in sites:
+        u = _sub(s, p)
+        if _cross(d, u) == 0 and 0 < u[0] * d[0] + u[1] * d[1] < length2:
+            return False
+    return True
 
 
 def edge_set(triangles):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -6,6 +7,7 @@ from oracles import brute_force_delaunay
 from proximesh import io
 from proximesh.cli import main
 from proximesh.complexes import SubComplex
+from proximesh.rational import MAX_EXPONENT
 
 
 @pytest.fixture()
@@ -247,10 +249,15 @@ class TestSubcomplexIndices:
             ("triangles", [0.9]),
             ("triangles", [True]),
             ("triangles", [999]),
+            ("triangles", [-1]),
+            ("triangles", [1.0]),
+            ("triangles", ["0"]),
         ],
         ids=["vertex-bool", "vertex-float", "vertex-negative",
              "vertex-too-large", "edge-bool", "edge-long", "edge-short",
-             "triangle-float", "triangle-bool", "triangle-too-large"],
+             "triangle-float", "triangle-bool", "triangle-too-large",
+             "triangle-negative", "triangle-integral-float",
+             "triangle-string"],
     )
     @pytest.mark.parametrize("command", ["relate", "render"])
     def test_exit_two_with_one_error_line(
@@ -278,6 +285,107 @@ class TestSubcomplexIndices:
         assert "Traceback" not in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+
+def _one_error_line(captured) -> str:
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    assert lines[0].startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    return lines[0]
+
+
+def _relate_and_render(tmp_path, mesh_file, a, b):
+    """Argument lists of a relate and a render run on these files."""
+    return [
+        ["relate", "--mesh", str(mesh_file), "--a", str(a), "--b", str(b),
+         "--relation", "near"],
+        ["render", "--mesh", str(mesh_file), "--subcomplex", str(a),
+         "--out", str(tmp_path / "x.svg")],
+    ]
+
+
+class TestJsonNumberCoordinates:
+    """A coordinate written as a JSON number rather than a string is a
+    malformed mesh, not a crash (nor exit 1, relate's "false")."""
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("site", [0, 0]), ("clip_margin", 0.1), ("clip_box", [0, 0, 1, 1])],
+    )
+    def test_exit_two_with_one_error_line(
+        self, workspace, capsys, field, value
+    ):
+        tmp_path, _, mesh_file, a, b = workspace
+        doc = json.loads(mesh_file.read_text())
+        if field == "site":
+            doc["sites"][0] = value
+        else:
+            doc[field] = value
+        mesh_file.write_text(json.dumps(doc))
+        for argv in _relate_and_render(tmp_path, mesh_file, a, b):
+            assert main(argv) == 2
+            line = _one_error_line(capsys.readouterr())
+            assert "malformed mesh document" in line
+            assert "as a string" in line
+        assert not (tmp_path / "x.svg").exists()
+
+
+class TestDeeplyNestedJson:
+    @pytest.mark.parametrize("target", ["mesh", "subcomplex"])
+    def test_exit_two_with_one_error_line(self, workspace, capsys, target):
+        tmp_path, _, mesh_file, a, b = workspace
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        if target == "mesh":
+            mesh_file = deep
+        else:
+            a = deep
+        for argv in _relate_and_render(tmp_path, mesh_file, a, b):
+            assert main(argv) == 2
+            line = _one_error_line(capsys.readouterr())
+            assert f"{deep}: JSON nested too deeply" in line
+
+
+class TestCoordinateBounds:
+    """Coordinates are bounded on their text, before any arithmetic."""
+
+    @pytest.mark.parametrize(
+        "coord", ["1e-3000000", "1e5000", "9" * 4301, "1/" + "7" * 4301]
+    )
+    def test_out_of_bound_site_fails_fast(self, tmp_path, capsys, coord):
+        sites = tmp_path / "sites.txt"
+        sites.write_text(f"0,0\n1,0\n0,1\n{coord},0\n")
+        start = time.perf_counter()
+        code = main(["triangulate", "--sites", str(sites),
+                     "--out", str(tmp_path / "m.json")])
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert _one_error_line(capsys.readouterr()).startswith(
+            f"error: {sites}:4: "
+        )
+        assert not (tmp_path / "m.json").exists()
+
+    def test_sites_at_the_exponent_bound(self, tmp_path, capsys):
+        e = MAX_EXPONENT
+        sites = tmp_path / "sites.txt"
+        sites.write_text(f"1e-{e},0\n1e{e},0\n0,1e{e}\n1e-{e},1e-{e}\n")
+        mesh_file = tmp_path / "m.json"
+        code = main(["voronoi", "--sites", str(sites),
+                     "--out", str(mesh_file)])
+        assert code == 0, capsys.readouterr().err
+        mesh = io.read_mesh(mesh_file)
+        assert mesh.sites[1].x == 10**e
+        assert len(json.loads(mesh_file.read_text())["voronoi"]) == 4
+
+    def test_out_of_bound_clip_margin_flag(self, workspace, capsys):
+        tmp_path, sites, *_ = workspace
+        with pytest.raises(SystemExit) as exc:
+            main(["triangulate", "--sites", str(sites), "--clip-margin",
+                  f"1e-{MAX_EXPONENT + 1}", "--out", str(tmp_path / "m.json")])
+        assert exc.value.code == 2
+        assert "--clip-margin" in capsys.readouterr().err
 
 
 def _suite_section(report: str, suite: str) -> list[str]:

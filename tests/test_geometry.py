@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -11,13 +10,12 @@ from proximesh.geometry import (
     Polygon,
     Segment,
     circumcenter,
+    clip_halfplane,
     convex_hull,
     incircle,
-    intersect_convex,
     is_convex_polygon,
     orient2d,
     point_in_segment_interior,
-    point_set_distance,
     segments_share_interior_point,
     squared_distance,
 )
@@ -224,36 +222,46 @@ class TestIsConvexPolygon:
         assert is_convex_polygon(Polygon([P(0, 0), P(2, 0), P(1, 1)]))
 
 
+def _intersect(p1: Polygon, p2: Polygon) -> list[Point2]:
+    """The ring of p1 clipped to the left of every edge of p2."""
+    verts = list(p1.vertices)
+    for a, b in p2.edges():
+        verts = clip_halfplane(verts, a, b)
+    return verts
+
+
 class TestIntersectConvex:
+    """Convex intersection by `clip_halfplane`, the step that cuts every
+    Voronoi cell out of its clip box."""
+
     def test_shifted_squares(self):
         a = Polygon([P(0, 0), P(1, 0), P(1, 1), P(0, 1)])
         b = Polygon([P("0.5", 0), P("1.5", 0), P("1.5", 1), P("0.5", 1)])
-        got = intersect_convex(a, b)
+        got = Polygon(_intersect(a, b))
         assert got == Polygon([P("0.5", 0), P(1, 0), P(1, 1), P("0.5", 1)])
 
     def test_disjoint(self):
         a = Polygon([P(0, 0), P(1, 0), P(1, 1), P(0, 1)])
         b = Polygon([P(5, 5), P(6, 5), P(6, 6), P(5, 6)])
-        assert intersect_convex(a, b) is None
+        assert _intersect(a, b) == []
 
     def test_square_and_triangle(self):
         # Half-plane clipping by hand: the triangle loses its corners at
         # x=2 and y=2, leaving the unit square (1,1)-(2,2).
         square = Polygon([P(0, 0), P(2, 0), P(2, 2), P(0, 2)])
         tri = Polygon([P(1, 1), P(3, 1), P(1, 3)])
-        got = intersect_convex(square, tri)
+        got = Polygon(_intersect(square, tri))
         assert got == Polygon([P(1, 1), P(2, 1), P(2, 2), P(1, 2)])
 
     def test_touching_edge_is_empty(self):
+        # The closed half-planes keep the shared edge x=1 and nothing
+        # else: a ring of zero area, which is no Polygon.
         a = Polygon([P(0, 0), P(1, 0), P(1, 1), P(0, 1)])
         b = Polygon([P(1, 0), P(2, 0), P(2, 1), P(1, 1)])
-        assert intersect_convex(a, b) is None
-
-    def test_nonconvex_rejected(self):
-        arrow = Polygon([P(0, 0), P(2, 0), P(1, "0.25"), P(1, 1)])
-        square = Polygon([P(0, 0), P(1, 0), P(1, 1), P(0, 1)])
-        with pytest.raises(ValueError):
-            intersect_convex(arrow, square)
+        got = _intersect(a, b)
+        assert got and {v.x for v in got} == {1}
+        with pytest.raises(DegenerateInputError):
+            Polygon(got)
 
     @settings(max_examples=60)
     @given(
@@ -264,27 +272,8 @@ class TestIntersectConvex:
         # Executable form of the convex-intersection lemma.
         try:
             a, b = convex_hull(pts1), convex_hull(pts2)
+            got = Polygon(_intersect(a, b))
         except DegenerateInputError:
-            return
-        got = intersect_convex(a, b)
-        if got is not None:
-            assert is_convex_polygon(got)
-
-
-class TestPointSetDistance:
-    def test_three_four_five(self):
-        assert point_set_distance(P(0, 0), [P(3, 4)]) == 5.0
-
-    def test_membership_is_zero(self):
-        assert point_set_distance(P(1, 1), [P(1, 1), P(5, 5)]) == 0.0
-
-    def test_picks_minimum(self):
-        assert point_set_distance(P(0, 0), [P(1, 0), P(0, 2)]) == 1.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            point_set_distance(P(0, 0), [])
-
-    def test_sqrt_only_at_presentation(self):
-        d = point_set_distance(P(0, 0), [P(1, 1)])
-        assert d == math.sqrt(2)
+            return  # Degenerate operands, or no positive-area overlap.
+        assert is_convex_polygon(got)
+        assert all(a.contains(v) and b.contains(v) for v in got.vertices)

@@ -6,8 +6,13 @@ import pytest
 from proximesh import io
 from proximesh.complexes import SubComplex
 from proximesh.geometry import Point2
-from proximesh.rational import ParseError, format_rational, parse_rational
-from proximesh.regions import EDGE_CHAIN, build_region
+from proximesh.rational import (
+    MAX_DIGITS,
+    MAX_EXPONENT,
+    ParseError,
+    format_rational,
+    parse_rational,
+)
 from proximesh.render import render_svg
 from proximesh.visibility import ConstraintSet
 
@@ -29,6 +34,36 @@ class TestRational:
     def test_garbage_rejected(self):
         with pytest.raises(ParseError):
             parse_rational("1.2.3")
+
+    @pytest.mark.parametrize("value", [0, 0.1, None, [1, 2]])
+    def test_non_string_rejected(self, value):
+        with pytest.raises(ParseError, match="as a string"):
+            parse_rational(value)
+
+    def test_exponent_bound(self):
+        assert parse_rational(f"1e{MAX_EXPONENT}") == 10**MAX_EXPONENT
+        assert parse_rational(f"2.5E-{MAX_EXPONENT}") == Fraction(
+            5, 2 * 10**MAX_EXPONENT
+        )
+        for text in (f"1e{MAX_EXPONENT + 1}", f"-1e-{MAX_EXPONENT + 1}",
+                     "1e-3000000", "1e+00009999999999"):
+            with pytest.raises(ParseError, match="exponent magnitude"):
+                parse_rational(text)
+
+    def test_digit_bound(self):
+        # Each integer of the text counts on its own; a decimal's digits
+        # before and after the point form one integer.
+        nines = "9" * MAX_DIGITS
+        assert parse_rational(f"-{nines}/{nines[1:]}7") == Fraction(
+            -int(nines), int(nines[1:] + "7")
+        )
+        assert parse_rational(f"{nines[1:]}.5") == Fraction(
+            int(nines[1:] + "5"), 10
+        )
+        for text in (nines + "9", f"1/{nines}9", f"{nines}.5",
+                     "1e" + "0" * (MAX_DIGITS + 1)):
+            with pytest.raises(ParseError, match=f"more than {MAX_DIGITS}"):
+                parse_rational(text)
 
 
 class TestSitesFile:
@@ -138,37 +173,11 @@ class TestSubComplexFile:
         assert hashed == [fan_mesh, wheel_mesh, fan_mesh]
 
 
-class TestRegionFile:
-    def test_roundtrip(self, tmp_path, grid_mesh):
-        region = build_region(grid_mesh, [0, 1], mode=EDGE_CHAIN)
-        path = tmp_path / "region.json"
-        io.write_region(path, region, io.mesh_id(grid_mesh))
-        loaded = io.read_region(path, grid_mesh)
-        assert loaded.triangles == region.triangles
-        assert loaded.mode == EDGE_CHAIN
-
-    @pytest.mark.parametrize(
-        "triangles",
-        [[0, True], [0, 1.0], [0.9], [-1], [18], ["0"]],
-        ids=["bool", "integral-float", "float", "negative", "too-large",
-             "string"],
-    )
-    def test_triangle_indices_strict(self, tmp_path, grid_mesh, triangles):
-        region = build_region(grid_mesh, [0, 1], mode=EDGE_CHAIN)
-        path = tmp_path / "region.json"
-        io.write_region(path, region, io.mesh_id(grid_mesh))
-        doc = json.loads(path.read_text())
-        doc["triangles"] = triangles
-        path.write_text(json.dumps(doc))
-        with pytest.raises(io.FileFormatError, match="malformed region"):
-            io.read_region(path, grid_mesh)
-
-
 class TestConstraintsFile:
     def test_roundtrip(self, tmp_path):
         cs = ConstraintSet.of([(3, 1), (0, 2)])
         path = tmp_path / "constraints.txt"
-        io.write_constraints(path, cs)
+        path.write_text("# walls\n3,1\n\n 0 , 2  # second\n")
         assert io.read_constraints(path) == cs
 
     def test_malformed(self, tmp_path):

@@ -25,7 +25,6 @@ from proximesh.mesh import (
     is_delaunay_edge,
     is_delaunay_triangle,
     make_triangle,
-    triangles_sharing_edge,
     triangulate,
     voronoi,
 )
@@ -287,14 +286,17 @@ class TestIsDelaunayEdge:
 
 
 class TestTrianglesSharingEdge:
+    """`Mesh.edge_triangles` maps each (low, high) edge to its 1-2
+    triangles."""
+
     def test_interior_edge(self, fan_mesh):
-        assert len(triangles_sharing_edge(fan_mesh, 0, 3)) == 2
+        assert len(fan_mesh.edge_triangles[(0, 3)]) == 2
 
     def test_hull_edge(self, fan_mesh):
-        assert len(triangles_sharing_edge(fan_mesh, 0, 1)) == 1
+        assert len(fan_mesh.edge_triangles[(0, 1)]) == 1
 
     def test_non_edge(self, wheel_mesh):
-        assert triangles_sharing_edge(wheel_mesh, 1, 3) == ()
+        assert (1, 3) not in wheel_mesh.edge_triangles
 
 
 class TestVoronoi:

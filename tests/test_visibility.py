@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import collinear_visible
 from proximesh.geometry import Point2
 from proximesh.mesh import SiteSet, triangulate
 from proximesh.visibility import (
     ConstraintSet,
     audit_segment_visibility,
-    collinear_visible,
     segment_visible,
 )
 
@@ -23,30 +23,32 @@ def collinear_row_sites():
     return SiteSet([P(0, 0), P(1, 0), P(2, 0), P(1, 5)])
 
 
+def _unconstrained(p, q, sites):
+    return segment_visible(p, q, sites, ConstraintSet.empty())
+
+
 class TestCollinearVisible:
+    """With no constraints, only a site between two others blocks them."""
+
     def test_neighbor_visible_blocked_beyond(self, collinear_row_sites):
         ss = collinear_row_sites
-        p, r, s = ss[0], ss[1], ss[2]
-        assert collinear_visible(p, r, ss)
-        assert not collinear_visible(p, s, ss)  # r sits between
+        assert _unconstrained(0, 1, ss)
+        assert not _unconstrained(0, 2, ss)  # r sits between
 
     def test_adjacent_pair(self, collinear_row_sites):
-        ss = collinear_row_sites
-        assert collinear_visible(ss[1], ss[2], ss)
+        assert _unconstrained(1, 2, collinear_row_sites)
 
     def test_midpoint_site_blocks(self):
         ss = SiteSet([P(0, 0), P(2, 0), P(1, 0), P(0, 3)])
-        assert not collinear_visible(ss[0], ss[1], ss)
+        assert not _unconstrained(0, 1, ss)
 
     def test_same_point_rejected(self, collinear_row_sites):
-        ss = collinear_row_sites
-        with pytest.raises(ValueError):
-            collinear_visible(ss[0], ss[0], ss)
+        with pytest.raises(ValueError, match="distinct"):
+            _unconstrained(0, 0, collinear_row_sites)
 
     def test_non_site_rejected(self, collinear_row_sites):
-        with pytest.raises(ValueError, match="not a site"):
-            collinear_visible(P(9, 9), collinear_row_sites[0],
-                              collinear_row_sites)
+        with pytest.raises(ValueError, match="out of range"):
+            _unconstrained(9, 0, collinear_row_sites)
 
 
 class TestSegmentVisible:
@@ -114,7 +116,7 @@ class TestSegmentVisible:
         for p, q in itertools.combinations(online, 2):
             assert segment_visible(
                 p, q, ss, ConstraintSet.empty()
-            ) == collinear_visible(ss[p], ss[q], ss)
+            ) == collinear_visible(ss[p], ss[q], ss.sites)
 
 
 class TestAuditSegmentVisibility:
