@@ -107,9 +107,7 @@ class Polygon:
 
 def orient2d(a: Point2, b: Point2, c: Point2) -> int:
     """Sign of the turn a->b->c: +1 left, 0 collinear, -1 right. Exact."""
-    ax, ay, bx, by, cx, cy = scaled_ints(a.x, a.y, b.x, b.y, c.x, c.y)
-    det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-    return (det > 0) - (det < 0)
+    return _orient(*scaled_ints(a.x, a.y, b.x, b.y, c.x, c.y))
 
 
 def incircle(a: Point2, b: Point2, c: Point2, d: Point2) -> int:
@@ -119,11 +117,25 @@ def incircle(a: Point2, b: Point2, c: Point2, d: Point2) -> int:
     (a, b, c); 0 when cocircular; -1 outside. Flipping the triangle's
     orientation negates the result. Exact.
     """
-    if orient2d(a, b, c) == 0:
+    coords = scaled_ints(a.x, a.y, b.x, b.y, c.x, c.y, d.x, d.y)
+    if _orient(*coords[:6]) == 0:
         raise DegenerateInputError("incircle needs a non-collinear triangle")
-    ax, ay, bx, by, cx, cy, dx, dy = scaled_ints(
-        a.x, a.y, b.x, b.y, c.x, c.y, d.x, d.y
-    )
+    return _incircle(*coords)
+
+
+# The integer kernels behind every orientation and incircle sign. They
+# take the coordinates already scaled to one integer lattice: per call in
+# `orient2d`/`incircle`, once per site set in `mesh.SiteSet`.
+
+
+def _orient(ax: int, ay: int, bx: int, by: int, cx: int, cy: int) -> int:
+    det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    return (det > 0) - (det < 0)
+
+
+def _incircle(
+    ax: int, ay: int, bx: int, by: int, cx: int, cy: int, dx: int, dy: int
+) -> int:
     adx = ax - dx
     ady = ay - dy
     bdx = bx - dx

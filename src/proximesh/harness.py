@@ -30,6 +30,8 @@ DIVERGENCE = "expected_divergence"
 
 DEFAULT_BOX = (Fraction(0), Fraction(0), Fraction(1), Fraction(1))
 MAX_RESAMPLES = 64
+# The most sites `generate_sites` draws; checked before any is drawn.
+MAX_SITES = 100_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,8 +81,10 @@ def generate_sites(
     """Deterministic random sites in a box; resamples whole draws that
     come out degenerate (duplicates or all collinear) and reports how
     many resamples it took."""
-    if count < 3:
-        raise ValueError(f"need at least 3 sites, got {count}")
+    if not 3 <= count <= MAX_SITES:
+        raise ValueError(
+            f"count must be between 3 and {MAX_SITES} sites, got {count}"
+        )
     xmin, ymin, xmax, ymax = box
     if xmin >= xmax or ymin >= ymax:
         raise ValueError("box must have positive area")

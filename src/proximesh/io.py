@@ -12,12 +12,13 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+from fractions import Fraction
 from pathlib import Path
 from typing import Sequence, Union
 
 from .geometry import Point2
 from .mesh import Mesh, Rect, SiteSet, make_triangle
-from .rational import ParseError, format_rational, parse_rational
+from .rational import MAX_DIGITS, ParseError, format_rational, parse_rational
 from .visibility import ConstraintSet
 
 MESH_FORMAT = "proximesh-mesh/1"
@@ -79,13 +80,11 @@ def read_constraints(path: PathLike) -> ConstraintSet:
 def mesh_payload(mesh: Mesh, include_voronoi: bool = False) -> dict:
     payload = {
         "format": MESH_FORMAT,
-        "sites": [
-            [format_rational(p.x), format_rational(p.y)] for p in mesh.sites
-        ],
+        "sites": [[_coord(p.x), _coord(p.y)] for p in mesh.sites],
         "triangles": [list(t.indices) for t in mesh.triangles],
-        "clip_margin": format_rational(mesh.site_set.clip_margin),
+        "clip_margin": _coord(mesh.site_set.clip_margin),
         "clip_box": [
-            format_rational(v)
+            _coord(v)
             for v in (
                 mesh.clip_box.xmin,
                 mesh.clip_box.ymin,
@@ -101,13 +100,21 @@ def mesh_payload(mesh: Mesh, include_voronoi: bool = False) -> dict:
                 "site": region.site,
                 "clipped": region.clipped,
                 "cell": [
-                    [format_rational(v.x), format_rational(v.y)]
-                    for v in region.cell.vertices
+                    [_coord(v.x), _coord(v.y)] for v in region.cell.vertices
                 ],
             }
             for region in mesh.voronoi
         ]
     return payload
+
+
+def _coord(value: Fraction) -> str:
+    try:
+        return format_rational(value)
+    except ValueError as exc:  # CPython's int-to-text digit limit
+        raise FileFormatError(
+            f"a mesh coordinate needs more than {MAX_DIGITS} digits"
+        ) from exc
 
 
 # Kept for the last mesh, which every operand read asks about. A Mesh is
@@ -118,7 +125,11 @@ def mesh_id(mesh: Mesh) -> str:
 
 
 def write_mesh(path: PathLike, mesh: Mesh, include_voronoi: bool = False) -> None:
-    _dump(path, mesh_payload(mesh, include_voronoi))
+    try:
+        payload = mesh_payload(mesh, include_voronoi)
+    except FileFormatError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
+    _dump(path, payload)
 
 
 def read_mesh(path: PathLike) -> Mesh:

@@ -1,10 +1,16 @@
 """Delaunay triangulation and clipped Voronoi dual of a planar site set.
 
-Triangulation is incremental Bowyer-Watson over exact rational
-coordinates, inserting sites in input order. The hull edges carry ghost
-triangles through one vertex at infinity instead of a finite outer
-triangle, so every conflict test is an exact predicate and one pass
-gives the Delaunay triangulation of any non-collinear site set. The
+A `SiteSet` scales its sites once to one integer lattice, and every
+orientation, incircle and circumcenter on sites runs there, by site
+index.
+
+Triangulation is incremental Bowyer-Watson, inserting sites in input
+order. The hull edges carry ghost triangles through one vertex at
+infinity instead of a finite outer triangle, so every conflict test is
+an exact predicate and one pass gives the Delaunay triangulation of any
+non-collinear site set. Each site is located by a visibility walk from
+the last triangle created, across the edges that have it on their far
+side, and its cavity grows across edges from the triangle found. The
 conflict test alone decides cocircular ties, by a symbolic perturbation
 of the lifted sites: each cocircular Delaunay polygon is fanned from its
 least site index; the triangles do not depend on insertion order.
@@ -13,16 +19,21 @@ Validation is local: once the triangles are proven to tile the convex
 hull, an empty circumcircle across every interior edge implies a
 Delaunay triangulation (the Delaunay lemma).
 
-Voronoi cells are the Delaunay dual: each cell is the clip box cut by
-the exact perpendicular-bisector half-planes toward the site's Delaunay
-neighbors. They are built on first access, since only the `voronoi`
-output, cell rendering and the Delaunay-characterization audit read
-them. The tests keep an all-sites bisector construction as an
-independent oracle for these cells.
+Voronoi cells are the Delaunay dual. Each triangle's circumcenter is
+computed once per mesh, for the clip box and the cells alike. An
+interior site's cell is the ring of its fan's circumcenters when they
+all lie strictly inside the clip box; hull sites, and sites whose fan
+reaches the box, get the clip box cut by the exact
+perpendicular-bisector half-planes toward their Delaunay neighbors.
+Cells are built on first access, since only the `voronoi` output, cell
+rendering and the Delaunay-characterization audit read them. The tests
+keep an all-sites bisector construction as an independent oracle for
+these cells.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -31,13 +42,12 @@ from .geometry import (
     Point2,
     Polygon,
     Segment,
-    circumcenter,
+    _incircle,
+    _orient,
     clip_halfplane,
     convex_hull,
-    incircle,
     is_convex_polygon,
     orient2d,
-    point_in_segment_interior,
     segments_share_interior_point,
 )
 
@@ -83,9 +93,15 @@ class SiteSet:
     `clip_margin` is the share of the sites' extent that a mesh's clip
     box adds on every side; the box bounds the otherwise unbounded hull
     cells of the Voronoi diagram.
+
+    `lattice` holds the sites scaled once by `scale`, the lcm of all
+    their coordinate denominators, as integer pairs. `orient` and
+    `incircle` decide their signs on it by site index, with the same
+    integer kernels as `geometry.orient2d` and `geometry.incircle`, and
+    `circumcenter` solves on it with one division at the end.
     """
 
-    __slots__ = ("sites", "clip_margin")
+    __slots__ = ("sites", "clip_margin", "scale", "lattice")
 
     def __init__(
         self,
@@ -103,8 +119,11 @@ class SiteSet:
                     f"({p.x}, {p.y})"
                 )
             seen[p] = i
-        a, b = sites[0], sites[1]
-        if all(orient2d(a, b, p) == 0 for p in sites[2:]):
+        coords = [c for p in sites for c in (p.x, p.y)]
+        self.scale = math.lcm(*(c.denominator for c in coords))
+        scaled = [c.numerator * (self.scale // c.denominator) for c in coords]
+        self.lattice = tuple(zip(scaled[::2], scaled[1::2]))
+        if all(self.orient(0, 1, k) == 0 for k in range(2, len(sites))):
             raise MeshError("all sites are collinear")
         if clip_margin <= 0:
             raise MeshError("clip margin must be positive")
@@ -116,6 +135,34 @@ class SiteSet:
 
     def __getitem__(self, i: int) -> Point2:
         return self.sites[i]
+
+    def orient(self, i: int, j: int, k: int) -> int:
+        """`geometry.orient2d` of sites i, j, k."""
+        lattice = self.lattice
+        return _orient(*lattice[i], *lattice[j], *lattice[k])
+
+    def incircle(self, i: int, j: int, k: int, d: int) -> int:
+        """`geometry.incircle` of site d against the non-collinear sites
+        i, j, k."""
+        lattice = self.lattice
+        return _incircle(*lattice[i], *lattice[j], *lattice[k], *lattice[d])
+
+    def circumcenter(self, i: int, j: int, k: int) -> Point2:
+        """`geometry.circumcenter` of the non-collinear sites i, j, k.
+
+        The Delaunay-characterization audit keeps `geometry.circumcenter`,
+        on Fraction arithmetic, as a route independent of this one.
+        """
+        (ax, ay), (bx, by), (cx, cy) = (self.lattice[v] for v in (i, j, k))
+        bx, by, cx, cy = bx - ax, by - ay, cx - ax, cy - ay
+        d = 2 * (bx * cy - by * cx)
+        b2 = bx * bx + by * by
+        c2 = cx * cx + cy * cy
+        den = d * self.scale
+        return Point2(
+            Fraction(ax * d + cy * b2 - by * c2, den),
+            Fraction(ay * d + bx * c2 - cx * b2, den),
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,7 +198,7 @@ def make_triangle(i: int, j: int, k: int, sites: SiteSet) -> Triangle:
     """Normalize an index triple to a counterclockwise Triangle."""
     if len({i, j, k}) != 3:
         raise MeshError(f"triangle indices not distinct: {(i, j, k)}")
-    o = orient2d(sites[i], sites[j], sites[k])
+    o = sites.orient(i, j, k)
     if o == 0:
         raise MeshError(f"degenerate triangle {(i, j, k)}: collinear sites")
     if o < 0:
@@ -166,7 +213,8 @@ class Mesh:
 
     Adjacency queries and the relation algebra in `complexes` work off
     the index maps built here; nothing mutates a Mesh after construction
-    except the cache of its Voronoi cells, filled on first access.
+    except the caches of its circumcenters and Voronoi cells, filled on
+    first access.
     """
 
     __slots__ = (
@@ -178,6 +226,7 @@ class Mesh:
         "hull",
         "clip_box",
         "_hull_sites",
+        "_circumcenters",
         "_voronoi",
     )
 
@@ -214,8 +263,19 @@ class Mesh:
             if len(ts) == 1
             for v in e
         )
+        self._circumcenters: Optional[tuple[Point2, ...]] = None
         self.clip_box = clip_box if clip_box is not None else self._derive_clip_box()
         self._voronoi: Optional[tuple[VoronoiRegion, ...]] = None
+
+    @property
+    def circumcenters(self) -> tuple[Point2, ...]:
+        """Circumcenter of each triangle, by triangle index, computed on
+        first access; the derived clip box and the cells share them."""
+        if self._circumcenters is None:
+            self._circumcenters = tuple(
+                self.site_set.circumcenter(*t.indices) for t in self.triangles
+            )
+        return self._circumcenters
 
     @property
     def voronoi(self) -> tuple[VoronoiRegion, ...]:
@@ -242,8 +302,7 @@ class Mesh:
         ymin, ymax = min(ys), max(ys)
         mx = (xmax - xmin) * self.site_set.clip_margin
         my = (ymax - ymin) * self.site_set.clip_margin
-        for tri in self.triangles:
-            u = circumcenter(*self.triangle_points(tri))
+        for u in self.circumcenters:
             xmin = min(xmin, u.x)
             xmax = max(xmax, u.x)
             ymin = min(ymin, u.y)
@@ -303,14 +362,17 @@ class Mesh:
         f = len(self.triangles)
         if v - e + f != 1:
             raise MeshError(f"Euler relation violated: V-E+F = {v - e + f}")
-        area2 = Fraction(0)
+        # Twice the areas, on the lattice.
+        area2 = 0
         for tri in self.triangles:
-            a, b, c = self.triangle_points(tri)
-            tri_area2 = (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
+            (ax, ay), (bx, by), (cx, cy) = (
+                sites.lattice[v] for v in tri.indices
+            )
+            tri_area2 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
             if tri_area2 <= 0:
                 raise MeshError(f"triangle {tri.indices} is not counterclockwise")
             area2 += tri_area2
-        if area2 != self.hull.area() * 2:
+        if area2 != self.hull.area() * 2 * sites.scale**2:
             raise MeshError("triangle union does not cover the site hull")
         for e, ts in self.edge_triangles.items():
             if len(ts) == 1:
@@ -324,16 +386,15 @@ class Mesh:
                 continue
             t1, t2 = (self.triangles[t] for t in ts)
             d = next(v for v in t2.indices if v not in e)
-            if incircle(*self.triangle_points(t1), sites[d]) > 0:
+            if sites.incircle(*t1.indices, d) > 0:
                 raise MeshError(f"edge {e} is not locally Delaunay: site {d} "
                                 f"is inside the circumcircle of {t1.indices}")
 
 
 def is_delaunay_triangle(t: Triangle, sites: SiteSet) -> bool:
     """True when no site lies strictly inside the triangle's circumcircle."""
-    a, b, c = (sites[v] for v in t.indices)
     return all(
-        incircle(a, b, c, sites[s]) <= 0
+        sites.incircle(*t.indices, s) <= 0
         for s in range(len(sites))
         if s not in t.indices
     )
@@ -352,32 +413,59 @@ def triangulate(site_set: SiteSet) -> Mesh:
 def voronoi(mesh: Mesh) -> list[VoronoiRegion]:
     """Voronoi cells of all mesh sites, clipped to the mesh clip box.
 
-    Each cell is the clip box intersected with the closed bisector
+    An interior site whose fan circumcenters all lie strictly inside the
+    clip box has the ring of those circumcenters, in fan order, as its
+    cell; `Polygon` drops the coincident ones of cocircular fans. Every
+    other cell is the clip box intersected with the closed bisector
     half-planes toward the site's Delaunay neighbors. On a Delaunay
-    triangulation that is the same cell as the one cut by all other
-    sites, at one clip per incident edge.
+    triangulation both are the cell that all other sites cut.
     """
     sites = mesh.sites
     box = mesh.clip_box
+    centers = mesh.circumcenters
+    inside = [box.strictly_contains(u) for u in centers]
     neighbors: list[list[int]] = [[] for _ in sites]
     for i, j in mesh.edges:
         neighbors[i].append(j)
         neighbors[j].append(i)
     regions: list[VoronoiRegion] = []
     for i, p in enumerate(sites):
-        verts = box.corners()
-        for j in neighbors[i]:
-            verts = clip_halfplane(verts, *_bisector(p, sites[j]))
+        fan = None if mesh.is_hull_site(i) else _fan(mesh, i)
+        ring = fan is not None and all(inside[t] for t in fan)
+        if ring:
+            verts = [centers[t] for t in fan]
+        else:
+            verts = box.corners()
+            for j in neighbors[i]:
+                verts = clip_halfplane(verts, *_bisector(p, sites[j]))
         cell = Polygon(verts)
         if not is_convex_polygon(cell):
             raise MeshError(f"voronoi cell of site {i} is not convex")
         if not cell.contains(p):
             raise MeshError(f"voronoi cell of site {i} excludes its site")
-        clipped = mesh.is_hull_site(i) or any(
-            box.on_boundary(v) for v in cell.vertices
+        # A ring lies strictly inside the box and belongs to an interior site.
+        clipped = not ring and (
+            mesh.is_hull_site(i)
+            or any(box.on_boundary(v) for v in cell.vertices)
         )
         regions.append(VoronoiRegion(site=i, cell=cell, clipped=clipped))
     return regions
+
+
+def _fan(mesh: Mesh, i: int) -> list[int]:
+    """The triangles around interior site i, in counterclockwise order."""
+    after: dict[int, tuple[int, int]] = {}
+    for t in mesh.vertex_triangles[i]:
+        a, b, c = mesh.triangles[t].indices
+        u, v = (b, c) if i == a else (c, a) if i == b else (a, b)
+        after[u] = (v, t)
+    first = u = next(iter(after))
+    fan = []
+    while True:
+        u, t = after[u]
+        fan.append(t)
+        if u == first:
+            return fan
 
 
 def is_delaunay_edge(p: int, q: int, mesh: Mesh) -> bool:
@@ -429,39 +517,102 @@ def _bowyer_watson(site_set: SiteSet) -> list[Triangle]:
     open half-plane left of i->j plus the open segment ij, so a site
     outside the current hull, or on a hull edge, finds its cavity with
     exact predicates alone.
+
+    The triangles, ghosts included, tile a sphere and are kept as one map
+    from each directed edge to the vertex opposite it. Each site is
+    located by a walk from the last real triangle created, and its
+    cavity, which is connected, grows across edges from there.
     """
-    sites = site_set.sites
-    ghost = len(sites)
-    k = next(k for k in range(2, ghost) if orient2d(*sites[:2], sites[k]))
-    i, j = (0, 1) if orient2d(*sites[:2], sites[k]) > 0 else (1, 0)
-    active = {(i, j, k), (j, i, ghost), (k, j, ghost), (i, k, ghost)}
+    ghost = len(site_set)
+    orient = site_set.orient
+    k = next(k for k in range(2, ghost) if orient(0, 1, k))
+    i, j = (0, 1) if orient(0, 1, k) > 0 else (1, 0)
+    opposite: dict[Edge, int] = {}
+    for t in ((i, j, k), (j, i, ghost), (k, j, ghost), (i, k, ghost)):
+        _link(opposite, t)
+    last = (i, j, k)
     for idx in range(2, ghost):
         if idx == k:
             continue
-        bad = [t for t in active if _in_conflict(t, idx, sites)]
-        directed: set[Edge] = set()
-        for a, b, c in bad:
-            directed.update(((a, b), (b, c), (c, a)))
-        active.difference_update(bad)
-        for a, b in directed:
-            if (b, a) in directed:
-                continue
-            # Rotate new ghost triangles so that the ghost stays last.
-            if a == ghost:
-                active.add((b, idx, ghost))
-            elif b == ghost:
-                active.add((idx, a, ghost))
-            else:
-                active.add((a, b, idx))
-    return [make_triangle(*t, site_set) for t in active if t[2] != ghost]
+        seed = _locate(site_set, opposite, last, idx)
+        _unlink(opposite, seed)
+        cavity = [seed]
+        boundary: list[Edge] = []
+        while cavity:
+            a, b, c = cavity.pop()
+            for u, v in ((a, b), (b, c), (c, a)):
+                w = opposite.get((v, u))
+                if w is None:
+                    continue  # The triangle across is in the cavity.
+                # The triangle across, rotated so that a ghost comes last.
+                t = (
+                    (u, w, v) if v == ghost
+                    else (w, v, u) if u == ghost
+                    else (v, u, w)
+                )
+                if _in_conflict(t, idx, site_set):
+                    _unlink(opposite, t)
+                    cavity.append(t)
+                else:
+                    boundary.append((u, v))
+        for u, v in boundary:
+            _link(opposite, (u, v, idx))
+            if ghost not in (u, v):
+                last = (u, v, idx)
+    return [
+        Triangle(a, b, c)
+        for (a, b), c in opposite.items()
+        if a < b < ghost and a < c < ghost
+    ]
 
 
-def _in_conflict(
-    t: tuple[int, int, int], idx: int, sites: Sequence[Point2]
-) -> bool:
+def _link(opposite: dict[Edge, int], t: tuple[int, int, int]) -> None:
+    a, b, c = t
+    opposite[a, b] = c
+    opposite[b, c] = a
+    opposite[c, a] = b
+
+
+def _unlink(opposite: dict[Edge, int], t: tuple[int, int, int]) -> None:
+    a, b, c = t
+    del opposite[a, b], opposite[b, c], opposite[c, a]
+
+
+def _locate(
+    site_set: SiteSet,
+    opposite: dict[Edge, int],
+    start: tuple[int, int, int],
+    idx: int,
+) -> tuple[int, int, int]:
+    """A triangle in conflict with site idx: the real triangle that holds
+    it, or a ghost triangle whose hull edge has it strictly beyond.
+
+    Visibility walk from the real triangle `start`: cross any edge that
+    has the site strictly on its far side. On a Delaunay triangulation
+    the walk never revisits a triangle (Edelsbrunner 1990), so it ends.
+    """
+    ghost = len(site_set)
+    orient = site_set.orient
+    a, b, c = start
+    if orient(a, b, idx) < 0:
+        a, b = b, a
+        c = opposite[a, b]
+    # The site is never strictly right of a->b, the edge just crossed.
+    while c != ghost:
+        if orient(b, c, idx) < 0:
+            a, b = c, b
+        elif orient(c, a, idx) < 0:
+            a, b = a, c
+        else:
+            break
+        c = opposite[a, b]
+    return a, b, c
+
+
+def _in_conflict(t: tuple[int, int, int], idx: int, site_set: SiteSet) -> bool:
     """Whether site idx lies inside the circumcircle of the
     counterclockwise triangle t; for a ghost triangle (third index
-    len(sites)), in the open half-plane beyond its hull edge or on the
+    len(site_set)), in the open half-plane beyond its hull edge or on the
     open edge.
 
     A tie on the circle lowers each site i's lift by ε^(i+1), so the
@@ -473,15 +624,17 @@ def _in_conflict(
     depend on insertion order.
     """
     i, j, k = t
-    p = sites[idx]
-    if k < len(sites):
-        side = incircle(sites[i], sites[j], sites[k], p)
+    if k < len(site_set):
+        side = site_set.incircle(i, j, k, idx)
         if side:
             return side > 0
         m = min(t)
         a, b = (j, k) if m == i else (k, i) if m == j else (i, j)
-        return idx < m or orient2d(sites[a], sites[b], p) < 0
-    side = orient2d(sites[i], sites[j], p)
-    return side > 0 or (
-        side == 0 and point_in_segment_interior(p, Segment(sites[i], sites[j]))
-    )
+        return idx < m or site_set.orient(a, b, idx) < 0
+    side = site_set.orient(i, j, idx)
+    if side:
+        return side > 0
+    # On the hull edge's line: inside the open edge when the vectors to
+    # its ends point apart.
+    (xi, yi), (xj, yj), (x, y) = (site_set.lattice[v] for v in (i, j, idx))
+    return (xi - x) * (xj - x) + (yi - y) * (yj - y) < 0

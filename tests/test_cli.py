@@ -4,10 +4,10 @@ import time
 import pytest
 
 from oracles import brute_force_delaunay
-from proximesh import io
+from proximesh import harness, io
 from proximesh.cli import main
 from proximesh.complexes import SubComplex
-from proximesh.rational import MAX_EXPONENT
+from proximesh.rational import MAX_DIGITS, MAX_EXPONENT
 
 
 @pytest.fixture()
@@ -42,6 +42,24 @@ class TestGenerate:
                      "--out", str(tmp_path / "x.txt")])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", [2, harness.MAX_SITES + 1, 10**12])
+    def test_count_out_of_bound(self, tmp_path, capsys, monkeypatch, count):
+        def refuse(*args):
+            raise AssertionError("a site was drawn")
+
+        # The bound is checked before any site is drawn.
+        monkeypatch.setattr(harness, "Point2", refuse)
+        out = tmp_path / "x.txt"
+        start = time.perf_counter()
+        code = main(["generate", "--count", str(count), "--out", str(out)])
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert _one_error_line(capsys.readouterr()) == (
+            f"error: count must be between 3 and {harness.MAX_SITES} sites, "
+            f"got {count}"
+        )
+        assert not out.exists()
 
     def test_zero_area_box(self, tmp_path):
         code = main(["generate", "--seed", "1", "--count", "5",
@@ -378,6 +396,19 @@ class TestCoordinateBounds:
         mesh = io.read_mesh(mesh_file)
         assert mesh.sites[1].x == 10**e
         assert len(json.loads(mesh_file.read_text())["voronoi"]) == 4
+
+    def test_mesh_coordinate_past_the_digit_limit(self, tmp_path, capsys):
+        # The site is within the bound, but circumcenters have more digits.
+        sites = tmp_path / "sites.txt"
+        sites.write_text(f"0,0\n1,0\n0,1\n{'9' * MAX_DIGITS},1\n")
+        out = tmp_path / "m.json"
+        code = main(["voronoi", "--sites", str(sites), "--out", str(out)])
+        assert code == 2
+        assert _one_error_line(capsys.readouterr()) == (
+            f"error: {out}: a mesh coordinate needs more than {MAX_DIGITS} "
+            "digits"
+        )
+        assert not out.exists()
 
     def test_out_of_bound_clip_margin_flag(self, workspace, capsys):
         tmp_path, sites, *_ = workspace

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,12 +11,16 @@ from oracles import (
     brute_force_delaunay,
     is_delaunay_triangulation,
 )
+import proximesh.mesh as mesh_module
 from proximesh.geometry import (
     Point2,
+    circumcenter,
     incircle,
     is_convex_polygon,
+    orient2d,
     squared_distance,
 )
+from proximesh.harness import generate_sites
 from proximesh.mesh import (
     Mesh,
     MeshError,
@@ -30,6 +35,31 @@ from proximesh.mesh import (
 )
 
 P = Point2
+
+
+# Coordinates with unrelated denominators, including the 1e+-1000 ends
+# of the parse bound. One shared unit puts ties (collinear and cocircular
+# sites) within reach; the other mode draws each coordinate freely.
+_HUGE = Fraction(10) ** 1000
+_units = st.sampled_from(
+    [Fraction(1), Fraction(1, 3), Fraction(2, 7), _HUGE, 1 / _HUGE]
+)
+_free_coords = st.one_of(
+    st.fractions(max_denominator=10**6).map(lambda x: x * 1000),
+    st.builds(lambda n, e: n * Fraction(10) ** e,
+              st.integers(-9, 9), st.sampled_from([-1000, -999, 999, 1000])),
+)
+lattice_kernel_sites = st.one_of(
+    _units.flatmap(
+        lambda unit: st.lists(
+            st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+            min_size=4, max_size=5, unique=True,
+        ).map(lambda pts: [P(x * unit, y * unit) for x, y in pts])
+    ),
+    st.lists(st.tuples(_free_coords, _free_coords),
+             min_size=4, max_size=5, unique=True)
+    .map(lambda pts: [P(x, y) for x, y in pts]),
+)
 
 
 def random_sites(seed, n):
@@ -51,6 +81,25 @@ class TestSiteSet:
     def test_collinear(self):
         with pytest.raises(MeshError, match="collinear"):
             SiteSet([P(0, 0), P(1, 1), P(2, 2), P(3, 3)])
+
+    @settings(max_examples=80, deadline=None)
+    @given(lattice_kernel_sites)
+    def test_lattice_kernels_match_point_predicates(self, sites):
+        a, b = sites[:2]
+        assume(any(orient2d(a, b, c) for c in sites[2:]))
+        site_set = SiteSet(sites)
+        for i, j, k in permutations(range(len(sites)), 3):
+            side = orient2d(sites[i], sites[j], sites[k])
+            assert site_set.orient(i, j, k) == side
+            if side == 0 or not i < j < k:
+                continue
+            assert site_set.circumcenter(i, j, k) == circumcenter(
+                sites[i], sites[j], sites[k]
+            )
+            for d in range(len(sites)):
+                assert site_set.incircle(i, j, k, d) == incircle(
+                    sites[i], sites[j], sites[k], sites[d]
+                )
 
     def test_bbox_margin(self):
         box = triangulate(SiteSet([P(0, 0), P(10, 0), P(0, 10)])).clip_box
@@ -223,6 +272,36 @@ class TestExactPass:
         assert all(0 in t for t in mesh.triangles)
 
 
+class TestLocatedInsertion:
+    def test_conflict_tests_per_build(self, monkeypatch):
+        calls = 0
+        in_conflict = mesh_module._in_conflict
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return in_conflict(*args)
+
+        monkeypatch.setattr(mesh_module, "_in_conflict", counted)
+        sites, _ = generate_sites(5, 400)
+        triangulate(sites)
+        # Testing every triangle per insertion takes about 158,800; the
+        # walk and the cavity grown across edges take about 3,400.
+        assert 0 < calls < 20_000
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(3, 40), st.randoms())
+    def test_shuffled_sites_give_the_same_triangles(self, seed, n, rnd):
+        sites = random_sites(seed, n).sites
+        order = list(range(n))
+        rnd.shuffle(order)
+        shuffled = triangulate(SiteSet([sites[i] for i in order]))
+        expected = triangulate(SiteSet(sites))
+        assert {
+            frozenset(order[v] for v in t.indices) for t in shuffled.triangles
+        } == {frozenset(t.indices) for t in expected.triangles}
+
+
 class TestTriangleNeighbors:
     @pytest.mark.parametrize("seed", range(5))
     def test_neighbors_follow_edge_order(self, seed, grid_mesh):
@@ -345,6 +424,53 @@ class TestVoronoi:
         box = Rect(min(xs), min(ys), max(xs), max(ys))
         mesh = Mesh(base.site_set, base.triangles, clip_box=box)
         assert mesh.voronoi == tuple(all_sites_voronoi(mesh.sites, box))
+
+    @pytest.mark.parametrize(
+        "sites",
+        [
+            [P(x, y) for y in range(12) for x in range(12)],
+            [P(0, 0)] + [P(x, y) for x in range(-8, 9) for y in range(-8, 9)
+                         if x * x + y * y == 65],
+        ],
+        ids=["grid-12x12", "lattice-circle-and-center"],
+    )
+    def test_ring_cells_match_all_sites_oracle(self, sites):
+        # The grid's cocircular fans repeat circumcenters, which the cell
+        # drops; the center's fan reaches every site of the circle.
+        mesh = triangulate(SiteSet(sites))
+        assert any(not mesh.is_hull_site(i) for i in range(len(sites)))
+        assert mesh.voronoi == tuple(all_sites_voronoi(sites, mesh.clip_box))
+
+    def test_box_cutting_some_interior_cells(self, monkeypatch):
+        # Interior cells whose fan circumcenters all lie strictly inside
+        # the box are rings; the box cuts the others, one clip per
+        # Delaunay neighbor. One mesh has both.
+        base = triangulate(random_sites(3, 40))
+        xs = [p.x for p in base.sites]
+        ys = [p.y for p in base.sites]
+        box = Rect(min(xs), min(ys), max(xs), max(ys))
+        mesh = Mesh(base.site_set, base.triangles, clip_box=box)
+        ring = {
+            i: all(box.strictly_contains(mesh.circumcenters[t])
+                   for t in mesh.vertex_triangles[i])
+            for i in range(len(mesh.sites))
+            if not mesh.is_hull_site(i)
+        }
+        assert set(ring.values()) == {True, False}
+        clips = 0
+        clip_halfplane = mesh_module.clip_halfplane
+
+        def counted(*args):
+            nonlocal clips
+            clips += 1
+            return clip_halfplane(*args)
+
+        monkeypatch.setattr(mesh_module, "clip_halfplane", counted)
+        assert mesh.voronoi == tuple(all_sites_voronoi(mesh.sites, box))
+        assert clips == sum(
+            i in e for e in mesh.edges for i in range(len(mesh.sites))
+            if not ring.get(i, False)
+        )
 
     def test_cells_partition_box(self):
         mesh = triangulate(random_sites(7, 12))
