@@ -125,7 +125,7 @@ def incircle(a: Point2, b: Point2, c: Point2, d: Point2) -> int:
 
 # The integer kernels behind every orientation and incircle sign. They
 # take the coordinates already scaled to one integer lattice: per call in
-# `orient2d`/`incircle`, once per site set in `mesh.SiteSet`.
+# `orient2d`/`incircle`, and by `mesh.SiteSet.scaled` for sites.
 
 
 def _orient(ax: int, ay: int, bx: int, by: int, cx: int, cy: int) -> int:

@@ -1,7 +1,7 @@
 """Delaunay triangulation and clipped Voronoi dual of a planar site set.
 
-A `SiteSet` scales its sites once to one integer lattice, and every
-orientation, incircle and circumcenter on sites runs there, by site
+A `SiteSet` scales its sites once to integer coordinates, and every
+orientation, incircle and circumcenter on sites runs on those, by site
 index.
 
 Triangulation is incremental Bowyer-Watson, inserting sites in input
@@ -94,14 +94,17 @@ class SiteSet:
     box adds on every side; the box bounds the otherwise unbounded hull
     cells of the Voronoi diagram.
 
-    `lattice` holds the sites scaled once by `scale`, the lcm of all
-    their coordinate denominators, as integer pairs. `orient` and
-    `incircle` decide their signs on it by site index, with the same
-    integer kernels as `geometry.orient2d` and `geometry.incircle`, and
-    `circumcenter` solves on it with one division at the end.
+    `lattice` holds each site i as the integer pair (X, Y) of the point
+    (X / scales[i], Y / scales[i]). All sites share one scale, `scale`,
+    the lcm of all their denominators, unless that lcm is far wider than
+    the widest site's own; then `scale` is None and each site keeps the
+    lcm of its own two denominators. `orient` and `incircle` decide
+    their signs by site index, with the same integer kernels as
+    `geometry.orient2d` and `geometry.incircle`, and `circumcenter`
+    solves with one division at the end.
     """
 
-    __slots__ = ("sites", "clip_margin", "scale", "lattice")
+    __slots__ = ("sites", "clip_margin", "scale", "scales", "lattice")
 
     def __init__(
         self,
@@ -119,10 +122,24 @@ class SiteSet:
                     f"({p.x}, {p.y})"
                 )
             seen[p] = i
-        coords = [c for p in sites for c in (p.x, p.y)]
-        self.scale = math.lcm(*(c.denominator for c in coords))
-        scaled = [c.numerator * (self.scale // c.denominator) for c in coords]
-        self.lattice = tuple(zip(scaled[::2], scaled[1::2]))
+        own = [math.lcm(p.x.denominator, p.y.denominator) for p in sites]
+        shared = math.lcm(*own)
+        # A predicate on four sites pays at most for the lcm of their own
+        # scales, about four times the widest. A shared scale within that,
+        # and a machine word more, makes no predicate dearer than scaling
+        # its sites per call would; the lcm of many unrelated large
+        # denominators would make every predicate pay for all of them.
+        if shared.bit_length() <= 4 * max(own).bit_length() + 64:
+            self.scale: Optional[int] = shared
+            self.scales = (shared,) * len(sites)
+        else:
+            self.scale = None
+            self.scales = tuple(own)
+        self.lattice = tuple(
+            (p.x.numerator * (w // p.x.denominator),
+             p.y.numerator * (w // p.y.denominator))
+            for p, w in zip(sites, self.scales)
+        )
         if all(self.orient(0, 1, k) == 0 for k in range(2, len(sites))):
             raise MeshError("all sites are collinear")
         if clip_margin <= 0:
@@ -136,14 +153,31 @@ class SiteSet:
     def __getitem__(self, i: int) -> Point2:
         return self.sites[i]
 
+    def scaled(self, *idx: int) -> tuple[int, list[int]]:
+        """A common scale of the sites idx, and their coordinates, x then
+        y for each site in turn, as integers over it: the lcm of their
+        own scales, as `rational.scaled_ints` takes it per call."""
+        lattice = self.lattice
+        if self.scale is not None:
+            return self.scale, [c for v in idx for c in lattice[v]]
+        scales = [self.scales[v] for v in idx]
+        s = math.lcm(*scales)
+        return s, [c * (s // w) for v, w in zip(idx, scales) for c in lattice[v]]
+
+    # The two hot predicates read a shared scale's lattice directly.
+
     def orient(self, i: int, j: int, k: int) -> int:
         """`geometry.orient2d` of sites i, j, k."""
+        if self.scale is None:
+            return _orient(*self.scaled(i, j, k)[1])
         lattice = self.lattice
         return _orient(*lattice[i], *lattice[j], *lattice[k])
 
     def incircle(self, i: int, j: int, k: int, d: int) -> int:
         """`geometry.incircle` of site d against the non-collinear sites
         i, j, k."""
+        if self.scale is None:
+            return _incircle(*self.scaled(i, j, k, d)[1])
         lattice = self.lattice
         return _incircle(*lattice[i], *lattice[j], *lattice[k], *lattice[d])
 
@@ -153,12 +187,12 @@ class SiteSet:
         The Delaunay-characterization audit keeps `geometry.circumcenter`,
         on Fraction arithmetic, as a route independent of this one.
         """
-        (ax, ay), (bx, by), (cx, cy) = (self.lattice[v] for v in (i, j, k))
+        s, (ax, ay, bx, by, cx, cy) = self.scaled(i, j, k)
         bx, by, cx, cy = bx - ax, by - ay, cx - ax, cy - ay
         d = 2 * (bx * cy - by * cx)
         b2 = bx * bx + by * by
         c2 = cx * cx + cy * cy
-        den = d * self.scale
+        den = d * s
         return Point2(
             Fraction(ax * d + cy * b2 - by * c2, den),
             Fraction(ay * d + bx * c2 - cx * b2, den),
@@ -362,17 +396,15 @@ class Mesh:
         f = len(self.triangles)
         if v - e + f != 1:
             raise MeshError(f"Euler relation violated: V-E+F = {v - e + f}")
-        # Twice the areas, on the lattice.
-        area2 = 0
+        # Twice the areas, summed in integers per triangle scale.
+        area2: dict[int, int] = {}
         for tri in self.triangles:
-            (ax, ay), (bx, by), (cx, cy) = (
-                sites.lattice[v] for v in tri.indices
-            )
+            s, (ax, ay, bx, by, cx, cy) = sites.scaled(*tri.indices)
             tri_area2 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
             if tri_area2 <= 0:
                 raise MeshError(f"triangle {tri.indices} is not counterclockwise")
-            area2 += tri_area2
-        if area2 != self.hull.area() * 2 * sites.scale**2:
+            area2[s] = area2.get(s, 0) + tri_area2
+        if sum(Fraction(a, s * s) for s, a in area2.items()) != self.hull.area() * 2:
             raise MeshError("triangle union does not cover the site hull")
         for e, ts in self.edge_triangles.items():
             if len(ts) == 1:
@@ -636,5 +668,5 @@ def _in_conflict(t: tuple[int, int, int], idx: int, site_set: SiteSet) -> bool:
         return side > 0
     # On the hull edge's line: inside the open edge when the vectors to
     # its ends point apart.
-    (xi, yi), (xj, yj), (x, y) = (site_set.lattice[v] for v in (i, j, idx))
+    _, (xi, yi, xj, yj, x, y) = site_set.scaled(i, j, idx)
     return (xi - x) * (xj - x) + (yi - y) * (yj - y) < 0

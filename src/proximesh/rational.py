@@ -5,8 +5,9 @@ parse user-facing coordinate strings exactly, render them canonically, and
 rescale point tuples to plain integers so that sign-of-determinant
 predicates can run on int arithmetic instead of Fraction arithmetic.
 `geometry.orient2d` and `geometry.incircle` rescale their points on every
-call; a `mesh.SiteSet` rescales all its sites once, by the same rule, and
-its predicates run on that lattice with the same integer kernels.
+call; a `mesh.SiteSet` rescales its sites once, by the same rule, to one
+shared scale where that stays narrow, and its predicates run with the
+same integer kernels.
 """
 
 from __future__ import annotations

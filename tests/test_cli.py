@@ -51,9 +51,7 @@ class TestGenerate:
         # The bound is checked before any site is drawn.
         monkeypatch.setattr(harness, "Point2", refuse)
         out = tmp_path / "x.txt"
-        start = time.perf_counter()
         code = main(["generate", "--count", str(count), "--out", str(out)])
-        assert time.perf_counter() - start < 1
         assert code == 2
         assert _one_error_line(capsys.readouterr()) == (
             f"error: count must be between 3 and {harness.MAX_SITES} sites, "

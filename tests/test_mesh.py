@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import permutations
 
@@ -62,6 +63,23 @@ lattice_kernel_sites = st.one_of(
 )
 
 
+def own_denominator_sites(seed, n, digits):
+    """Sites in the unit square, each coordinate over its own random
+    denominator of the given number of digits."""
+    rng = random.Random(seed)
+
+    def coord():
+        d = rng.randrange(10 ** (digits - 1), 10 ** digits)
+        return Fraction(rng.randrange(d), d)
+
+    return [P(coord(), coord()) for _ in range(n)]
+
+
+def _on_unit_circle(t):
+    """The rational point of the unit circle with slope parameter t."""
+    return P((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t))
+
+
 def random_sites(seed, n):
     rng = random.Random(seed)
     return SiteSet(
@@ -82,12 +100,21 @@ class TestSiteSet:
         with pytest.raises(MeshError, match="collinear"):
             SiteSet([P(0, 0), P(1, 1), P(2, 2), P(3, 3)])
 
-    @settings(max_examples=80, deadline=None)
-    @given(lattice_kernel_sites)
-    def test_lattice_kernels_match_point_predicates(self, sites):
+    @settings(max_examples=120, deadline=None)
+    @given(lattice_kernel_sites, st.booleans())
+    def test_lattice_kernels_match_point_predicates(self, sites, own_scales):
         a, b = sites[:2]
         assume(any(orient2d(a, b, c) for c in sites[2:]))
-        site_set = SiteSet(sites)
+        padding = []
+        if own_scales:
+            # Ten sites over denominators far wider than any of the given
+            # sites' make the lcm of all too wide to share.
+            digits = 50 + 2 * max(
+                len(str(c.denominator)) for p in sites for c in (p.x, p.y)
+            )
+            padding = own_denominator_sites(0, 10, digits)
+        site_set = SiteSet(sites + padding)
+        assert (site_set.scale is None) == own_scales
         for i, j, k in permutations(range(len(sites)), 3):
             side = orient2d(sites[i], sites[j], sites[k])
             assert site_set.orient(i, j, k) == side
@@ -100,6 +127,56 @@ class TestSiteSet:
                 assert site_set.incircle(i, j, k, d) == incircle(
                     sites[i], sites[j], sites[k], sites[d]
                 )
+
+    def test_generated_sites_share_one_scale(self):
+        sites, _ = generate_sites(5, 100)
+        assert sites.scale is not None
+        assert set(sites.scales) == {sites.scale}
+
+    def test_unrelated_denominators_keep_own_scales(self, monkeypatch):
+        sites = own_denominator_sites(3, 60, 50)
+        site_set = SiteSet(sites)
+        assert site_set.scale is None
+        widest = 0
+
+        def sized(kernel):
+            def call(*coords):
+                nonlocal widest
+                widest = max(widest, *(c.bit_length() for c in coords))
+                return kernel(*coords)
+            return call
+
+        for name in ("_orient", "_incircle"):
+            monkeypatch.setattr(mesh_module, name,
+                                sized(getattr(mesh_module, name)))
+        start = time.perf_counter()
+        mesh = triangulate(site_set)
+        elapsed = time.perf_counter() - start
+        # A predicate pays for the lcm of at most eight 50-digit (167-bit)
+        # denominators, not for that of all 120, about 20,000 bits, on
+        # which this build took 3.5 s instead of 0.1-0.2 s.
+        assert 0 < widest <= 8 * 167
+        assert elapsed < 2
+        assert is_delaunay_triangulation(sites, _indices(mesh))
+
+    @pytest.mark.parametrize(
+        "sites",
+        [
+            # Six sites inside the hull edge from (0, 0) to (1, 0).
+            [P(0, 0), P(1, 0), P(Fraction(1, 3), 1)]
+            + [P(p.x, 0) for p in own_denominator_sites(4, 6, 50)],
+            # Eight cocircular sites.
+            [_on_unit_circle(6 * p.x - 3)
+             for p in own_denominator_sites(5, 8, 25)],
+        ],
+        ids=["collinear-hull-edge", "circle"],
+    )
+    def test_own_scale_ties_match_global_oracle(self, sites):
+        site_set = SiteSet(sites)
+        assert site_set.scale is None
+        mesh = triangulate(site_set)
+        assert is_delaunay_triangulation(sites, _indices(mesh))
+        _assert_fanned_from_least(mesh)
 
     def test_bbox_margin(self):
         box = triangulate(SiteSet([P(0, 0), P(10, 0), P(0, 10)])).clip_box
