@@ -2,16 +2,19 @@
 
 Points carry arbitrary-precision rational coordinates, every predicate
 in this module decides its sign exactly, and no function here returns a
-float.
+float. `orient2d` and `incircle` scale their points to integers per
+call; a `Polygon`, and the points of one `convex_hull` or
+`clip_halfplane` call, are scaled once to a `rational.Lattice`, and
+their signs run the same integer kernels by point index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
-from .rational import scaled_ints
+from .rational import Lattice, scaled_ints
 
 Coord = Union[Fraction, int, str]
 
@@ -53,29 +56,52 @@ class Segment:
             raise DegenerateInputError(f"segment endpoints coincide: {self.a}")
 
 
-class Polygon:
+class Polygon(Lattice):
     """A simple polygon, normalized on construction.
 
     Normalization removes consecutive duplicates and collinear middle
     vertices, orients the ring counterclockwise, and rotates the
     lexicographically smallest vertex to the front so that equal point
     sets compare equal.
+
+    The vertices are scaled once to a `rational.Lattice`, kept in ring
+    order, and every sign the polygon decides runs the integer kernel
+    `_orient` on it by vertex index.
     """
 
-    __slots__ = ("vertices",)
+    __slots__ = ("vertices", "_convex")
 
     def __init__(self, vertices: Sequence[Point2]) -> None:
         verts = _dedupe_cyclic(list(vertices))
-        verts = _drop_collinear_cyclic(verts)
-        if len(verts) < 3:
+        super().__init__(verts)
+        ring = list(range(len(verts)))
+        turns = self._drop_collinear(ring)
+        if len(ring) < 3:
             raise DegenerateInputError("polygon needs >= 3 effective vertices")
-        area2 = _ring_area2(verts)
+        # Edge directions that turn one way at every vertex and cross
+        # between the upper and lower half-planes twice make one full
+        # turn, so the ring bounds a convex polygon (Fenchel) and its area
+        # has the sign of the turns. Any other ring sums its area.
+        pos = _position(self, verts)
+        yx = [pos(i)[::-1] for i in ring]
+        upper = [b > a for a, b in zip(yx, yx[1:] + yx[:1])]
+        one_way = abs(sum(turns)) == len(ring)
+        crossings = sum(u != upper[k - 1] for k, u in enumerate(upper))
+        if one_way and crossings == 2:
+            area2 = turns[0]
+        else:
+            area2 = self._area2(ring)
+        # A star turns one way at every vertex too, but is not convex.
+        self._convex = one_way and (area2 > 0) == (turns[0] > 0)
         if area2 == 0:
             raise DegenerateInputError("polygon has zero area")
         if area2 < 0:
-            verts.reverse()
-        start = min(range(len(verts)), key=lambda i: (verts[i].x, verts[i].y))
-        self.vertices = tuple(verts[start:] + verts[:start])
+            ring.reverse()
+        start = min(range(len(ring)), key=lambda k: pos(ring[k]))
+        ring = ring[start:] + ring[:start]
+        self.vertices = tuple(verts[i] for i in ring)
+        self.scales = tuple(self.scales[i] for i in ring)
+        self.lattice = tuple(self.lattice[i] for i in ring)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Polygon) and self.vertices == other.vertices
@@ -87,7 +113,7 @@ class Polygon:
         return f"Polygon({list(self.vertices)!r})"
 
     def area(self) -> Fraction:
-        return _ring_area2(self.vertices) / 2
+        return self._area2(range(len(self.vertices))) / 2
 
     def edges(self) -> Iterable[tuple[Point2, Point2]]:
         verts = self.vertices
@@ -96,13 +122,54 @@ class Polygon:
 
     def contains(self, p: Point2) -> bool:
         """Closed-region membership; requires a convex polygon."""
-        return all(orient2d(a, b, p) >= 0 for a, b in self.edges())
+        return all(side >= 0 for side, _, _ in self._sides(p))
 
     def on_boundary(self, p: Point2) -> bool:
-        for a, b in self.edges():
-            if orient2d(a, b, p) == 0 and _between_inclusive(a, b, p):
-                return True
-        return False
+        return any(
+            side == 0 and _between_inclusive(a, b, p)
+            for side, a, b in self._sides(p)
+        )
+
+    def _sides(self, p: Point2) -> Iterator[tuple[int, Point2, Point2]]:
+        """orient2d(a, b, p) for each edge a->b, with a and b."""
+        lattice = self.joined(p)
+        n = len(self.vertices)
+        for i, (a, b) in enumerate(self.edges()):
+            yield _orient_at(lattice, i, (i + 1) % n, n), a, b
+
+    def _drop_collinear(self, ring: list[int]) -> list[int]:
+        """Delete from the ring of vertex indices the first vertex whose
+        neighbors are collinear with it, until none is; return the turns
+        of the ring left."""
+        while len(ring) >= 3:
+            turns = []
+            for i, v in enumerate(ring):
+                nxt = ring[(i + 1) % len(ring)]
+                turn = _orient_at(self, ring[i - 1], v, nxt)
+                if turn == 0:
+                    del ring[i]
+                    break
+                turns.append(turn)
+            else:
+                return turns
+        return []
+
+    def _area2(self, ring: Iterable[int]) -> Fraction:
+        """Twice the signed area of the ring of vertex indices."""
+        ring = list(ring)
+        lattice, scales = self.lattice, self.scales
+        pairs = list(zip(ring[-1:] + ring[:-1], ring))
+        cross = [
+            lattice[i][0] * lattice[j][1] - lattice[j][0] * lattice[i][1]
+            for i, j in pairs
+        ]
+        if self.scale is not None:
+            return Fraction(sum(cross), self.scale * self.scale)
+        return sum(
+            (Fraction(c, scales[i] * scales[j])
+             for c, (i, j) in zip(cross, pairs)),
+            Fraction(0),
+        )
 
 
 def orient2d(a: Point2, b: Point2, c: Point2) -> int:
@@ -125,7 +192,8 @@ def incircle(a: Point2, b: Point2, c: Point2, d: Point2) -> int:
 
 # The integer kernels behind every orientation and incircle sign. They
 # take the coordinates already scaled to one integer lattice: per call in
-# `orient2d`/`incircle`, and by `mesh.SiteSet.scaled` for sites.
+# `orient2d`/`incircle`, and once per point set by a `rational.Lattice`
+# for sites, polygon vertices and clipped rings.
 
 
 def _orient(ax: int, ay: int, bx: int, by: int, cx: int, cy: int) -> int:
@@ -151,6 +219,22 @@ def _incircle(
         + clift * (adx * bdy - bdx * ady)
     )
     return (det > 0) - (det < 0)
+
+
+def _orient_at(lattice: Lattice, i: int, j: int, k: int) -> int:
+    """`orient2d` of the points i, j, k of a lattice."""
+    if lattice.scale is None:
+        return _orient(*lattice.scaled(i, j, k)[1])
+    c = lattice.lattice
+    return _orient(*c[i], *c[j], *c[k])
+
+
+def _position(lattice: Lattice, points: Sequence[Point2]):
+    """A key that orders the points i of a lattice by (x, y): their
+    integers when they share one scale, else their Fractions."""
+    if lattice.scale is not None:
+        return lattice.lattice.__getitem__
+    return lambda i: (points[i].x, points[i].y)
 
 
 def circumcenter(a: Point2, b: Point2, c: Point2) -> Point2:
@@ -202,67 +286,81 @@ def segments_share_interior_point(s1: Segment, s2: Segment) -> bool:
 
 def convex_hull(points: Iterable[Point2]) -> Polygon:
     """Counterclockwise strict convex hull (collinear boundary points
-    excluded)."""
-    pts = sorted(set(points), key=lambda p: (p.x, p.y))
+    excluded), by a monotone chain on the points' lattice."""
+    pts = list(set(points))
     if len(pts) < 3:
         raise DegenerateInputError("convex hull needs >= 3 distinct points")
+    lattice = Lattice(pts)
 
-    def half(seq: list[Point2]) -> list[Point2]:
-        chain: list[Point2] = []
+    def half(seq: list[int]) -> list[int]:
+        chain: list[int] = []
         for p in seq:
-            while len(chain) >= 2 and orient2d(chain[-2], chain[-1], p) <= 0:
+            while (len(chain) >= 2
+                   and _orient_at(lattice, chain[-2], chain[-1], p) <= 0):
                 chain.pop()
             chain.append(p)
         return chain
 
-    lower = half(pts)
-    upper = half(pts[::-1])
+    order = sorted(range(len(pts)), key=_position(lattice, pts))
+    lower = half(order)
+    upper = half(order[::-1])
     ring = lower[:-1] + upper[:-1]
     if len(ring) < 3:
         raise DegenerateInputError("all points collinear")
-    return Polygon(ring)
+    return Polygon([pts[i] for i in ring])
 
 
 def is_convex_polygon(poly: Polygon) -> bool:
     """True when every turn along the normalized ring is a left turn."""
-    verts = poly.vertices
-    n = len(verts)
-    return all(
-        orient2d(verts[i], verts[(i + 1) % n], verts[(i + 2) % n]) > 0
-        for i in range(n)
-    )
+    return poly._convex
 
 
 def clip_halfplane(verts: list[Point2], a: Point2, b: Point2) -> list[Point2]:
     """Clip a convex ring to the closed half-plane left of directed line ab.
 
-    Vertices are classified by the integer orientation predicate; the
-    exact rational side values are only evaluated at the at most two
-    edges that cross the line.
+    The ring and the line are scaled once to a `rational.Lattice`. Each
+    vertex's side is an integer determinant, and the point where an edge
+    crosses the line is built from its two ends' determinants, with one
+    division per coordinate.
     """
     if not verts:
         return []
-    out: list[Point2] = []
-    signs = [orient2d(a, b, v) for v in verts]
     n = len(verts)
+    lattice = Lattice((*verts, a, b))
+    if lattice.scale is not None:
+        sides = _line_sides(lattice, n, *range(n))
+    else:
+        sides = [_line_sides(lattice, n, i)[0] for i in range(n)]
+    signs = [(f > 0) - (f < 0) for f in sides]
+    out: list[Point2] = []
     for i in range(n):
         j = (i + 1) % n
-        vi, vj = verts[i], verts[j]
         si, sj = signs[i], signs[j]
         if si >= 0:
-            out.append(vi)
+            out.append(verts[i])
         if si * sj < 0:
-            fi = _line_side(a, b, vi)
-            fj = _line_side(a, b, vj)
-            t = fi / (fi - fj)
-            out.append(
-                Point2(vi.x + (vj.x - vi.x) * t, vi.y + (vj.y - vi.y) * t)
-            )
+            if lattice.scale is None:
+                fi, fj = _line_sides(lattice, n, i, j)
+            else:
+                fi, fj = sides[i], sides[j]
+            s, (xi, yi, xj, yj) = lattice.scaled(i, j)
+            den = s * (fi - fj)
+            out.append(Point2(Fraction(xj * fi - xi * fj, den),
+                              Fraction(yj * fi - yi * fj, den)))
     return out
 
 
-def _line_side(a: Point2, b: Point2, p: Point2) -> Fraction:
-    return (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x)
+def _line_sides(lattice: Lattice, n: int, *idx: int) -> list[int]:
+    """For each point of idx, the determinant (b - a) x (p - a) against
+    the line through points a = n and b = n + 1, all over one common
+    scale: its sign is the side, and two of them on one scale give the
+    crossing point's share of the way."""
+    _, (ax, ay, bx, by, *coords) = lattice.scaled(n, n + 1, *idx)
+    dx, dy = bx - ax, by - ay
+    return [
+        dx * (coords[k + 1] - ay) - dy * (coords[k] - ax)
+        for k in range(0, len(coords), 2)
+    ]
 
 
 def _span_key(a: Point2, b: Point2):
@@ -292,27 +390,3 @@ def _dedupe_cyclic(verts: list[Point2]) -> list[Point2]:
     while len(out) > 1 and out[0] == out[-1]:
         out.pop()
     return out
-
-
-def _drop_collinear_cyclic(verts: list[Point2]) -> list[Point2]:
-    changed = True
-    while changed and len(verts) >= 3:
-        changed = False
-        n = len(verts)
-        for i in range(n):
-            prev = verts[(i - 1) % n]
-            nxt = verts[(i + 1) % n]
-            if orient2d(prev, verts[i], nxt) == 0:
-                del verts[i]
-                changed = True
-                break
-    return verts
-
-
-def _ring_area2(verts: Sequence[Point2]) -> Fraction:
-    total = Fraction(0)
-    n = len(verts)
-    for i in range(n):
-        a, b = verts[i], verts[(i + 1) % n]
-        total += a.x * b.y - b.x * a.y
-    return total

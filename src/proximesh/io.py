@@ -95,6 +95,11 @@ def mesh_payload(mesh: Mesh, include_voronoi: bool = False) -> dict:
     }
     payload["mesh_id"] = _payload_id(payload)
     if include_voronoi:
+        # A circumcenter strictly inside the box is a corner of its cells:
+        # check it before the cells are built.
+        for u in mesh.circumcenters:
+            if mesh.clip_box.strictly_contains(u):
+                _coord(u.x), _coord(u.y)
         payload["voronoi"] = [
             {
                 "site": region.site,

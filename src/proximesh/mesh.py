@@ -33,7 +33,6 @@ these cells.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -50,6 +49,7 @@ from .geometry import (
     orient2d,
     segments_share_interior_point,
 )
+from .rational import Lattice
 
 DEFAULT_CLIP_MARGIN = Fraction(1, 10)
 
@@ -87,24 +87,21 @@ class Rect:
         return self.contains(p) and not self.strictly_contains(p)
 
 
-class SiteSet:
+class SiteSet(Lattice):
     """An indexed set of at least three distinct, non-collinear sites.
 
     `clip_margin` is the share of the sites' extent that a mesh's clip
     box adds on every side; the box bounds the otherwise unbounded hull
     cells of the Voronoi diagram.
 
-    `lattice` holds each site i as the integer pair (X, Y) of the point
-    (X / scales[i], Y / scales[i]). All sites share one scale, `scale`,
-    the lcm of all their denominators, unless that lcm is far wider than
-    the widest site's own; then `scale` is None and each site keeps the
-    lcm of its own two denominators. `orient` and `incircle` decide
-    their signs by site index, with the same integer kernels as
-    `geometry.orient2d` and `geometry.incircle`, and `circumcenter`
-    solves with one division at the end.
+    The sites are scaled once to a `rational.Lattice` (`scale`, `scales`,
+    `lattice`). `orient` and `incircle` decide their signs by site index,
+    with the same integer kernels as `geometry.orient2d` and
+    `geometry.incircle`, and `circumcenter` solves with one division at
+    the end.
     """
 
-    __slots__ = ("sites", "clip_margin", "scale", "scales", "lattice")
+    __slots__ = ("sites", "clip_margin")
 
     def __init__(
         self,
@@ -122,24 +119,7 @@ class SiteSet:
                     f"({p.x}, {p.y})"
                 )
             seen[p] = i
-        own = [math.lcm(p.x.denominator, p.y.denominator) for p in sites]
-        shared = math.lcm(*own)
-        # A predicate on four sites pays at most for the lcm of their own
-        # scales, about four times the widest. A shared scale within that,
-        # and a machine word more, makes no predicate dearer than scaling
-        # its sites per call would; the lcm of many unrelated large
-        # denominators would make every predicate pay for all of them.
-        if shared.bit_length() <= 4 * max(own).bit_length() + 64:
-            self.scale: Optional[int] = shared
-            self.scales = (shared,) * len(sites)
-        else:
-            self.scale = None
-            self.scales = tuple(own)
-        self.lattice = tuple(
-            (p.x.numerator * (w // p.x.denominator),
-             p.y.numerator * (w // p.y.denominator))
-            for p, w in zip(sites, self.scales)
-        )
+        super().__init__(sites)
         if all(self.orient(0, 1, k) == 0 for k in range(2, len(sites))):
             raise MeshError("all sites are collinear")
         if clip_margin <= 0:
@@ -152,17 +132,6 @@ class SiteSet:
 
     def __getitem__(self, i: int) -> Point2:
         return self.sites[i]
-
-    def scaled(self, *idx: int) -> tuple[int, list[int]]:
-        """A common scale of the sites idx, and their coordinates, x then
-        y for each site in turn, as integers over it: the lcm of their
-        own scales, as `rational.scaled_ints` takes it per call."""
-        lattice = self.lattice
-        if self.scale is not None:
-            return self.scale, [c for v in idx for c in lattice[v]]
-        scales = [self.scales[v] for v in idx]
-        s = math.lcm(*scales)
-        return s, [c * (s // w) for v, w in zip(idx, scales) for c in lattice[v]]
 
     # The two hot predicates read a shared scale's lattice directly.
 

@@ -1,14 +1,16 @@
 """Deterministic SVG rendering of meshes, cells, and subcomplexes.
 
 World coordinates are mapped into a fixed 1000-unit viewport; rounding
-to three decimals happens only here, at emission. Identical inputs
-produce byte-identical documents.
+to three decimals happens only here, at emission. Each distinct
+coordinate is mapped once, by one integer true division, which CPython
+rounds correctly, as `float(Fraction)` does. Identical inputs produce
+byte-identical documents.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .mesh import Mesh
 
@@ -36,13 +38,9 @@ def render_svg(
     spany = box.ymax - box.ymin
     span = max(spanx, spany)
     scale = Fraction(VIEWPORT - 2 * PAD) / span
-
-    def sx(x: Fraction) -> str:
-        return f"{float((x - box.xmin) * scale) + PAD:.3f}"
-
-    def sy(y: Fraction) -> str:
-        # SVG y axis points down.
-        return f"{VIEWPORT - PAD - float((y - box.ymin) * scale):.3f}"
+    sx = _axis(box.xmin, scale, lambda f: f + PAD)
+    # SVG y axis points down.
+    sy = _axis(box.ymin, scale, lambda f: VIEWPORT - PAD - f)
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{VIEWPORT}" '
@@ -98,3 +96,23 @@ def render_svg(
     out.append("</g>")
     out.append("</svg>")
     return "\n".join(out) + "\n"
+
+
+def _axis(
+    low: Fraction, scale: Fraction, place: Callable[[float], float]
+) -> Callable[[Fraction], str]:
+    """The text of each coordinate v at `place(float((v - low) * scale))`,
+    computed once per distinct v."""
+    a, b = low.numerator, low.denominator
+    c, e = scale.numerator, scale.denominator
+    memo: dict[tuple[int, int], str] = {}
+
+    def text(v: Fraction) -> str:
+        key = (v.numerator, v.denominator)
+        out = memo.get(key)
+        if out is None:
+            n, d = key
+            out = memo[key] = f"{place((n * b - a * d) * c / (d * b * e)):.3f}"
+        return out
+
+    return text

@@ -5,16 +5,16 @@ the triangulation oracles decide empty circumcircles through explicit
 circumcenter equations rather than the incircle determinant and scan
 every site instead of testing edges locally, the Voronoi oracle cuts
 each cell by the bisectors of all other sites instead of only the
-Delaunay neighbors, the convexity oracle samples points instead of
-comparing traced areas, and the visibility oracle finds sites between
-two others by cross and dot products instead of orientation and span
-tests.
+Delaunay neighbors and clips on Fraction arithmetic instead of integer
+lattices, the convexity oracle samples points instead of comparing
+traced areas, and the visibility oracle finds sites between two others
+by cross and dot products instead of orientation and span tests.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from proximesh.geometry import Point2, Polygon, clip_halfplane, convex_hull
+from proximesh.geometry import Point2, Polygon, convex_hull
 from proximesh.mesh import VoronoiRegion
 
 
@@ -136,7 +136,7 @@ def all_sites_voronoi(sites, box):
             q = sites[j]
             mid = Point2((p.x + q.x) / 2, (p.y + q.y) / 2)
             along = Point2(mid.x - (q.y - p.y), mid.y + (q.x - p.x))
-            verts = clip_halfplane(verts, mid, along)
+            verts = fraction_clip_halfplane(verts, mid, along)
             reach = max(_squared_distance(p, v) for v in verts)
         cell = Polygon(verts)
         clipped = hull.on_boundary(p) or any(
@@ -144,6 +144,60 @@ def all_sites_voronoi(sites, box):
         )
         regions.append(VoronoiRegion(site=i, cell=cell, clipped=clipped))
     return regions
+
+
+def fraction_clip_halfplane(verts, a, b):
+    """A convex ring clipped to the closed half-plane left of directed
+    line ab, with each side and crossing point in Fraction arithmetic."""
+    d = _sub(b, a)
+    sides = [_cross(d, _sub(v, a)) for v in verts]
+    out = []
+    for i, vi in enumerate(verts):
+        j = (i + 1) % len(verts)
+        vj, fi, fj = verts[j], sides[i], sides[j]
+        if fi >= 0:
+            out.append(vi)
+        if fi > 0 > fj or fi < 0 < fj:
+            t = fi / (fi - fj)
+            out.append(Point2(vi.x + (vj.x - vi.x) * t,
+                              vi.y + (vj.y - vi.y) * t))
+    return out
+
+
+def fraction_polygon(verts):
+    """The vertices, area and convexity of `Polygon(verts)` in Fraction
+    arithmetic: consecutive duplicates dropped, then, one at a time, the
+    first vertex collinear with its neighbors; the ring turned
+    counterclockwise by its shoelace area and started at its least
+    (x, y). Raises ValueError where `Polygon` raises."""
+    ring = []
+    for v in verts:
+        if not ring or ring[-1] != v:
+            ring.append(v)
+    while len(ring) > 1 and ring[0] == ring[-1]:
+        ring.pop()
+
+    def turn(i):
+        n = len(ring)
+        return _cross(_sub(ring[i], ring[i - 1]),
+                      _sub(ring[(i + 1) % n], ring[i]))
+
+    while len(ring) >= 3:
+        flat = next((i for i in range(len(ring)) if turn(i) == 0), None)
+        if flat is None:
+            break
+        del ring[flat]
+    if len(ring) < 3:
+        raise ValueError("fewer than three effective vertices")
+    area2 = sum(a.x * b.y - b.x * a.y for a, b in zip(ring, ring[1:] + ring[:1]))
+    if area2 == 0:
+        raise ValueError("zero area")
+    if area2 < 0:
+        ring.reverse()
+    start = min(range(len(ring)), key=lambda i: (ring[i].x, ring[i].y))
+    ring = ring[start:] + ring[:start]
+    convex = all(turn(i) > 0 for i in range(len(ring)))
+    return tuple(ring), abs(area2) / 2, convex
 
 
 def _squared_distance(p, q):

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from oracles import brute_force_delaunay
+from test_mesh import own_denominator_wheel
 from proximesh import harness, io
+from proximesh import mesh as mesh_module
 from proximesh.cli import main
 from proximesh.complexes import SubComplex
 from proximesh.rational import MAX_DIGITS, MAX_EXPONENT
@@ -408,6 +414,29 @@ class TestCoordinateBounds:
         )
         assert not out.exists()
 
+    def test_cell_corner_past_the_digit_limit_fails_before_cells(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Spokes over unrelated 1000-digit denominators are within the
+        # bound; the circumcenters, which are cell corners, are not.
+        sites = tmp_path / "sites.txt"
+        sites.write_text("".join(
+            f"{p.x},{p.y}\n" for p in own_denominator_wheel(11, 8, 1000)
+        ))
+
+        def refuse(mesh):
+            raise AssertionError("cells built")
+
+        monkeypatch.setattr(mesh_module, "voronoi", refuse)
+        out = tmp_path / "m.json"
+        code = main(["voronoi", "--sites", str(sites), "--out", str(out)])
+        assert code == 2
+        assert _one_error_line(capsys.readouterr()) == (
+            f"error: {out}: a mesh coordinate needs more than {MAX_DIGITS} "
+            "digits"
+        )
+        assert not out.exists()
+
     def test_out_of_bound_clip_margin_flag(self, workspace, capsys):
         tmp_path, sites, *_ = workspace
         with pytest.raises(SystemExit) as exc:
@@ -566,3 +595,14 @@ class TestRender:
         code = main(["render", "--mesh", str(mesh_file),
                      "--out", str(tmp_path / "no_dir" / "x.svg")])
         assert code == 2
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "proximesh", "--help"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: proximesh ")

@@ -1,9 +1,12 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import fraction_clip_halfplane, fraction_polygon
+from test_mesh import own_denominator_sites
 from proximesh.geometry import (
     DegenerateInputError,
     Point2,
@@ -277,3 +280,110 @@ class TestIntersectConvex:
             return  # Degenerate operands, or no positive-area overlap.
         assert is_convex_polygon(got)
         assert all(a.contains(v) and b.contains(v) for v in got.vertices)
+
+
+
+# Rings on both sides of the lattice rule. Integer points times one unit
+# share one scale; six or more points over unrelated 50-digit
+# denominators keep their own. Points of one circle in angle order are
+# convex rings.
+def _by_angle(pts):
+    return sorted(set(pts), key=lambda p: math.atan2(p.y, p.x))
+
+
+def _on_unit_circle(t):
+    return P((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t))
+
+
+_CIRCLE_65 = [P(x, y) for x in range(-8, 9) for y in range(-8, 9)
+              if x * x + y * y == 65]
+_units = st.sampled_from([Fraction(1), Fraction(1, 3), Fraction(1, 2**53)])
+_grid = st.lists(st.builds(P, st.integers(-6, 6), st.integers(-6, 6)),
+                 min_size=3, max_size=8)
+shared_rings = st.tuples(
+    _units,
+    st.one_of(_grid, st.lists(st.sampled_from(_CIRCLE_65), min_size=3,
+                              max_size=16).map(_by_angle)),
+).map(lambda u: [P(p.x * u[0], p.y * u[0]) for p in u[1]])
+own_rings = st.builds(
+    lambda seed, n, circle: (
+        _by_angle([_on_unit_circle(6 * p.x - 3)
+                   for p in own_denominator_sites(seed, n, 50)])
+        if circle else own_denominator_sites(seed, n, 50)
+    ),
+    st.integers(0, 2**32), st.integers(6, 10), st.booleans(),
+)
+
+
+def _side(a, b, p):
+    return (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x)
+
+
+def _assert_matches_fractions(ring, own_scales):
+    """Polygon, its predicates and clip_halfplane on the lattice equal
+    the Fraction arithmetic of the oracles."""
+    try:
+        vertices, area, convex = fraction_polygon(ring)
+    except ValueError:
+        with pytest.raises(DegenerateInputError):
+            Polygon(ring)
+        return
+    poly = Polygon(ring)
+    assert (poly.scale is None) == own_scales
+    assert poly.vertices == vertices
+    assert poly.area() == area
+    assert is_convex_polygon(poly) == convex
+    edges = list(zip(vertices, vertices[1:] + vertices[:1]))
+    mids = [P((a.x + b.x) / 2, (a.y + b.y) / 2) for a, b in edges]
+    inner = P(sum(v.x for v in vertices) / len(vertices),
+              sum(v.y for v in vertices) / len(vertices))
+    probes = [*vertices, *mids, inner, P(inner.x + 100, inner.y)]
+    for p in probes:
+        sides = [_side(a, b, p) for a, b in edges]
+        assert poly.contains(p) == all(s >= 0 for s in sides)
+        assert poly.on_boundary(p) == any(
+            s == 0 and min(a.x, b.x) <= p.x <= max(a.x, b.x)
+            and min(a.y, b.y) <= p.y <= max(a.y, b.y)
+            for s, (a, b) in zip(sides, edges)
+        )
+    if convex:
+        lines = [(vertices[0], mids[len(mids) // 2]), (inner, vertices[1]),
+                 (mids[1], inner), (vertices[-1], vertices[1])]
+        for a, b in lines:
+            if a != b:
+                assert clip_halfplane(list(vertices), a, b) == (
+                    fraction_clip_halfplane(list(vertices), a, b)
+                )
+
+
+class TestLatticeMatchesFractions:
+    """`Polygon` and `clip_halfplane` scale their points once to an
+    integer lattice; on both sides of its width rule they decide what
+    Fraction arithmetic decides."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(shared_rings)
+    def test_shared_scale_rings(self, ring):
+        _assert_matches_fractions(ring, own_scales=False)
+
+    @settings(max_examples=40, deadline=None)
+    @given(own_rings)
+    def test_own_scale_rings(self, ring):
+        _assert_matches_fractions(ring, own_scales=True)
+
+    @pytest.mark.parametrize(
+        "ring",
+        [
+            # Left turns only, yet twice around: clockwise area.
+            [(3, 3), (2, 3), (1, -1), (2, 0), (-3, 3), (-2, 2)],
+            # A pentagram: left turns only, twice around the center.
+            [(0, 5), (-3, -4), (5, 2), (-5, 2), (3, -4)],
+            # A bow tie: zero area.
+            [(0, 0), (2, 2), (2, 0), (0, 2)],
+            # A spike back along an edge.
+            [(0, 0), (2, 0), (1, 0), (1, 1)],
+        ],
+        ids=["twice-around-clockwise", "pentagram", "bow-tie", "spike"],
+    )
+    def test_rings_not_convex(self, ring):
+        _assert_matches_fractions([P(x, y) for x, y in ring], own_scales=False)

@@ -1,4 +1,6 @@
 import json
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from proximesh import io
 from proximesh.complexes import SubComplex
 from proximesh.geometry import Point2
+from proximesh.mesh import SiteSet, triangulate
 from proximesh.rational import (
     MAX_DIGITS,
     MAX_EXPONENT,
@@ -212,3 +215,26 @@ class TestRenderSvg:
         labeled = render_svg(fan_mesh)
         bare = render_svg(fan_mesh, include_labels=False)
         assert "<text" in labeled and "<text" not in bare
+
+    def test_coordinates_are_rounded_fractions(self):
+        # Each coordinate is mapped with integer arithmetic; the text must
+        # be that of the float of the exact Fraction, as before.
+        rng = random.Random(5)
+        mesh = triangulate(SiteSet([
+            Point2(Fraction(rng.random()), Fraction(rng.randrange(1000), 3))
+            for _ in range(30)
+        ]))
+        box = mesh.clip_box
+        scale = Fraction(960) / max(box.xmax - box.xmin, box.ymax - box.ymin)
+
+        def text(p):
+            return (f"{float((p.x - box.xmin) * scale) + 20:.3f},"
+                    f"{980 - float((p.y - box.ymin) * scale):.3f}")
+
+        svg = render_svg(mesh, include_voronoi=True)
+        assert re.findall(r'<polygon points="([^"]*)"', svg) == [
+            " ".join(map(text, r.cell.vertices)) for r in mesh.voronoi
+        ]
+        assert re.findall(r'<circle cx="([^"]*)" cy="([^"]*)"', svg) == [
+            tuple(text(p).split(",")) for p in mesh.sites
+        ]

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -12,6 +13,7 @@ from oracles import (
     brute_force_delaunay,
     is_delaunay_triangulation,
 )
+import proximesh.geometry as geometry_module
 import proximesh.mesh as mesh_module
 from proximesh.geometry import (
     Point2,
@@ -73,6 +75,23 @@ def own_denominator_sites(seed, n, digits):
         return Fraction(rng.randrange(d), d)
 
     return [P(coord(), coord()) for _ in range(n)]
+
+
+def own_denominator_wheel(seed, n, digits):
+    """The origin and n spokes around it, near the unit circle, each
+    coordinate over its own random denominator of the given number of
+    digits."""
+    rng = random.Random(seed)
+
+    def coord(v):
+        d = rng.randrange(10 ** (digits - 1), 10 ** digits)
+        return Fraction(round(Fraction(v) * d), d)
+
+    return [P(0, 0)] + [
+        P(coord(math.cos(2 * math.pi * k / n)),
+          coord(math.sin(2 * math.pi * k / n)))
+        for k in range(n)
+    ]
 
 
 def _on_unit_circle(t):
@@ -548,6 +567,33 @@ class TestVoronoi:
             i in e for e in mesh.edges for i in range(len(mesh.sites))
             if not ring.get(i, False)
         )
+
+    def test_own_scale_cells_stay_narrow(self, monkeypatch):
+        # Each polygon keeps its vertices' own scales when their lcm is
+        # too wide to share, so an orientation pays for its own three
+        # points. The center's cell has 40 corners; the lcm of all their
+        # scales has about 36,000 bits.
+        sites = own_denominator_wheel(3, 40, 50)
+        site_set = SiteSet(sites)
+        assert site_set.scale is None
+        widest = 0
+        kernel = geometry_module._orient
+
+        def sized(*coords):
+            nonlocal widest
+            widest = max(widest, *(c.bit_length() for c in coords))
+            return kernel(*coords)
+
+        monkeypatch.setattr(geometry_module, "_orient", sized)
+        mesh = triangulate(site_set)  # Builds the hull and checks it.
+        cells = mesh.voronoi
+        own = max(
+            math.lcm(v.x.denominator, v.y.denominator).bit_length()
+            for v in (*sites, *(v for r in cells for v in r.cell.vertices))
+        )
+        assert len(cells[0].cell.vertices) == 40
+        assert 0 < widest <= 4 * own
+        assert cells == tuple(all_sites_voronoi(sites, mesh.clip_box))
 
     def test_cells_partition_box(self):
         mesh = triangulate(random_sites(7, 12))
