@@ -82,18 +82,21 @@ class Lattice:
         """Scale `points`, each with Fraction coordinates `x` and `y`."""
         points = tuple(points)
         own = [math.lcm(p.x.denominator, p.y.denominator) for p in points]
-        shared = math.lcm(*own)
         # A predicate on four points pays at most for the lcm of their own
         # scales, about four times the widest. A shared scale within that,
         # and a machine word more, makes no predicate dearer than scaling
         # its points per call would; the lcm of many unrelated large
         # denominators would make every predicate pay for all of them.
-        if shared.bit_length() <= 4 * max(own, default=1).bit_length() + 64:
-            self.scale: Optional[int] = shared
-            self.scales = (shared,) * len(points)
-        else:
-            self.scale = None
-            self.scales = tuple(own)
+        # The lcm is abandoned as soon as it passes that width.
+        width = 4 * max(own, default=1).bit_length() + 64
+        shared: Optional[int] = 1
+        for w in own:
+            shared = math.lcm(shared, w)
+            if shared.bit_length() > width:
+                shared = None
+                break
+        self.scale = shared
+        self.scales = tuple(own) if shared is None else (shared,) * len(own)
         self.lattice = tuple(map(_on_scale, points, self.scales))
 
     def joined(self, p) -> Lattice:
