@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import fraction_clip_halfplane, fraction_polygon
-from test_mesh import own_denominator_sites
+from test_mesh import _on_unit_circle, own_denominator_sites
 from proximesh.geometry import (
     DegenerateInputError,
     Point2,
@@ -282,17 +282,12 @@ class TestIntersectConvex:
         assert all(a.contains(v) and b.contains(v) for v in got.vertices)
 
 
-
 # Rings on both sides of the lattice rule. Integer points times one unit
 # share one scale; six or more points over unrelated 50-digit
 # denominators keep their own. Points of one circle in angle order are
 # convex rings.
 def _by_angle(pts):
     return sorted(set(pts), key=lambda p: math.atan2(p.y, p.x))
-
-
-def _on_unit_circle(t):
-    return P((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t))
 
 
 _CIRCLE_65 = [P(x, y) for x in range(-8, 9) for y in range(-8, 9)
