@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .rational import Lattice, scaled_ints
 
@@ -81,18 +81,15 @@ class Polygon(Lattice):
         # Edge directions that turn one way at every vertex and cross
         # between the upper and lower half-planes twice make one full
         # turn, so the ring bounds a convex polygon (Fenchel) and its area
-        # has the sign of the turns. Any other ring sums its area.
+        # has the sign of the turns. Any other ring, a star among them,
+        # is not convex and sums its area.
         pos = _position(self, verts)
         yx = [pos(i)[::-1] for i in ring]
         upper = [b > a for a, b in zip(yx, yx[1:] + yx[:1])]
         one_way = abs(sum(turns)) == len(ring)
         crossings = sum(u != upper[k - 1] for k, u in enumerate(upper))
-        if one_way and crossings == 2:
-            area2 = turns[0]
-        else:
-            area2 = self._area2(ring)
-        # A star turns one way at every vertex too, but is not convex.
-        self._convex = one_way and (area2 > 0) == (turns[0] > 0)
+        self._convex = one_way and crossings == 2
+        area2 = turns[0] if self._convex else self._area2(ring)
         if area2 == 0:
             raise DegenerateInputError("polygon has zero area")
         if area2 < 0:
@@ -122,20 +119,10 @@ class Polygon(Lattice):
 
     def contains(self, p: Point2) -> bool:
         """Closed-region membership; requires a convex polygon."""
-        return all(side >= 0 for side, _, _ in self._sides(p))
-
-    def on_boundary(self, p: Point2) -> bool:
-        return any(
-            side == 0 and _between_inclusive(a, b, p)
-            for side, a, b in self._sides(p)
-        )
-
-    def _sides(self, p: Point2) -> Iterator[tuple[int, Point2, Point2]]:
-        """orient2d(a, b, p) for each edge a->b, with a and b."""
         lattice = self.joined(p)
         n = len(self.vertices)
-        for i, (a, b) in enumerate(self.edges()):
-            yield _orient_at(lattice, i, (i + 1) % n, n), a, b
+        return all(_orient_at(lattice, i, (i + 1) % n, n) >= 0
+                   for i in range(n))
 
     def _drop_collinear(self, ring: list[int]) -> list[int]:
         """Delete from the ring of vertex indices the first vertex whose
@@ -311,7 +298,8 @@ def convex_hull(points: Iterable[Point2]) -> Polygon:
 
 
 def is_convex_polygon(poly: Polygon) -> bool:
-    """True when every turn along the normalized ring is a left turn."""
+    """True when the normalized ring turns left at every vertex and
+    winds once."""
     return poly._convex
 
 
@@ -374,12 +362,6 @@ def _between_strict(a: Point2, b: Point2, p: Point2) -> bool:
     key = _span_key(a, b)
     lo, hi = sorted((key(a), key(b)))
     return lo < key(p) < hi
-
-
-def _between_inclusive(a: Point2, b: Point2, p: Point2) -> bool:
-    key = _span_key(a, b)
-    lo, hi = sorted((key(a), key(b)))
-    return lo <= key(p) <= hi
 
 
 def _dedupe_cyclic(verts: list[Point2]) -> list[Point2]:

@@ -222,12 +222,18 @@ def _dump(path: PathLike, payload: dict) -> None:
 
 
 def _load(path: PathLike, expected_format: str) -> dict:
+    # Read outside the try: a UnicodeDecodeError is a ValueError too.
+    text = Path(path).read_text()
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise FileFormatError(f"{path}: JSON nested too deeply") from exc
+    except ValueError as exc:  # CPython's int/text digit limit
+        raise FileFormatError(
+            f"{path}: a number has more than {MAX_DIGITS} digits"
+        ) from exc
     if not isinstance(doc, dict) or doc.get("format") != expected_format:
         raise FileFormatError(
             f"{path}: expected a {expected_format} document"

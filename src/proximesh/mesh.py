@@ -15,9 +15,9 @@ conflict test alone decides cocircular ties, by a symbolic perturbation
 of the lifted sites: each cocircular Delaunay polygon is fanned from its
 least site index; the triangles do not depend on insertion order.
 
-Validation is local: once the triangles are proven to tile the convex
-hull, an empty circumcircle across every interior edge implies a
-Delaunay triangulation (the Delaunay lemma).
+Validation is linear: triangles whose one-triangle edges form one
+convex cycle tile the sites' hull, and then an empty circumcircle across
+every interior edge implies a Delaunay triangulation (Delaunay lemma).
 
 Voronoi cells are the Delaunay dual. Each triangle's circumcenter is
 computed once per mesh, for the clip box and the cells alike. An
@@ -43,8 +43,8 @@ from .geometry import (
     Segment,
     _incircle,
     _orient,
+    _position,
     clip_halfplane,
-    convex_hull,
     is_convex_polygon,
     orient2d,
     segments_share_interior_point,
@@ -226,7 +226,6 @@ class Mesh:
         "edge_triangles",
         "vertex_triangles",
         "triangle_neighbors",
-        "hull",
         "clip_box",
         "_hull_sites",
         "_circumcenters",
@@ -250,21 +249,12 @@ class Mesh:
                 vertex_map[v].append(t_idx)
         self.edge_triangles = {e: tuple(ts) for e, ts in sorted(edge_map.items())}
         self.vertex_triangles = {v: tuple(ts) for v, ts in vertex_map.items()}
-        self.hull = convex_hull(site_set.sites)
-        self._validate()
+        self._hull_sites = frozenset(self._validate())
         # Edge-neighbors of each triangle, across its edges in the order
         # (v0v1, v1v2, v2v0).
         self.triangle_neighbors = tuple(
             tuple(u for e in tri.edges() for u in edge_map[e] if u != t)
             for t, tri in enumerate(self.triangles)
-        )
-        # On a proven tiling of the hull, the one-triangle edges are
-        # exactly the hull boundary, collinear hull sites included.
-        self._hull_sites = frozenset(
-            v
-            for e, ts in self.edge_triangles.items()
-            if len(ts) == 1
-            for v in e
         )
         self._circumcenters: Optional[tuple[Point2, ...]] = None
         self.clip_box = clip_box if clip_box is not None else self._derive_clip_box()
@@ -328,68 +318,74 @@ class Mesh:
     def triangle_points(self, t: Triangle) -> tuple[Point2, Point2, Point2]:
         return tuple(self.site_set[v] for v in t.indices)
 
-    def _validate(self) -> None:
+    def _validate(self) -> list[int]:
         """Check that the triangles are a Delaunay triangulation of the
-        sites.
+        sites; return the hull sites in counterclockwise order.
 
-        The checks before the incircle tests prove that the triangles
-        tile the convex hull. Each triangle is counterclockwise and each
-        directed edge is used once, so the triangle boundaries cancel on
-        every two-triangle edge; the one-triangle edges all lie on the
-        hull boundary, so the triangles cover the hull a whole number of
-        times, and the area check makes that number one. On such a
-        tiling, an empty circumcircle across every interior edge implies
-        that every circumcircle is empty (the Delaunay lemma), so one
-        incircle test per interior edge replaces a scan over all sites.
+        The checks before the incircle tests prove, from the triangles
+        alone, that they tile the convex hull. The triangles are
+        counterclockwise and use each directed edge once, so they cover
+        each point as often as the one-triangle edges wind around it.
+        Those edges form one cycle of distinct sites that never turns
+        right and turns once around: a convex polygon wound once, which
+        the triangles tile, and which holds every site, so it is the
+        hull. On such a tiling, an empty circumcircle across every
+        interior edge implies that every circumcircle is empty (the
+        Delaunay lemma).
         """
         if not self.triangles:
             raise MeshError("mesh has no triangles")
         sites = self.site_set
-        used = {v for t in self.triangles for v in t.indices}
-        if used != set(range(len(sites))):
-            missing = sorted(set(range(len(sites))) - used)
-            raise MeshError(f"sites missing from triangulation: {missing}")
+        missing = set(range(len(sites))) - {
+            v for t in self.triangles for v in t.indices
+        }
+        if missing:
+            raise MeshError(f"sites missing from triangulation: {sorted(missing)}")
         directed: set[Edge] = set()
         for tri in self.triangles:
             i, j, k = tri.indices
+            if sites.orient(i, j, k) <= 0:
+                raise MeshError(f"triangle {tri.indices} is not counterclockwise")
             for e in ((i, j), (j, k), (k, i)):
                 if e in directed:
                     raise MeshError(f"directed edge {e} used by two triangles")
                 directed.add(e)
-        for e, ts in self.edge_triangles.items():
-            if len(ts) > 2:
-                raise MeshError(f"edge {e} shared by {len(ts)} triangles")
         # Euler relation for a triangulated disk, outer face excluded.
         v = len(sites)
         e = len(self.edge_triangles)
         f = len(self.triangles)
         if v - e + f != 1:
             raise MeshError(f"Euler relation violated: V-E+F = {v - e + f}")
-        # Twice the areas, summed in integers per triangle scale.
-        area2: dict[int, int] = {}
-        for tri in self.triangles:
-            s, (ax, ay, bx, by, cx, cy) = sites.scaled(*tri.indices)
-            tri_area2 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-            if tri_area2 <= 0:
-                raise MeshError(f"triangle {tri.indices} is not counterclockwise")
-            area2[s] = area2.get(s, 0) + tri_area2
-        if sum(Fraction(a, s * s) for s, a in area2.items()) != self.hull.area() * 2:
+        # 2E - 3F edges bound one triangle. Each site starts as many of them
+        # as it ends, and the triangles' area leaves some; a walk from one
+        # start meets them all only if they form one cycle of distinct sites.
+        after = {i: j for i, j in directed if (j, i) not in directed}
+        cycle = [min(after)]
+        while after[cycle[-1]] != cycle[0] and len(cycle) < len(after):
+            cycle.append(after[cycle[-1]])
+        if len(cycle) != 2 * e - 3 * f:
+            on = set(zip(cycle, cycle[1:] + cycle[:1]))
+            i, j = min(d for d in directed - on if d[::-1] not in directed)
+            raise MeshError(f"edge {_edge(i, j)} bounds one triangle but is "
+                            "not on the convex hull")
+        # Turns of one sign whose edge directions cross between the upper
+        # and lower half-planes twice make one full turn (Fenchel).
+        yx = [_position(sites, sites.sites)(u)[::-1] for u in cycle]
+        upper = [b > a for a, b in zip(yx, yx[1:] + yx[:1])]
+        if sum(u != upper[k - 1] for k, u in enumerate(upper)) != 2 or any(
+            sites.orient(cycle[k - 2], cycle[k - 1], u) < 0
+            for k, u in enumerate(cycle)
+        ):
             raise MeshError("triangle union does not cover the site hull")
         for e, ts in self.edge_triangles.items():
-            if len(ts) == 1:
-                # Sites lie in the hull, so a midpoint on its boundary
-                # puts the whole edge on one hull edge.
-                a, b = sites[e[0]], sites[e[1]]
-                mid = Point2((a.x + b.x) / 2, (a.y + b.y) / 2)
-                if not self.hull.on_boundary(mid):
-                    raise MeshError(f"edge {e} bounds one triangle but is "
-                                    "not on the convex hull")
-                continue
-            t1, t2 = (self.triangles[t] for t in ts)
-            d = next(v for v in t2.indices if v not in e)
-            if sites.incircle(*t1.indices, d) > 0:
-                raise MeshError(f"edge {e} is not locally Delaunay: site {d} "
-                                f"is inside the circumcircle of {t1.indices}")
+            if len(ts) == 2:
+                t1, t2 = (self.triangles[t] for t in ts)
+                d = next(v for v in t2.indices if v not in e)
+                if sites.incircle(*t1.indices, d) > 0:
+                    raise MeshError(f"edge {e} is not locally Delaunay: site "
+                                    f"{d} is inside the circumcircle of "
+                                    f"{t1.indices}")
+        return cycle
 
 
 def is_delaunay_triangle(t: Triangle, sites: SiteSet) -> bool:

@@ -7,14 +7,16 @@ every site instead of testing edges locally, the Voronoi oracle cuts
 each cell by the bisectors of all other sites instead of only the
 Delaunay neighbors and clips on Fraction arithmetic instead of integer
 lattices, the convexity oracle samples points instead of comparing
-traced areas, and the visibility oracle finds sites between two others
-by cross and dot products instead of orientation and span tests.
+traced areas, polygon convexity is decided by every edge's supporting
+line instead of by turns and half-plane crossings, and the hull-boundary
+and visibility oracles find points on a segment by cross and dot
+products instead of orientation and span tests.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from proximesh.geometry import Point2, Polygon, convex_hull
+from proximesh.geometry import Point2, Polygon
 from proximesh.mesh import VoronoiRegion
 
 
@@ -121,7 +123,7 @@ def all_sites_voronoi(sites, box):
     reaches, the rest cannot cut and are skipped. The `clipped` flag
     follows the library rule: a hull site, or a cell touching the box.
     """
-    hull = convex_hull(sites)
+    on_hull = hull_boundary_test(sites)
     regions = []
     for i, p in enumerate(sites):
         order = sorted(
@@ -139,11 +141,29 @@ def all_sites_voronoi(sites, box):
             verts = fraction_clip_halfplane(verts, mid, along)
             reach = max(_squared_distance(p, v) for v in verts)
         cell = Polygon(verts)
-        clipped = hull.on_boundary(p) or any(
+        clipped = on_hull(p) or any(
             box.on_boundary(v) for v in cell.vertices
         )
         regions.append(VoronoiRegion(site=i, cell=cell, clipped=clipped))
     return regions
+
+
+def hull_boundary_test(points):
+    """A test of whether a point lies on the boundary of the points'
+    convex hull: on the line of a hull edge, at a dot product with the
+    edge between 0 and its squared length."""
+    hull = [points[i] for i in _hull_indices(points)]
+    edges = [(a, _sub(b, a)) for a, b in zip(hull, hull[1:] + hull[:1])]
+
+    def on_boundary(p):
+        for a, d in edges:
+            u = _sub(p, a)
+            if (_cross(d, u) == 0
+                    and 0 <= u[0] * d[0] + u[1] * d[1] <= d[0] ** 2 + d[1] ** 2):
+                return True
+        return False
+
+    return on_boundary
 
 
 def fraction_clip_halfplane(verts, a, b):
@@ -169,7 +189,9 @@ def fraction_polygon(verts):
     arithmetic: consecutive duplicates dropped, then, one at a time, the
     first vertex collinear with its neighbors; the ring turned
     counterclockwise by its shoelace area and started at its least
-    (x, y). Raises ValueError where `Polygon` raises."""
+    (x, y). Raises ValueError where `Polygon` raises. The ring is convex
+    when its vertices are distinct, it turns left at every vertex and
+    every vertex lies on the closed left side of every edge's line."""
     ring = []
     for v in verts:
         if not ring or ring[-1] != v:
@@ -196,7 +218,13 @@ def fraction_polygon(verts):
         ring.reverse()
     start = min(range(len(ring)), key=lambda i: (ring[i].x, ring[i].y))
     ring = ring[start:] + ring[:start]
-    convex = all(turn(i) > 0 for i in range(len(ring)))
+    edges = list(zip(ring, ring[1:] + ring[:1]))
+    convex = (
+        len(set(ring)) == len(ring)
+        and all(turn(i) > 0 for i in range(len(ring)))
+        and all(_cross(_sub(b, a), _sub(v, a)) >= 0
+                for a, b in edges for v in ring)
+    )
     return tuple(ring), abs(area2) / 2, convex
 
 

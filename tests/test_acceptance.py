@@ -15,6 +15,7 @@ from oracles import (
     all_sites_voronoi,
     brute_force_delaunay,
     edge_set,
+    hull_boundary_test,
     sampling_convexity_oracle,
 )
 from proximesh import io
@@ -136,8 +137,9 @@ def test_hull_sites_match_hull_boundary(
     meshes."""
     meshes = list(seeded_meshes_n50) + [grid_mesh, wheel_mesh]
     for idx, mesh in enumerate(meshes):
+        on_hull = hull_boundary_test(mesh.sites)
         for i, p in enumerate(mesh.sites):
-            assert mesh.is_hull_site(i) == mesh.hull.on_boundary(p), (
+            assert mesh.is_hull_site(i) == on_hull(p), (
                 f"mesh {idx} site {i}"
             )
     _report("hull-sites-match-hull-boundary")

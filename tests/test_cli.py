@@ -1,11 +1,17 @@
+import copy
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import brute_force_delaunay
 from test_mesh import own_denominator_wheel
@@ -13,6 +19,7 @@ from proximesh import harness, io
 from proximesh import mesh as mesh_module
 from proximesh.cli import main
 from proximesh.complexes import SubComplex
+from proximesh.mesh import triangulate
 from proximesh.rational import MAX_DIGITS, MAX_EXPONENT
 
 
@@ -370,6 +377,25 @@ class TestDeeplyNestedJson:
             assert f"{deep}: JSON nested too deeply" in line
 
 
+class TestHugeJsonNumber:
+    """A JSON integer literal past CPython's int/text limit is a named
+    error on that file, not CPython's message without a path."""
+
+    @pytest.mark.parametrize("target", ["mesh", "subcomplex"])
+    def test_exit_two_with_one_error_line(self, workspace, capsys, target):
+        tmp_path, _, mesh_file, a, b = workspace
+        path = mesh_file if target == "mesh" else a
+        doc = json.loads(path.read_text())
+        doc["pad"] = "HUGE"
+        path.write_text(json.dumps(doc).replace('"HUGE"', "9" * 5000))
+        for argv in _relate_and_render(tmp_path, mesh_file, a, b):
+            assert main(argv) == 2
+            assert _one_error_line(capsys.readouterr()) == (
+                f"error: {path}: a number has more than {MAX_DIGITS} digits"
+            )
+        assert not (tmp_path / "x.svg").exists()
+
+
 class TestCoordinateBounds:
     """Coordinates are bounded on their text, before any arithmetic."""
 
@@ -606,3 +632,97 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: proximesh ")
+
+
+# Mutations of a valid mesh file and its subcomplex file. A hostile
+# value replaces a coordinate, an index or an index row.
+_HOSTILE = st.one_of(
+    st.sampled_from([
+        "1e-3000000", "1e3000000", "9" * (MAX_DIGITS + 1), "1e1000",
+        "-1e-1000", "1/0", "3/-4", "nan", "inf", "", " ", "0x10", "1_0",
+        "\u0661", 0, 1.5, -1, 10**6, True, None, [], {}, [0, 1],
+    ]),
+    st.text(max_size=8),
+)
+_EDIT = st.tuples(
+    st.sampled_from(["mesh", "subcomplex"]),
+    st.sampled_from(["drop", "duplicate", "reverse", "rewrite", "replace",
+                     "delete"]),
+    st.integers(0, 60),
+    _HOSTILE,
+)
+
+
+def _slots(doc):
+    """(holder, key) of every coordinate, index and row of a document."""
+    out = [(doc, key) for key in ("clip_margin", "mesh") if key in doc]
+    for key in ("sites", "clip_box", "triangles", "vertices", "edges"):
+        rows = doc.get(key)
+        if isinstance(rows, list):
+            for i, row in enumerate(rows):
+                out.append((rows, i))
+                if isinstance(row, list):
+                    out.extend((row, j) for j in range(len(row)))
+    return out
+
+
+def _edit(doc, op, k, value):
+    """Apply one edit, if the document has something it applies to."""
+    slots = _slots(doc)
+    lists = [v for key, v in sorted(doc.items())
+             if isinstance(v, list) and v and key != "clip_box"]
+    if op == "delete" and doc:
+        del doc[sorted(doc)[k % len(doc)]]
+    elif op == "replace" and slots:
+        holder, key = slots[k % len(slots)]
+        holder[key] = value
+    if op in ("delete", "replace") or not lists:
+        return
+    rows = lists[k % len(lists)]
+    i = k % len(rows)
+    if op == "drop":
+        del rows[i]
+    elif op == "duplicate":
+        rows.append(rows[i])
+    elif op == "reverse" and isinstance(rows[i], list):
+        rows[i] = rows[i][::-1]
+    elif op == "rewrite":
+        rows[i] = [(k * 7 + j) % 13 - 1 for j in range(1 + k % 4)]
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    """A valid 10-site mesh document and a subcomplex document of it."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    mesh = triangulate(harness.generate_sites(3, 10)[0])
+    io.write_mesh(tmp / "mesh.json", mesh)
+    io.write_subcomplex(tmp / "a.json", SubComplex.of_triangles(mesh, [0, 2]),
+                        io.mesh_id(mesh))
+    return (json.loads((tmp / "mesh.json").read_text()),
+            json.loads((tmp / "a.json").read_text()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(edits=st.lists(_EDIT, min_size=1, max_size=3))
+def test_mutated_files_exit_with_a_named_error(fuzz_base, edits):
+    """relate and render on mutated mesh and subcomplex files exit 0, 1
+    or 2, with one `error:` line on 2 and no exception."""
+    docs = {"mesh": copy.deepcopy(fuzz_base[0]),
+            "subcomplex": copy.deepcopy(fuzz_base[1])}
+    for target, op, k, value in edits:
+        _edit(docs[target], op, k, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        mesh_file, a, b = tmp / "mesh.json", tmp / "a.json", tmp / "b.json"
+        mesh_file.write_text(json.dumps(docs["mesh"]))
+        a.write_text(json.dumps(docs["subcomplex"]))
+        b.write_text(json.dumps(fuzz_base[1]))
+        for argv in _relate_and_render(tmp, mesh_file, a, b):
+            out, err = StringIO(), StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2), (argv[0], edits)
+            if code == 2:
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error: "), (
+                    argv[0], edits, err.getvalue())

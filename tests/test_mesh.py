@@ -585,7 +585,7 @@ class TestVoronoi:
             return kernel(*coords)
 
         monkeypatch.setattr(geometry_module, "_orient", sized)
-        mesh = triangulate(site_set)  # Builds the hull and checks it.
+        mesh = triangulate(site_set)
         cells = mesh.voronoi
         own = max(
             math.lcm(v.x.denominator, v.y.denominator).bit_length()
@@ -666,6 +666,43 @@ class TestMeshValidation:
         )
         with pytest.raises(MeshError, match="not counterclockwise"):
             Mesh(ss, tris)
+
+    def test_star_fan_rejected(self):
+        # Five counterclockwise triangles from the center to the edges of
+        # a pentagram. Interior edges pair up, Euler holds, and the
+        # one-triangle edges form one cycle that turns left everywhere;
+        # only its two full turns give it away.
+        ss = SiteSet([P(0, 100), P(95, 31), P(59, -81), P(-59, -81),
+                      P(-95, 31), P(0, 0)])
+        triples = [(5, i, (i + 2) % 5) for i in range(5)]
+        assert not is_delaunay_triangulation(ss.sites, triples)
+        with pytest.raises(MeshError, match="does not cover the site hull"):
+            Mesh(ss, [make_triangle(*t, ss) for t in triples])
+
+    def test_orientations_linear_in_the_mesh(self, monkeypatch):
+        # A wheel of 400 spokes has 400 hull sites: the tiling proof takes
+        # one orientation per triangle and one per hull site, where a
+        # scan of the hull per hull edge takes about h²/2.
+        spokes = [2 * math.pi * k / 400 for k in range(400)]
+        ss = SiteSet([P(0, 0)] + [
+            P(round(10**6 * math.cos(a)), round(10**6 * math.sin(a)))
+            for a in spokes
+        ])
+        tris = triangulate(ss).triangles
+        calls = 0
+        kernel = geometry_module._orient
+
+        def counted(*coords):
+            nonlocal calls
+            calls += 1
+            return kernel(*coords)
+
+        # The mesh module holds the kernel under its own name too.
+        monkeypatch.setattr(geometry_module, "_orient", counted)
+        monkeypatch.setattr(mesh_module, "_orient", counted)
+        mesh = Mesh(ss, tris)
+        assert sum(map(mesh.is_hull_site, range(len(ss)))) == 400
+        assert 0 < calls <= 10 * len(ss)
 
 
 def _mutations(mesh, rng):
