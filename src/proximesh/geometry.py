@@ -3,9 +3,9 @@
 Points carry arbitrary-precision rational coordinates, every predicate
 in this module decides its sign exactly, and no function here returns a
 float. `orient2d` and `incircle` scale their points to integers per
-call; a `Polygon`, and the points of one `convex_hull` or
-`clip_halfplane` call, are scaled once to a `rational.Lattice`, and
-their signs run the same integer kernels by point index.
+call and run `rational`'s integer kernels. A `Polygon`, and the points
+of one `convex_hull` or `clip_halfplane` call, are scaled once to a
+`rational.Lattice`, which takes every sign on them by point index.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .rational import Lattice, scaled_ints
+from .rational import Lattice, _incircle, _orient, scaled_ints
 
 Coord = Union[Fraction, int, str]
 
@@ -64,9 +64,9 @@ class Polygon(Lattice):
     lexicographically smallest vertex to the front so that equal point
     sets compare equal.
 
-    The vertices are scaled once to a `rational.Lattice`, kept in ring
-    order, and every sign the polygon decides runs the integer kernel
-    `_orient` on it by vertex index.
+    The polygon is the `rational.Lattice` of its vertices, kept in ring
+    order, and decides every sign by vertex index with the lattice's
+    `orient`, `key`, `crossings` and `area2`.
     """
 
     __slots__ = ("vertices", "_convex")
@@ -78,23 +78,17 @@ class Polygon(Lattice):
         turns = self._drop_collinear(ring)
         if len(ring) < 3:
             raise DegenerateInputError("polygon needs >= 3 effective vertices")
-        # Edge directions that turn one way at every vertex and cross
-        # between the upper and lower half-planes twice make one full
-        # turn, so the ring bounds a convex polygon (Fenchel) and its area
-        # has the sign of the turns. Any other ring, a star among them,
-        # is not convex and sums its area.
-        pos = _position(self, verts)
-        yx = [pos(i)[::-1] for i in ring]
-        upper = [b > a for a, b in zip(yx, yx[1:] + yx[:1])]
-        one_way = abs(sum(turns)) == len(ring)
-        crossings = sum(u != upper[k - 1] for k, u in enumerate(upper))
-        self._convex = one_way and crossings == 2
-        area2 = turns[0] if self._convex else self._area2(ring)
+        # A ring that turns one way and once around bounds a convex
+        # polygon, whose area has the sign of the turns. Any other ring,
+        # a star among them, is not convex and sums its area.
+        self._convex = (abs(sum(turns)) == len(ring)
+                        and self.crossings(ring) == 2)
+        area2 = turns[0] if self._convex else self.area2(ring)
         if area2 == 0:
             raise DegenerateInputError("polygon has zero area")
         if area2 < 0:
             ring.reverse()
-        start = min(range(len(ring)), key=lambda k: pos(ring[k]))
+        start = min(range(len(ring)), key=lambda k: self.key(ring[k]))
         ring = ring[start:] + ring[:start]
         self.vertices = tuple(verts[i] for i in ring)
         self.scales = tuple(self.scales[i] for i in ring)
@@ -110,7 +104,7 @@ class Polygon(Lattice):
         return f"Polygon({list(self.vertices)!r})"
 
     def area(self) -> Fraction:
-        return self._area2(range(len(self.vertices))) / 2
+        return self.area2(range(len(self.vertices))) / 2
 
     def edges(self) -> Iterable[tuple[Point2, Point2]]:
         verts = self.vertices
@@ -121,8 +115,7 @@ class Polygon(Lattice):
         """Closed-region membership; requires a convex polygon."""
         lattice = self.joined(p)
         n = len(self.vertices)
-        return all(_orient_at(lattice, i, (i + 1) % n, n) >= 0
-                   for i in range(n))
+        return all(lattice.orient(i, (i + 1) % n, n) >= 0 for i in range(n))
 
     def _drop_collinear(self, ring: list[int]) -> list[int]:
         """Delete from the ring of vertex indices the first vertex whose
@@ -132,7 +125,7 @@ class Polygon(Lattice):
             turns = []
             for i, v in enumerate(ring):
                 nxt = ring[(i + 1) % len(ring)]
-                turn = _orient_at(self, ring[i - 1], v, nxt)
+                turn = self.orient(ring[i - 1], v, nxt)
                 if turn == 0:
                     del ring[i]
                     break
@@ -140,23 +133,6 @@ class Polygon(Lattice):
             else:
                 return turns
         return []
-
-    def _area2(self, ring: Iterable[int]) -> Fraction:
-        """Twice the signed area of the ring of vertex indices."""
-        ring = list(ring)
-        lattice, scales = self.lattice, self.scales
-        pairs = list(zip(ring[-1:] + ring[:-1], ring))
-        cross = [
-            lattice[i][0] * lattice[j][1] - lattice[j][0] * lattice[i][1]
-            for i, j in pairs
-        ]
-        if self.scale is not None:
-            return Fraction(sum(cross), self.scale * self.scale)
-        return sum(
-            (Fraction(c, scales[i] * scales[j])
-             for c, (i, j) in zip(cross, pairs)),
-            Fraction(0),
-        )
 
 
 def orient2d(a: Point2, b: Point2, c: Point2) -> int:
@@ -175,53 +151,6 @@ def incircle(a: Point2, b: Point2, c: Point2, d: Point2) -> int:
     if _orient(*coords[:6]) == 0:
         raise DegenerateInputError("incircle needs a non-collinear triangle")
     return _incircle(*coords)
-
-
-# The integer kernels behind every orientation and incircle sign. They
-# take the coordinates already scaled to one integer lattice: per call in
-# `orient2d`/`incircle`, and once per point set by a `rational.Lattice`
-# for sites, polygon vertices and clipped rings.
-
-
-def _orient(ax: int, ay: int, bx: int, by: int, cx: int, cy: int) -> int:
-    det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-    return (det > 0) - (det < 0)
-
-
-def _incircle(
-    ax: int, ay: int, bx: int, by: int, cx: int, cy: int, dx: int, dy: int
-) -> int:
-    adx = ax - dx
-    ady = ay - dy
-    bdx = bx - dx
-    bdy = by - dy
-    cdx = cx - dx
-    cdy = cy - dy
-    alift = adx * adx + ady * ady
-    blift = bdx * bdx + bdy * bdy
-    clift = cdx * cdx + cdy * cdy
-    det = (
-        alift * (bdx * cdy - cdx * bdy)
-        + blift * (cdx * ady - adx * cdy)
-        + clift * (adx * bdy - bdx * ady)
-    )
-    return (det > 0) - (det < 0)
-
-
-def _orient_at(lattice: Lattice, i: int, j: int, k: int) -> int:
-    """`orient2d` of the points i, j, k of a lattice."""
-    if lattice.scale is None:
-        return _orient(*lattice.scaled(i, j, k)[1])
-    c = lattice.lattice
-    return _orient(*c[i], *c[j], *c[k])
-
-
-def _position(lattice: Lattice, points: Sequence[Point2]):
-    """A key that orders the points i of a lattice by (x, y): their
-    integers when they share one scale, else their Fractions."""
-    if lattice.scale is not None:
-        return lattice.lattice.__getitem__
-    return lambda i: (points[i].x, points[i].y)
 
 
 def circumcenter(a: Point2, b: Point2, c: Point2) -> Point2:
@@ -283,12 +212,12 @@ def convex_hull(points: Iterable[Point2]) -> Polygon:
         chain: list[int] = []
         for p in seq:
             while (len(chain) >= 2
-                   and _orient_at(lattice, chain[-2], chain[-1], p) <= 0):
+                   and lattice.orient(chain[-2], chain[-1], p) <= 0):
                 chain.pop()
             chain.append(p)
         return chain
 
-    order = sorted(range(len(pts)), key=_position(lattice, pts))
+    order = sorted(range(len(pts)), key=lattice.key)
     lower = half(order)
     upper = half(order[::-1])
     ring = lower[:-1] + upper[:-1]
@@ -308,18 +237,13 @@ def clip_halfplane(verts: list[Point2], a: Point2, b: Point2) -> list[Point2]:
 
     The ring and the line are scaled once to a `rational.Lattice`. Each
     vertex's side is an integer determinant, and the point where an edge
-    crosses the line is built from its two ends' determinants, with one
-    division per coordinate.
+    crosses the line is built from its two ends' determinants on one
+    scale, with one division per coordinate.
     """
-    if not verts:
-        return []
     n = len(verts)
     lattice = Lattice((*verts, a, b))
-    if lattice.scale is not None:
-        sides = _line_sides(lattice, n, *range(n))
-    else:
-        sides = [_line_sides(lattice, n, i)[0] for i in range(n)]
-    signs = [(f > 0) - (f < 0) for f in sides]
+    signs = [(f > 0) - (f < 0)
+             for i in range(n) for f in _line_sides(lattice, n, i)]
     out: list[Point2] = []
     for i in range(n):
         j = (i + 1) % n
@@ -327,10 +251,7 @@ def clip_halfplane(verts: list[Point2], a: Point2, b: Point2) -> list[Point2]:
         if si >= 0:
             out.append(verts[i])
         if si * sj < 0:
-            if lattice.scale is None:
-                fi, fj = _line_sides(lattice, n, i, j)
-            else:
-                fi, fj = sides[i], sides[j]
+            fi, fj = _line_sides(lattice, n, i, j)
             s, (xi, yi, xj, yj) = lattice.scaled(i, j)
             den = s * (fi - fj)
             out.append(Point2(Fraction(xj * fi - xi * fj, den),

@@ -34,7 +34,8 @@ class FileFormatError(ValueError):
 def read_sites(path: PathLike) -> list[Point2]:
     """Read "x,y" coordinate lines; # starts a comment."""
     points = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path, ParseError).splitlines(),
+                                 start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -62,7 +63,8 @@ def write_sites(
 def read_constraints(path: PathLike) -> ConstraintSet:
     """Read "p,q" site-index pairs; # starts a comment."""
     pairs = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path, ParseError).splitlines(),
+                                 start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -221,9 +223,17 @@ def _dump(path: PathLike, payload: dict) -> None:
     )
 
 
+def _read_text(path: PathLike, error: type[ValueError]) -> str:
+    """The file's text, or `error` naming the file if it is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text") from exc
+
+
 def _load(path: PathLike, expected_format: str) -> dict:
-    # Read outside the try: a UnicodeDecodeError is a ValueError too.
-    text = Path(path).read_text()
+    # Read outside the try: its ValueError is the digit limit alone.
+    text = _read_text(path, FileFormatError)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -1,8 +1,8 @@
 """Delaunay triangulation and clipped Voronoi dual of a planar site set.
 
-A `SiteSet` scales its sites once to integer coordinates, and every
-orientation, incircle and circumcenter on sites runs on those, by site
-index.
+A `SiteSet` is the `rational.Lattice` of its sites: every orientation,
+incircle and circumcenter on sites runs on their integer coordinates, by
+site index.
 
 Triangulation is incremental Bowyer-Watson, inserting sites in input
 order. The hull edges carry ghost triangles through one vertex at
@@ -41,9 +41,6 @@ from .geometry import (
     Point2,
     Polygon,
     Segment,
-    _incircle,
-    _orient,
-    _position,
     clip_halfplane,
     is_convex_polygon,
     orient2d,
@@ -94,11 +91,9 @@ class SiteSet(Lattice):
     box adds on every side; the box bounds the otherwise unbounded hull
     cells of the Voronoi diagram.
 
-    The sites are scaled once to a `rational.Lattice` (`scale`, `scales`,
-    `lattice`). `orient` and `incircle` decide their signs by site index,
-    with the same integer kernels as `geometry.orient2d` and
-    `geometry.incircle`, and `circumcenter` solves with one division at
-    the end.
+    A site set is the `rational.Lattice` of its sites, so its inherited
+    `orient`, `incircle` and `crossings` decide by site index, and
+    `circumcenter` solves on the lattice with one division at the end.
     """
 
     __slots__ = ("sites", "clip_margin")
@@ -132,23 +127,6 @@ class SiteSet(Lattice):
 
     def __getitem__(self, i: int) -> Point2:
         return self.sites[i]
-
-    # The two hot predicates read a shared scale's lattice directly.
-
-    def orient(self, i: int, j: int, k: int) -> int:
-        """`geometry.orient2d` of sites i, j, k."""
-        if self.scale is None:
-            return _orient(*self.scaled(i, j, k)[1])
-        lattice = self.lattice
-        return _orient(*lattice[i], *lattice[j], *lattice[k])
-
-    def incircle(self, i: int, j: int, k: int, d: int) -> int:
-        """`geometry.incircle` of site d against the non-collinear sites
-        i, j, k."""
-        if self.scale is None:
-            return _incircle(*self.scaled(i, j, k, d)[1])
-        lattice = self.lattice
-        return _incircle(*lattice[i], *lattice[j], *lattice[k], *lattice[d])
 
     def circumcenter(self, i: int, j: int, k: int) -> Point2:
         """`geometry.circumcenter` of the non-collinear sites i, j, k.
@@ -368,11 +346,8 @@ class Mesh:
             i, j = min(d for d in directed - on if d[::-1] not in directed)
             raise MeshError(f"edge {_edge(i, j)} bounds one triangle but is "
                             "not on the convex hull")
-        # Turns of one sign whose edge directions cross between the upper
-        # and lower half-planes twice make one full turn (Fenchel).
-        yx = [_position(sites, sites.sites)(u)[::-1] for u in cycle]
-        upper = [b > a for a, b in zip(yx, yx[1:] + yx[:1])]
-        if sum(u != upper[k - 1] for k, u in enumerate(upper)) != 2 or any(
+        # It must never turn right and must turn once around (Fenchel).
+        if sites.crossings(cycle) != 2 or any(
             sites.orient(cycle[k - 2], cycle[k - 1], u) < 0
             for k, u in enumerate(cycle)
         ):

@@ -1,22 +1,24 @@
-"""Exact rational coordinate helpers.
+"""Exact rational coordinates and the integer predicates on them.
 
 All geometry in this package runs on ``fractions.Fraction``. These helpers
 parse user-facing coordinate strings exactly, render them canonically, and
 rescale points to plain integers so that sign-of-determinant predicates
-can run on int arithmetic instead of Fraction arithmetic.
+run on int arithmetic instead of Fraction arithmetic. The integer kernels
+`_orient` and `_incircle` live here.
 `geometry.orient2d` and `geometry.incircle` rescale their points on every
 call (`scaled_ints`). A `Lattice` rescales a whole point set once, to one
-shared scale where that stays narrow: `mesh.SiteSet` does so for its
-sites, `geometry.Polygon` for its vertices, and `geometry.clip_halfplane`
-and `geometry.convex_hull` for their points, and their predicates run
-with the same integer kernels by point index.
+shared scale where that stays narrow, and is the one place that knows
+which: its `orient`, `incircle`, `key`, `crossings` and `area2` decide by
+point index. `mesh.SiteSet` is a lattice of its sites, `geometry.Polygon`
+of its vertices, and `geometry.clip_halfplane` and `geometry.convex_hull`
+build one for their points.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 
 # Bounds on a number's text, checked before Fraction() builds 10**e for
@@ -73,7 +75,8 @@ class Lattice:
     4·b + 64 bits, b being the bit length of the widest point's own lcm;
     then `scale` is None and each point keeps the lcm of its own two
     denominators. `scaled` puts the points of one predicate on the lcm
-    of their scales.
+    of their scales. Every sign taken by point index runs here, so no
+    caller asks which of the two rules holds.
     """
 
     __slots__ = ("scale", "scales", "lattice")
@@ -132,12 +135,94 @@ class Lattice:
         shares = [s // w for w in scales]
         return s, [c * m for v, m in zip(idx, shares) for c in lattice[v]]
 
+    # The two hot predicates read a shared scale's lattice directly.
+
+    def orient(self, i: int, j: int, k: int) -> int:
+        """`geometry.orient2d` of the points i, j, k."""
+        if self.scale is None:
+            return _orient(*self.scaled(i, j, k)[1])
+        lattice = self.lattice
+        return _orient(*lattice[i], *lattice[j], *lattice[k])
+
+    def incircle(self, i: int, j: int, k: int, d: int) -> int:
+        """`geometry.incircle` of point d against the non-collinear points
+        i, j, k."""
+        if self.scale is None:
+            return _incircle(*self.scaled(i, j, k, d)[1])
+        lattice = self.lattice
+        return _incircle(*lattice[i], *lattice[j], *lattice[k], *lattice[d])
+
+    def key(self, i: int) -> tuple:
+        """A key that orders the points by (x, y): their integers on a
+        shared scale, else their coordinates."""
+        if self.scale is not None:
+            return self.lattice[i]
+        x, y = self.lattice[i]
+        w = self.scales[i]
+        return Fraction(x, w), Fraction(y, w)
+
+    def crossings(self, ring: Sequence[int]) -> int:
+        """How often the directions of the closed ring's edges cross
+        between the upper and lower half-planes. A ring that turns one
+        way at every vertex makes one full turn, and so bounds a convex
+        polygon, exactly when this is 2 (Fenchel)."""
+        yx = [self.key(i)[::-1] for i in ring]
+        upper = [b > a for a, b in zip(yx, yx[1:] + yx[:1])]
+        return sum(u != upper[k - 1] for k, u in enumerate(upper))
+
+    def area2(self, ring: Iterable[int]) -> Fraction:
+        """Twice the signed area of the ring of point indices."""
+        ring = list(ring)
+        lattice, scales = self.lattice, self.scales
+        pairs = list(zip(ring[-1:] + ring[:-1], ring))
+        cross = [
+            lattice[i][0] * lattice[j][1] - lattice[j][0] * lattice[i][1]
+            for i, j in pairs
+        ]
+        if self.scale is not None:
+            return Fraction(sum(cross), self.scale * self.scale)
+        return sum(
+            (Fraction(c, scales[i] * scales[j])
+             for c, (i, j) in zip(cross, pairs)),
+            Fraction(0),
+        )
+
 
 def _on_scale(p, w: int) -> tuple[int, int]:
     """The coordinates of p as integers over w, a multiple of their
     denominators."""
     return (p.x.numerator * (w // p.x.denominator),
             p.y.numerator * (w // p.y.denominator))
+
+
+# The integer kernels behind every orientation and incircle sign. They
+# take the coordinates already scaled to one integer lattice: per call in
+# `geometry.orient2d`/`incircle`, and once per point set by a `Lattice`.
+
+
+def _orient(ax: int, ay: int, bx: int, by: int, cx: int, cy: int) -> int:
+    det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    return (det > 0) - (det < 0)
+
+
+def _incircle(
+    ax: int, ay: int, bx: int, by: int, cx: int, cy: int, dx: int, dy: int
+) -> int:
+    adx = ax - dx
+    ady = ay - dy
+    bdx = bx - dx
+    bdy = by - dy
+    cdx = cx - dx
+    cdy = cy - dy
+    alift = adx * adx + ady * ady
+    blift = bdx * bdx + bdy * bdy
+    clift = cdx * cdx + cdy * cdy
+    det = (
+        alift * (bdx * cdy - cdx * bdy)
+        + blift * (cdx * ady - adx * cdy)
+        + clift * (adx * bdy - bdx * ady)
+    )
+    return (det > 0) - (det < 0)
 
 
 def scaled_ints(*coords: Fraction) -> list[int]:

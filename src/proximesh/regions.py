@@ -23,7 +23,6 @@ from .complexes import (
 from .geometry import (
     Polygon,
     circumcenter,
-    convex_hull,
     is_convex_polygon,
     squared_distance,
 )
@@ -59,7 +58,6 @@ class Region:
 class RegionConvexityReport:
     is_convex: bool
     union_polygon: Polygon
-    hull: Polygon
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,14 +138,10 @@ def region_union_polygon(region: Region) -> Polygon:
 
 
 def region_convexity(region: Region) -> RegionConvexityReport:
-    """Exact convexity of the union: its area equals its hull's area."""
+    """Exact convexity of the union. A traced union is a simple polygon,
+    so it is convex exactly when its ring turns one way and once around."""
     union = region_union_polygon(region)
-    hull = convex_hull(union.vertices)
-    return RegionConvexityReport(
-        is_convex=union.area() == hull.area(),
-        union_polygon=union,
-        hull=hull,
-    )
+    return RegionConvexityReport(is_convex_polygon(union), union)
 
 
 def regions_proximal(r1: Region, r2: Region) -> RelationReport:

@@ -181,27 +181,12 @@ def _endpoint_contact_pairs(
     for pair, cseg in constraints.segments(sites):
         if pair == key:
             continue
-        if segments_share_interior_point(seg, cseg):
-            continue
-        if _segments_touch(seg, cseg):
+        # With no interior point shared, the closed segments meet exactly
+        # where an endpoint of one is an end or an interior point of the
+        # other.
+        if not segments_share_interior_point(seg, cseg) and any(
+            end in (t.a, t.b) or point_in_segment_interior(end, t)
+            for s, t in ((seg, cseg), (cseg, seg)) for end in (s.a, s.b)
+        ):
             out.append(pair)
     return out
-
-
-def _segments_touch(s1: Segment, s2: Segment) -> bool:
-    """Closed segments intersect at all (any contact counts)."""
-    o1 = orient2d(s1.a, s1.b, s2.a)
-    o2 = orient2d(s1.a, s1.b, s2.b)
-    o3 = orient2d(s2.a, s2.b, s1.a)
-    o4 = orient2d(s2.a, s2.b, s1.b)
-    if o1 * o2 <= 0 and o3 * o4 <= 0:
-        if o1 == o2 == 0:
-            for end in (s2.a, s2.b):
-                if end in (s1.a, s1.b) or point_in_segment_interior(end, s1):
-                    return True
-            for end in (s1.a, s1.b):
-                if point_in_segment_interior(end, s2):
-                    return True
-            return False
-        return True
-    return False

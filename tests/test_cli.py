@@ -396,6 +396,32 @@ class TestHugeJsonNumber:
         assert not (tmp_path / "x.svg").exists()
 
 
+class TestNotUtf8:
+    """A file that is not UTF-8 text is a named error on that file, not
+    the codec's message without a path."""
+
+    @pytest.mark.parametrize("target",
+                             ["sites", "mesh", "subcomplex", "constraints"])
+    def test_exit_two_with_one_error_line(self, workspace, capsys, target):
+        tmp_path, sites, mesh_file, a, b = workspace
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe0\x00,\x000\x00\n\x00")
+        argv = {
+            "sites": ["triangulate", "--sites", str(bad),
+                      "--out", str(tmp_path / "m.json")],
+            "mesh": ["render", "--mesh", str(bad),
+                     "--out", str(tmp_path / "x.svg")],
+            "subcomplex": ["relate", "--mesh", str(mesh_file), "--a",
+                           str(bad), "--b", str(b), "--relation", "near"],
+            "constraints": ["check", "--suite", "thm37", "--mesh",
+                            str(mesh_file), "--constraints", str(bad)],
+        }[target]
+        assert main(argv) == 2
+        assert _one_error_line(capsys.readouterr()) == (
+            f"error: {bad}: not UTF-8 text"
+        )
+
+
 class TestCoordinateBounds:
     """Coordinates are bounded on their text, before any arithmetic."""
 
@@ -702,6 +728,21 @@ def fuzz_base(tmp_path_factory):
             json.loads((tmp / "a.json").read_text()))
 
 
+def _assert_clean_exit(argv, edits):
+    """Run the CLI in-process: it exits 0, 1 or 2, with one `error:` line
+    on 2, within 5 s and without an exception."""
+    out, err = StringIO(), StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert time.perf_counter() - start < 5, (argv[0], edits)
+    assert code in (0, 1, 2), (argv[0], edits)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (
+            argv[0], edits, err.getvalue())
+
+
 @settings(max_examples=60, deadline=None)
 @given(edits=st.lists(_EDIT, min_size=1, max_size=3))
 def test_mutated_files_exit_with_a_named_error(fuzz_base, edits):
@@ -718,11 +759,81 @@ def test_mutated_files_exit_with_a_named_error(fuzz_base, edits):
         a.write_text(json.dumps(docs["subcomplex"]))
         b.write_text(json.dumps(fuzz_base[1]))
         for argv in _relate_and_render(tmp, mesh_file, a, b):
-            out, err = StringIO(), StringIO()
-            with redirect_stdout(out), redirect_stderr(err):
-                code = main(argv)
-            assert code in (0, 1, 2), (argv[0], edits)
-            if code == 2:
-                lines = err.getvalue().splitlines()
-                assert len(lines) == 1 and lines[0].startswith("error: "), (
-                    argv[0], edits, err.getvalue())
+            _assert_clean_exit(argv, edits)
+
+
+# Mutations of a line-oriented file: drop, duplicate or swap lines, or
+# put hostile text in place of one field.
+_LINE_EDIT = st.tuples(
+    st.sampled_from(["drop", "duplicate", "swap", "replace"]),
+    st.integers(0, 60),
+    st.integers(0, 1),
+    st.one_of(
+        st.sampled_from([
+            b"1e-3000000", b"9" * 5000, b"1/0", b"nan", b"inf", b"\xff\xfe",
+            b"\xff", b"1e1000", b"-1e-1000", b"-1", b"0", b"10", b"",
+        ]),
+        st.binary(max_size=6),
+    ),
+)
+
+
+def _mutated_lines(text: bytes, edits) -> bytes:
+    lines = text.splitlines()
+    for op, k, col, value in edits:
+        if not lines:
+            break
+        i = k % len(lines)
+        if op == "drop":
+            del lines[i]
+        elif op == "duplicate":
+            lines.append(lines[i])
+        elif op == "swap":
+            j = k // 7 % len(lines)
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            fields = lines[i].split(b",")
+            fields[col % len(fields)] = value
+            lines[i] = b",".join(fields)
+    return b"\n".join(lines) + b"\n"
+
+
+@pytest.fixture(scope="module")
+def line_fuzz_base(tmp_path_factory):
+    """A 10-site file, its mesh file, and a constraint file of five of
+    the mesh's edges."""
+    tmp = tmp_path_factory.mktemp("line-fuzz")
+    sites, mesh_file = tmp / "sites.txt", tmp / "mesh.json"
+    site_set = harness.generate_sites(3, 10)[0]
+    io.write_sites(sites, site_set.sites)
+    mesh = triangulate(site_set)
+    io.write_mesh(mesh_file, mesh)
+    constraints = "".join(f"{p},{q}\n" for p, q in sorted(mesh.edges)[::3][:5])
+    return sites.read_bytes(), mesh_file, constraints.encode()
+
+
+@settings(max_examples=60, deadline=None)
+@given(edits=st.lists(_LINE_EDIT, min_size=1, max_size=3))
+def test_mutated_site_files_exit_with_a_named_error(line_fuzz_base, edits):
+    """triangulate on a mutated site file exits 0, 1 or 2, with one
+    `error:` line on 2 and no exception."""
+    with tempfile.TemporaryDirectory() as tmp:
+        sites = Path(tmp) / "sites.txt"
+        sites.write_bytes(_mutated_lines(line_fuzz_base[0], edits))
+        _assert_clean_exit(["triangulate", "--sites", str(sites),
+                            "--out", str(Path(tmp) / "mesh.json")], edits)
+
+
+@settings(max_examples=60, deadline=None)
+@given(edits=st.lists(_LINE_EDIT, min_size=1, max_size=3))
+def test_mutated_constraint_files_exit_with_a_named_error(line_fuzz_base,
+                                                          edits):
+    """check --suite thm37 on a mutated constraint file exits 0, 1 or 2,
+    with one `error:` line on 2 and no exception."""
+    _, mesh_file, text = line_fuzz_base
+    with tempfile.TemporaryDirectory() as tmp:
+        constraints = Path(tmp) / "constraints.txt"
+        constraints.write_bytes(_mutated_lines(text, edits))
+        _assert_clean_exit(["check", "--suite", "thm37", "--trials", "5",
+                            "--seed", "1", "--mesh", str(mesh_file),
+                            "--constraints", str(constraints)], edits)

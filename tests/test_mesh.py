@@ -15,6 +15,7 @@ from oracles import (
 )
 import proximesh.geometry as geometry_module
 import proximesh.mesh as mesh_module
+import proximesh.rational as rational_module
 from proximesh.geometry import (
     Point2,
     circumcenter,
@@ -166,8 +167,8 @@ class TestSiteSet:
             return call
 
         for name in ("_orient", "_incircle"):
-            monkeypatch.setattr(mesh_module, name,
-                                sized(getattr(mesh_module, name)))
+            monkeypatch.setattr(rational_module, name,
+                                sized(getattr(rational_module, name)))
         start = time.perf_counter()
         mesh = triangulate(site_set)
         elapsed = time.perf_counter() - start
@@ -577,13 +578,16 @@ class TestVoronoi:
         site_set = SiteSet(sites)
         assert site_set.scale is None
         widest = 0
-        kernel = geometry_module._orient
+        kernel = rational_module._orient
 
         def sized(*coords):
             nonlocal widest
             widest = max(widest, *(c.bit_length() for c in coords))
             return kernel(*coords)
 
+        # Lattices take the kernel from `rational`; `orient2d` holds it
+        # under `geometry`'s name.
+        monkeypatch.setattr(rational_module, "_orient", sized)
         monkeypatch.setattr(geometry_module, "_orient", sized)
         mesh = triangulate(site_set)
         cells = mesh.voronoi
@@ -690,16 +694,16 @@ class TestMeshValidation:
         ])
         tris = triangulate(ss).triangles
         calls = 0
-        kernel = geometry_module._orient
+        kernel = rational_module._orient
 
         def counted(*coords):
             nonlocal calls
             calls += 1
             return kernel(*coords)
 
-        # The mesh module holds the kernel under its own name too.
+        # The geometry module holds the kernel under its own name too.
+        monkeypatch.setattr(rational_module, "_orient", counted)
         monkeypatch.setattr(geometry_module, "_orient", counted)
-        monkeypatch.setattr(mesh_module, "_orient", counted)
         mesh = Mesh(ss, tris)
         assert sum(map(mesh.is_hull_site, range(len(ss)))) == 400
         assert 0 < calls <= 10 * len(ss)
