@@ -90,7 +90,7 @@ class Polygon(Lattice):
             ring.reverse()
         start = min(range(len(ring)), key=lambda k: self.key(ring[k]))
         ring = ring[start:] + ring[:start]
-        self.vertices = tuple(verts[i] for i in ring)
+        self.vertices = self.points = tuple(verts[i] for i in ring)
         self.scales = tuple(self.scales[i] for i in ring)
         self.lattice = tuple(self.lattice[i] for i in ring)
 
@@ -236,14 +236,13 @@ def clip_halfplane(verts: list[Point2], a: Point2, b: Point2) -> list[Point2]:
     """Clip a convex ring to the closed half-plane left of directed line ab.
 
     The ring and the line are scaled once to a `rational.Lattice`. Each
-    vertex's side is an integer determinant, and the point where an edge
-    crosses the line is built from its two ends' determinants on one
-    scale, with one division per coordinate.
+    vertex's side is the lattice's orientation of a, b and the vertex,
+    and the point where an edge crosses the line is built from its two
+    ends' determinants on one scale, with one division per coordinate.
     """
     n = len(verts)
     lattice = Lattice((*verts, a, b))
-    signs = [(f > 0) - (f < 0)
-             for i in range(n) for f in _line_sides(lattice, n, i)]
+    signs = [lattice.orient(n, n + 1, i) for i in range(n)]
     out: list[Point2] = []
     for i in range(n):
         j = (i + 1) % n
@@ -262,8 +261,7 @@ def clip_halfplane(verts: list[Point2], a: Point2, b: Point2) -> list[Point2]:
 def _line_sides(lattice: Lattice, n: int, *idx: int) -> list[int]:
     """For each point of idx, the determinant (b - a) x (p - a) against
     the line through points a = n and b = n + 1, all over one common
-    scale: its sign is the side, and two of them on one scale give the
-    crossing point's share of the way."""
+    scale: two of them give the crossing point's share of the way."""
     _, (ax, ay, bx, by, *coords) = lattice.scaled(n, n + 1, *idx)
     dx, dy = bx - ax, by - ay
     return [

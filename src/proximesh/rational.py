@@ -69,8 +69,8 @@ def format_rational(value: Fraction) -> str:
 class Lattice:
     """Points scaled once to integer coordinates.
 
-    `lattice` holds point i as the integer pair (X, Y) of the point
-    (X / scales[i], Y / scales[i]). All points share one scale, `scale`,
+    `lattice` holds point i of `points` as the integer pair (X, Y) of the
+    point (X / scales[i], Y / scales[i]). All points share one scale, `scale`,
     the lcm of all their denominators, unless that lcm has more than
     4·b + 64 bits, b being the bit length of the widest point's own lcm;
     then `scale` is None and each point keeps the lcm of its own two
@@ -79,11 +79,11 @@ class Lattice:
     caller asks which of the two rules holds.
     """
 
-    __slots__ = ("scale", "scales", "lattice")
+    __slots__ = ("points", "scale", "scales", "lattice")
 
     def __init__(self, points: Iterable) -> None:
         """Scale `points`, each with Fraction coordinates `x` and `y`."""
-        points = tuple(points)
+        points = self.points = tuple(points)
         own = [math.lcm(p.x.denominator, p.y.denominator) for p in points]
         # A predicate on four points pays at most for the lcm of their own
         # scales, about four times the widest. A shared scale within that,
@@ -109,6 +109,7 @@ class Lattice:
         points and the shared scale."""
         w = math.lcm(p.x.denominator, p.y.denominator)
         out = Lattice.__new__(Lattice)
+        out.points = (*self.points, p)
         if self.scale is None:
             out.scale = None
             out.scales = (*self.scales, w)
@@ -157,9 +158,8 @@ class Lattice:
         shared scale, else their coordinates."""
         if self.scale is not None:
             return self.lattice[i]
-        x, y = self.lattice[i]
-        w = self.scales[i]
-        return Fraction(x, w), Fraction(y, w)
+        p = self.points[i]
+        return p.x, p.y
 
     def crossings(self, ring: Sequence[int]) -> int:
         """How often the directions of the closed ring's edges cross
