@@ -70,10 +70,10 @@ class Lattice:
     """Points scaled once to integer coordinates.
 
     `lattice` holds point i of `points` as the integer pair (X, Y) of the
-    point (X / scales[i], Y / scales[i]). All points share one scale, `scale`,
-    the lcm of all their denominators, unless that lcm has more than
-    4·b + 64 bits, b being the bit length of the widest point's own lcm;
-    then `scale` is None and each point keeps the lcm of its own two
+    point (X / scales[i], Y / scales[i]). All points share one scale,
+    `scale`, the lcm of all their denominators, unless that lcm has more
+    than 4·b + 64 bits, b being the bit length of the widest point's own
+    lcm; then `scale` is None and each point keeps the lcm of its own two
     denominators. `scaled` puts the points of one predicate on the lcm
     of their scales. Every sign taken by point index runs here, so no
     caller asks which of the two rules holds.

@@ -403,7 +403,7 @@ class TestNotUtf8:
     @pytest.mark.parametrize("target",
                              ["sites", "mesh", "subcomplex", "constraints"])
     def test_exit_two_with_one_error_line(self, workspace, capsys, target):
-        tmp_path, sites, mesh_file, a, b = workspace
+        tmp_path, _, mesh_file, _, b = workspace
         bad = tmp_path / "bad.txt"
         bad.write_bytes(b"\xff\xfe0\x00,\x000\x00\n\x00")
         argv = {

@@ -24,7 +24,8 @@ def scale_none_comparisons(source: str) -> list[int]:
 
 
 @pytest.mark.parametrize(
-    "module", sorted(p.name for p in SRC.glob("*.py") if p.name != "rational.py")
+    "module",
+    sorted(p.name for p in SRC.glob("*.py") if p.name != "rational.py"),
 )
 def test_only_the_lattice_asks_which_scale_rule_holds(module):
     # `rational.Lattice` owns the choice between one shared scale and

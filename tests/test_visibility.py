@@ -161,6 +161,17 @@ class TestAuditSegmentVisibility:
         assert flagged, "endpoint contact must be flagged as a divergence"
         assert all(r.verdict for r in reports)
 
+    def test_endpoint_inside_constraint_flagged(self):
+        # Site 0 lies inside the constraint from site 2 to site 3, which
+        # meets segment 01 only there.
+        ss = SiteSet([P(0, 0), P(4, 0), P(-1, -1), P(1, 1)])
+        reports = audit_segment_visibility(
+            ss, ConstraintSet.of([(2, 3)]), 50, seed=3
+        )
+        notes = {r.operands: r.note for r in reports}
+        assert "(2, 3)" in notes[("site 0", "site 1")]
+        assert all(r.verdict for r in reports)
+
     def test_constraint_validation(self):
         ss = SiteSet([P(0, 0), P(4, 0), P(2, 3)])
         with pytest.raises(ValueError):
