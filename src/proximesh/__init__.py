@@ -23,14 +23,11 @@ from .geometry import (
     DegenerateInputError,
     Point2,
     Polygon,
-    Segment,
     circumcenter,
     convex_hull,
     incircle,
     is_convex_polygon,
     orient2d,
-    point_in_segment_interior,
-    segments_share_interior_point,
 )
 from .mesh import (
     Mesh,

@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional
 
 from .mesh import Edge, Mesh
 
-TRIANGLE_PICK_PROBABILITY = Fraction(1, 3)
+# A float: rng.random() draws k / 2**53, which is below the double 1/3
+# exactly when k / 2**53 < 1/3, that is when k <= 3002399751580330.
+TRIANGLE_PICK_PROBABILITY = 1 / 3
 
 
 class MeshMismatchError(ValueError):

@@ -2,10 +2,12 @@
 
 Points carry arbitrary-precision rational coordinates, every predicate
 in this module decides its sign exactly, and no function here returns a
-float. `orient2d` and `incircle` scale their points to integers per
-call and run `rational`'s integer kernels. A `Polygon`, and the points
-of one `convex_hull` or `clip_halfplane` call, are scaled once to a
-`rational.Lattice`, which takes every sign on them by point index.
+float. A `Polygon`, and the points of one `convex_hull` or
+`clip_halfplane` call, are scaled once to a `rational.Lattice`, which
+takes every sign on them by point index, segment tests included.
+`orient2d` and `incircle` scale their points to integers per call and
+run `rational`'s integer kernels; they serve callers outside the
+library, which takes all its signs on lattices.
 """
 
 from __future__ import annotations
@@ -42,18 +44,6 @@ class Point2:
 
     def __repr__(self) -> str:
         return f"Point2({self.x}, {self.y})"
-
-
-@dataclass(frozen=True, slots=True)
-class Segment:
-    """A straight segment with distinct endpoints."""
-
-    a: Point2
-    b: Point2
-
-    def __post_init__(self) -> None:
-        if self.a == self.b:
-            raise DegenerateInputError(f"segment endpoints coincide: {self.a}")
 
 
 class Polygon(Lattice):
@@ -105,11 +95,6 @@ class Polygon(Lattice):
 
     def area(self) -> Fraction:
         return self.area2(range(len(self.vertices))) / 2
-
-    def edges(self) -> Iterable[tuple[Point2, Point2]]:
-        verts = self.vertices
-        for i, a in enumerate(verts):
-            yield a, verts[(i + 1) % len(verts)]
 
     def contains(self, p: Point2) -> bool:
         """Closed-region membership; requires a convex polygon."""
@@ -170,34 +155,6 @@ def squared_distance(p: Point2, q: Point2) -> Fraction:
     dx = p.x - q.x
     dy = p.y - q.y
     return dx * dx + dy * dy
-
-
-def point_in_segment_interior(p: Point2, s: Segment) -> bool:
-    """True when p lies on s strictly between the endpoints."""
-    if orient2d(s.a, s.b, p) != 0:
-        return False
-    return _between_strict(s.a, s.b, p)
-
-
-def segments_share_interior_point(s1: Segment, s2: Segment) -> bool:
-    """True when some point is interior to both segments.
-
-    Transversal crossings and collinear overlaps of positive length
-    qualify; contact at an endpoint of either segment does not.
-    """
-    o1 = orient2d(s1.a, s1.b, s2.a)
-    o2 = orient2d(s1.a, s1.b, s2.b)
-    o3 = orient2d(s2.a, s2.b, s1.a)
-    o4 = orient2d(s2.a, s2.b, s1.b)
-    if o1 * o2 < 0 and o3 * o4 < 0:
-        return True
-    if o1 == 0 and o2 == 0:
-        # Same supporting line: positive-length overlap of the open spans.
-        key = _span_key(s1.a, s1.b)
-        lo1, hi1 = sorted((key(s1.a), key(s1.b)))
-        lo2, hi2 = sorted((key(s2.a), key(s2.b)))
-        return max(lo1, lo2) < min(hi1, hi2)
-    return False
 
 
 def convex_hull(points: Iterable[Point2]) -> Polygon:
@@ -268,19 +225,6 @@ def _line_sides(lattice: Lattice, n: int, *idx: int) -> list[int]:
         dx * (coords[k + 1] - ay) - dy * (coords[k] - ax)
         for k in range(0, len(coords), 2)
     ]
-
-
-def _span_key(a: Point2, b: Point2):
-    # Dominant-axis coordinate; exact ordering along the segment's line.
-    if a.x != b.x:
-        return lambda p: p.x
-    return lambda p: p.y
-
-
-def _between_strict(a: Point2, b: Point2, p: Point2) -> bool:
-    key = _span_key(a, b)
-    lo, hi = sorted((key(a), key(b)))
-    return lo < key(p) < hi
 
 
 def _dedupe_cyclic(verts: list[Point2]) -> list[Point2]:

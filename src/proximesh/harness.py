@@ -32,6 +32,8 @@ DEFAULT_BOX = (Fraction(0), Fraction(0), Fraction(1), Fraction(1))
 MAX_RESAMPLES = 64
 # The most sites `generate_sites` draws; checked before any is drawn.
 MAX_SITES = 100_000
+# The most trials `run_suite` runs; checked before any mesh is built.
+MAX_TRIALS = 100_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,8 +134,10 @@ def run_suite(
     suite. The suites share each trial mesh, built once for the duration
     of the call.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(
+            f"trials must be between 1 and {MAX_TRIALS}, got {trials}"
+        )
     names = list(SUITES) if name == "all" else [name]
     token = _TRIAL_MEMO.set({})
     try:
@@ -327,7 +331,7 @@ def sample_strongly_far_config(
         return None
     c = cx.SubComplex.of_triangles(mesh, [t])
     witness = cx.closure(cx.SubComplex.of_triangles(mesh, witness_tris))
-    picked = [t2 for t2 in free if rng.random() < Fraction(1, 2)] or [
+    picked = [t2 for t2 in free if rng.random() < 0.5] or [
         rng.choice(free)
     ]
     a = cx.closure(cx.SubComplex.of_triangles(mesh, picked))

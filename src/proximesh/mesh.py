@@ -37,15 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .geometry import (
-    Point2,
-    Polygon,
-    Segment,
-    clip_halfplane,
-    is_convex_polygon,
-    orient2d,
-    segments_share_interior_point,
-)
+from .geometry import Point2, Polygon, clip_halfplane, is_convex_polygon
 from .rational import Lattice
 
 DEFAULT_CLIP_MARGIN = Fraction(1, 10)
@@ -446,7 +438,9 @@ def is_delaunay_edge(p: int, q: int, mesh: Mesh) -> bool:
 
     Each cell lies on its own site's side of the p-q bisector, so it
     meets that line in at most one of its edges; the cells share a wall
-    exactly when those two edges overlap.
+    exactly when those two edges overlap. Each cell's `Polygon` lattice,
+    joined with two points of the bisector, takes one orientation per
+    vertex, and a lattice of the two walls' ends decides their overlap.
     """
     if p == q:
         raise MeshError("edge endpoints must differ")
@@ -454,20 +448,17 @@ def is_delaunay_edge(p: int, q: int, mesh: Mesh) -> bool:
     if not (0 <= p < len(sites) and 0 <= q < len(sites)):
         raise MeshError(f"site index out of range: {(p, q)}")
     mid, along = _bisector(sites[p], sites[q])
-    walls = []
+    ends = []
     for site in (p, q):
-        wall = next(
-            (
-                Segment(u, v)
-                for u, v in mesh.voronoi[site].cell.edges()
-                if orient2d(mid, along, u) == 0 and orient2d(mid, along, v) == 0
-            ),
-            None,
-        )
-        if wall is None:
+        cell = mesh.voronoi[site].cell
+        n = len(cell.vertices)
+        lattice = cell.joined(mid).joined(along)
+        on = [lattice.orient(n, n + 1, k) == 0 for k in range(n)]
+        k = next((k for k in range(n) if on[k] and on[(k + 1) % n]), None)
+        if k is None:
             return False
-        walls.append(wall)
-    return segments_share_interior_point(*walls)
+        ends += [cell.vertices[k], cell.vertices[(k + 1) % n]]
+    return Lattice(ends).overlap(0, 1, 2, 3)
 
 
 def _edge(i: int, j: int) -> Edge:

@@ -6,12 +6,13 @@ rescale points to plain integers so that sign-of-determinant predicates
 run on int arithmetic instead of Fraction arithmetic. The integer kernels
 `_orient` and `_incircle` live here.
 `geometry.orient2d` and `geometry.incircle` rescale their points on every
-call (`scaled_ints`). A `Lattice` rescales a whole point set once, to one
-shared scale where that stays narrow, and is the one place that knows
-which: its `orient`, `incircle`, `key`, `crossings` and `area2` decide by
-point index. `mesh.SiteSet` is a lattice of its sites, `geometry.Polygon`
-of its vertices, and `geometry.clip_halfplane` and `geometry.convex_hull`
-build one for their points.
+call (`scaled_ints`); no library module calls them. A `Lattice` rescales
+a whole point set once, to one shared scale where that stays narrow, and
+is the one place that knows which: its `orient`, `incircle`, `key`,
+`between`, `overlap`, `crossings` and `area2` decide by point index.
+`mesh.SiteSet` is a lattice of its sites, `geometry.Polygon` of its
+vertices, and `geometry.clip_halfplane`, `geometry.convex_hull` and
+`mesh.is_delaunay_edge` build one for their points.
 """
 
 from __future__ import annotations
@@ -160,6 +161,26 @@ class Lattice:
             return self.lattice[i]
         p = self.points[i]
         return p.x, p.y
+
+    def between(self, i: int, j: int, k: int) -> bool:
+        """Point k lies on segment ij strictly between its ends. On one
+        line, the (x, y) order of `key` is the order along it."""
+        if self.orient(i, j, k):
+            return False
+        ki, kj = self.key(i), self.key(j)
+        return min(ki, kj) < self.key(k) < max(ki, kj)
+
+    def overlap(self, i: int, j: int, k: int, l: int) -> bool:
+        """Segments ij and kl share an interior point: they cross, or they
+        overlap on one line for a positive length. Contact at an end of
+        either does not count."""
+        o1, o2 = self.orient(i, j, k), self.orient(i, j, l)
+        if o1 or o2:
+            return (o1 * o2 < 0
+                    and self.orient(k, l, i) * self.orient(k, l, j) < 0)
+        (a, b), (c, d) = (sorted((self.key(i), self.key(j))),
+                          sorted((self.key(k), self.key(l))))
+        return max(a, c) < min(b, d)
 
     def crossings(self, ring: Sequence[int]) -> int:
         """How often the directions of the closed ring's edges cross

@@ -5,7 +5,10 @@ them contains no third site and meets no constraint in an interior
 point; `segment_visible` is that one test. Endpoint contact with a
 constraint does not block visibility: the blocking test is
 interior-disjointness, not empty intersection, and the audit reports
-pairs where the two readings would differ.
+pairs where the two readings would differ. Sites and constraint ends
+are indices into the `SiteSet`, whose lattice `between` and `overlap`
+decide every segment test; the audit's sample points are the
+independent Fraction check.
 """
 
 from __future__ import annotations
@@ -16,14 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .complexes import RelationReport
-from .geometry import (
-    Point2,
-    Segment,
-    orient2d,
-    point_in_segment_interior,
-    segments_share_interior_point,
-    squared_distance,
-)
+from .geometry import Point2, squared_distance
 from .mesh import SiteSet
 
 
@@ -49,12 +45,6 @@ class ConstraintSet:
             if not (0 <= p < n and 0 <= q < n):
                 raise ValueError(f"constraint indices out of range: {(p, q)}")
 
-    def segments(self, sites: SiteSet) -> list[tuple[tuple[int, int], Segment]]:
-        return [
-            (pair, Segment(sites[pair[0]], sites[pair[1]]))
-            for pair in sorted(self.pairs)
-        ]
-
 
 def segment_visible(
     p: int, q: int, sites: SiteSet, constraints: ConstraintSet
@@ -67,17 +57,10 @@ def segment_visible(
     if p == q:
         raise ValueError("visibility needs two distinct sites")
     constraints.validate(sites)
-    seg = Segment(sites[p], sites[q])
     key = (p, q) if p < q else (q, p)
-    for s in range(n):
-        if s != p and s != q and point_in_segment_interior(sites[s], seg):
-            return False
-    for pair, cseg in constraints.segments(sites):
-        if pair == key:
-            continue
-        if segments_share_interior_point(seg, cseg):
-            return False
-    return True
+    return not any(sites.between(p, q, s) for s in range(n)) and not any(
+        sites.overlap(p, q, *pair) for pair in constraints.pairs if pair != key
+    )
 
 
 def audit_segment_visibility(
@@ -134,11 +117,10 @@ def _visible_pair_violation(
     p: int, q: int, sites: SiteSet, constraints: ConstraintSet
 ) -> Optional[tuple]:
     a, b = sites[p], sites[q]
-    seg = Segment(a, b)
     online = [
         s
         for s in range(len(sites))
-        if s != p and s != q and orient2d(a, b, sites[s]) == 0
+        if s != p and s != q and sites.orient(p, q, s) == 0
     ]
     for t in _sample_parameters(p, q, sites, online):
         x = Point2(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t)
@@ -146,10 +128,8 @@ def _visible_pair_violation(
             if squared_distance(x, sites[s]) == 0:
                 return ("site_in_open_segment", s)
     key = (p, q) if p < q else (q, p)
-    for pair, cseg in constraints.segments(sites):
-        if pair == key:
-            continue
-        if segments_share_interior_point(seg, cseg):
+    for pair in sorted(constraints.pairs):
+        if pair != key and sites.overlap(p, q, *pair):
             return ("constraint_interior_contact", pair)
     return None
 
@@ -174,19 +154,17 @@ def _endpoint_contact_pairs(
     p: int, q: int, sites: SiteSet, constraints: ConstraintSet
 ) -> list[tuple[int, int]]:
     """Constraints that touch segment pq only at an endpoint of either."""
-    a, b = sites[p], sites[q]
-    seg = Segment(a, b)
     key = (p, q) if p < q else (q, p)
     out = []
-    for pair, cseg in constraints.segments(sites):
+    for pair in sorted(constraints.pairs):
         if pair == key:
             continue
         # With no interior point shared, the closed segments meet exactly
         # where an endpoint of one is an end or an interior point of the
-        # other.
-        if not segments_share_interior_point(seg, cseg) and any(
-            end in (t.a, t.b) or point_in_segment_interior(end, t)
-            for s, t in ((seg, cseg), (cseg, seg)) for end in (s.a, s.b)
+        # other. Sites are distinct, so an end is met by index.
+        if not sites.overlap(p, q, *pair) and any(
+            end in other or sites.between(*other, end)
+            for ends, other in ((key, pair), (pair, key)) for end in ends
         ):
             out.append(pair)
     return out

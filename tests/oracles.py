@@ -8,9 +8,10 @@ each cell by the bisectors of all other sites instead of only the
 Delaunay neighbors and clips on Fraction arithmetic instead of integer
 lattices, the convexity oracle samples points instead of comparing
 traced areas, polygon convexity is decided by every edge's supporting
-line instead of by turns and half-plane crossings, and the hull-boundary
-and visibility oracles find points on a segment by cross and dot
-products instead of orientation and span tests.
+line instead of by turns and half-plane crossings, and the hull-boundary,
+visibility and segment oracles find points on a segment, and segments
+that overlap, by cross and dot products instead of orientation and
+span tests.
 """
 
 from fractions import Fraction
@@ -26,6 +27,10 @@ def _sub(p, q):
 
 def _cross(u, v):
     return u[0] * v[1] - u[1] * v[0]
+
+
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1]
 
 
 def circumcenter_by_equations(a, b, c):
@@ -158,8 +163,7 @@ def hull_boundary_test(points):
     def on_boundary(p):
         for a, d in edges:
             u = _sub(p, a)
-            if (_cross(d, u) == 0
-                    and 0 <= u[0] * d[0] + u[1] * d[1] <= d[0] ** 2 + d[1] ** 2):
+            if _cross(d, u) == 0 and 0 <= _dot(u, d) <= _dot(d, d):
                 return True
         return False
 
@@ -233,17 +237,29 @@ def _squared_distance(p, q):
     return dx * dx + dy * dy
 
 
+def segment_contains(a, b, p):
+    """Point p lies on segment ab strictly between its ends: on its line,
+    at a dot product with b - a strictly between 0 and |b - a|^2."""
+    d, u = _sub(b, a), _sub(p, a)
+    return _cross(d, u) == 0 and 0 < _dot(u, d) < _dot(d, d)
+
+
+def segments_overlap(a, b, c, d):
+    """Segments ab and cd share a point interior to both. Off one line,
+    the ends of each lie strictly on both sides of the other's line; on
+    one line, the dot products of c and d with b - a leave an open span
+    inside (0, |b - a|^2)."""
+    e, f = _sub(b, a), _sub(d, c)
+    sc, sd = _cross(e, _sub(c, a)), _cross(e, _sub(d, a))
+    if sc or sd:
+        return sc * sd < 0 and _cross(f, _sub(a, c)) * _cross(f, _sub(b, c)) < 0
+    tc, td = _dot(_sub(c, a), e), _dot(_sub(d, a), e)
+    return max(0, min(tc, td)) < min(_dot(e, e), max(tc, td))
+
+
 def collinear_visible(p, q, sites):
-    """True when no third site lies strictly between points p and q:
-    on their line, at a dot product with q - p strictly between 0 and
-    |q - p|^2."""
-    d = _sub(q, p)
-    length2 = d[0] * d[0] + d[1] * d[1]
-    for s in sites:
-        u = _sub(s, p)
-        if _cross(d, u) == 0 and 0 < u[0] * d[0] + u[1] * d[1] < length2:
-            return False
-    return True
+    """True when no third site lies strictly between points p and q."""
+    return not any(segment_contains(p, q, s) for s in sites)
 
 
 def edge_set(triangles):

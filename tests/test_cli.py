@@ -517,6 +517,22 @@ class TestCheck:
         assert lines[0].startswith("error: ")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("trials", [harness.MAX_TRIALS + 1, 10**9])
+    def test_trials_out_of_bound(self, capsys, monkeypatch, trials):
+        def refuse(*args):
+            raise AssertionError("a mesh was built")
+
+        # The bound is checked before any mesh is built.
+        monkeypatch.setattr(harness, "triangulate", refuse)
+        start = time.perf_counter()
+        code = main(["check", "--suite", "lemma33", "--trials", str(trials)])
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert _one_error_line(capsys.readouterr()) == (
+            f"error: trials must be between 1 and {harness.MAX_TRIALS}, "
+            f"got {trials}"
+        )
+
     def test_all_with_constraints_runs_thm37_once(self, workspace, tmp_path):
         _, _, mesh_file, *_ = workspace
         mesh = io.read_mesh(mesh_file)
@@ -701,7 +717,7 @@ def _edit(doc, op, k, value):
         del doc[sorted(doc)[k % len(doc)]]
     elif op == "replace" and slots:
         holder, key = slots[k % len(slots)]
-        holder[key] = value
+        holder[key] = copy.deepcopy(value)
     if op in ("delete", "replace") or not lists:
         return
     rows = lists[k % len(lists)]

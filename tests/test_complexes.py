@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -133,6 +134,20 @@ class TestBoundaryInterior:
             a = random_triangle_subcomplex(grid_mesh, rng)
             assert interior(a).issubset(closure(a))
             assert boundary(a).issubset(closure(a))
+
+    @pytest.mark.parametrize("k, picked", [(3002399751580330, True),
+                                           (3002399751580331, False)])
+    def test_pick_threshold_is_one_third_exactly(self, grid_mesh, k, picked):
+        # rng.random() draws k / 2**53; the float threshold picks the
+        # draws below 1/3, no more and no fewer.
+        assert (Fraction(k, 2**53) < Fraction(1, 3)) is picked
+
+        class Fixed(random.Random):
+            def random(self):
+                return k / 2**53
+
+        a = random_triangle_subcomplex(grid_mesh, Fixed())
+        assert len(a.triangles) == (len(grid_mesh.triangles) if picked else 0)
 
     def test_full_fan_vertex_interior(self, grid5_mesh):
         # Vertex 12 is deep interior; including its whole star makes it

@@ -1,27 +1,31 @@
 import math
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fraction_clip_halfplane, fraction_polygon
+from oracles import (
+    fraction_clip_halfplane,
+    fraction_polygon,
+    segment_contains,
+    segments_overlap,
+)
 from test_mesh import _on_unit_circle, own_denominator_sites
 from proximesh.geometry import (
     DegenerateInputError,
     Point2,
     Polygon,
-    Segment,
     circumcenter,
     clip_halfplane,
     convex_hull,
     incircle,
     is_convex_polygon,
     orient2d,
-    point_in_segment_interior,
-    segments_share_interior_point,
     squared_distance,
 )
+from proximesh.rational import Lattice
 
 P = Point2
 
@@ -97,55 +101,45 @@ class TestCircumcenter:
         )
 
 
+def _lattice(*pts):
+    return Lattice([P(x, y) for x, y in pts])
+
+
 class TestSegmentPredicates:
+    """`Lattice.between` and `Lattice.overlap`, by point index."""
+
     def test_midpoint_interior(self):
-        assert point_in_segment_interior(P(1, 0), Segment(P(0, 0), P(2, 0)))
+        assert _lattice((0, 0), (2, 0), (1, 0)).between(0, 1, 2)
 
     def test_endpoint_excluded(self):
-        assert not point_in_segment_interior(P(0, 0), Segment(P(0, 0), P(2, 0)))
+        assert not _lattice((0, 0), (2, 0), (0, 0)).between(0, 1, 2)
 
     def test_off_line(self):
-        assert not point_in_segment_interior(P(1, 1), Segment(P(0, 0), P(2, 0)))
-
-    def test_degenerate_segment_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            Segment(P(1, 1), P(1, 1))
+        assert not _lattice((0, 0), (2, 0), (1, 1)).between(0, 1, 2)
 
     def test_crossing(self):
-        s1 = Segment(P(0, 0), P(2, 2))
-        s2 = Segment(P(0, 2), P(2, 0))
-        assert segments_share_interior_point(s1, s2)
+        assert _lattice((0, 0), (2, 2), (0, 2), (2, 0)).overlap(0, 1, 2, 3)
 
     def test_shared_endpoint_only(self):
-        s1 = Segment(P(0, 0), P(1, 0))
-        s2 = Segment(P(1, 0), P(2, 0))
-        assert not segments_share_interior_point(s1, s2)
+        assert not _lattice((0, 0), (1, 0), (1, 0), (2, 0)).overlap(0, 1, 2, 3)
 
     def test_collinear_overlap(self):
-        s1 = Segment(P(0, 0), P(2, 0))
-        s2 = Segment(P(1, 0), P(3, 0))
-        assert segments_share_interior_point(s1, s2)
+        assert _lattice((0, 0), (2, 0), (1, 0), (3, 0)).overlap(0, 1, 2, 3)
 
     def test_t_junction_endpoint_contact(self):
         # The contact point is an endpoint of the vertical segment, so it
         # is not interior to both.
-        s1 = Segment(P(0, 0), P(2, 0))
-        s2 = Segment(P(1, 0), P(1, 2))
-        assert not segments_share_interior_point(s1, s2)
+        assert not _lattice((0, 0), (2, 0), (1, 0), (1, 2)).overlap(0, 1, 2, 3)
 
     def test_parallel_disjoint(self):
-        s1 = Segment(P(0, 0), P(2, 0))
-        s2 = Segment(P(0, 1), P(2, 1))
-        assert not segments_share_interior_point(s1, s2)
+        assert not _lattice((0, 0), (2, 0), (0, 1), (2, 1)).overlap(0, 1, 2, 3)
 
     @given(points, points, points, points)
     def test_symmetry(self, a, b, c, d):
         if a == b or c == d:
             return
-        s1, s2 = Segment(a, b), Segment(c, d)
-        assert segments_share_interior_point(
-            s1, s2
-        ) == segments_share_interior_point(s2, s1)
+        lattice = Lattice([a, b, c, d])
+        assert lattice.overlap(0, 1, 2, 3) == lattice.overlap(2, 3, 0, 1)
 
 
 class TestConvexHull:
@@ -228,7 +222,8 @@ class TestIsConvexPolygon:
 def _intersect(p1: Polygon, p2: Polygon) -> list[Point2]:
     """The ring of p1 clipped to the left of every edge of p2."""
     verts = list(p1.vertices)
-    for a, b in p2.edges():
+    ring = p2.vertices
+    for a, b in zip(ring, ring[1:] + ring[:1]):
         verts = clip_halfplane(verts, a, b)
     return verts
 
@@ -310,6 +305,45 @@ own_rings = st.builds(
 )
 
 
+def _lines(base):
+    """base, and for its first two consecutive pairs a, b two lines of
+    four points each: 2a - b, a, the midpoint and b on line ab, then the
+    same on the vertical from a to (a.x, b.y). Returns the points and
+    each line's indices."""
+    pts, lines = list(base), []
+    for a, b in zip(base, base[1:3]):
+        for v in (b, P(a.x, b.y)):
+            lines.append(list(range(len(pts), len(pts) + 4)))
+            pts += [P(2 * a.x - v.x, 2 * a.y - v.y), a,
+                    P((a.x + v.x) / 2, (a.y + v.y) / 2), v]
+    return pts, lines
+
+
+shared_lines = st.tuples(_units, _grid).map(
+    lambda u: _lines([P(p.x * u[0], p.y * u[0]) for p in u[1]]))
+# Twelve points over 50-digit denominators outgrow the shared scale's
+# width even beside the lines' doubled denominators.
+own_lines = st.integers(0, 2**32).map(
+    lambda seed: _lines(own_denominator_sites(seed, 12, 50)))
+
+
+def _assert_segments_match(pts, lines, own_scales):
+    """`between` and `overlap` on the lattice of pts decide what the
+    cross and dot products of the oracles decide, for segments on each
+    line against points and segments on it and on the next line."""
+    lattice = Lattice(pts)
+    assert (lattice.scale is None) == own_scales
+    for g, h in zip(lines, lines[1:] + lines[:1]):
+        for i, j in permutations(g, 2):
+            a, b = pts[i], pts[j]
+            for k in g + h:
+                assert lattice.between(i, j, k) == segment_contains(
+                    a, b, pts[k])
+            for k, m in (*combinations(g, 2), *combinations(h, 2)):
+                assert lattice.overlap(i, j, k, m) == segments_overlap(
+                    a, b, pts[k], pts[m])
+
+
 def _side(a, b, p):
     return (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x)
 
@@ -346,9 +380,9 @@ def _assert_matches_fractions(ring, own_scales):
 
 
 class TestLatticeMatchesFractions:
-    """`Polygon` and `clip_halfplane` scale their points once to an
-    integer lattice; on both sides of its width rule they decide what
-    Fraction arithmetic decides."""
+    """`Polygon`, `clip_halfplane` and the segment tests scale their
+    points once to an integer lattice; on both sides of its width rule
+    they decide what Fraction arithmetic decides."""
 
     @settings(max_examples=80, deadline=None)
     @given(shared_rings)
@@ -359,6 +393,16 @@ class TestLatticeMatchesFractions:
     @given(own_rings)
     def test_own_scale_rings(self, ring):
         _assert_matches_fractions(ring, own_scales=True)
+
+    @settings(max_examples=40, deadline=None)
+    @given(shared_lines)
+    def test_shared_scale_segments(self, lines):
+        _assert_segments_match(*lines, own_scales=False)
+
+    @settings(max_examples=20, deadline=None)
+    @given(own_lines)
+    def test_own_scale_segments(self, lines):
+        _assert_segments_match(*lines, own_scales=True)
 
     @pytest.mark.parametrize(
         "ring",

@@ -37,3 +37,48 @@ def test_the_rule_finds_scale_comparisons():
     source = ("a = p.scale is None\nb = None is not q.scale\n"
               "c = r.scale == None\nd = p.scales is None\ne = scale is None\n")
     assert scale_none_comparisons(source) == [1, 2, 3]
+
+
+PER_CALL = {"orient2d", "incircle", "scaled_ints"}
+
+
+def per_call_predicate_calls(source: str) -> list[int]:
+    """Lines that call `orient2d`, `incircle` or `scaled_ints` by name,
+    or as an attribute of an imported module."""
+    tree = ast.parse(source)
+    imported = {alias.asname or alias.name
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if (isinstance(f, ast.Name) and f.id in PER_CALL) or (
+            isinstance(f, ast.Attribute) and f.attr in PER_CALL
+            and ast.unparse(f.value) in imported
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize(
+    "module",
+    sorted(p.name for p in SRC.glob("*.py") if p.name != "geometry.py"),
+)
+def test_signs_take_the_one_lattice_path(module):
+    # `geometry.orient2d` and `geometry.incircle` rescale their points on
+    # every call; the library takes its signs on `rational.Lattice` by
+    # point index, so no other module calls them or `scaled_ints`.
+    assert per_call_predicate_calls((SRC / module).read_text()) == []
+
+
+def test_the_rule_finds_per_call_predicates():
+    source = ("from .geometry import orient2d\nfrom . import geometry as g\n"
+              "import proximesh.rational\n"
+              "a = orient2d(p, q, r)\nb = g.incircle(p, q, r, s)\n"
+              "c = proximesh.rational.scaled_ints(x)\n"
+              "d = sites.incircle(0, 1, 2, 3)\ne = self.orient(0, 1, 2)\n"
+              "f = orient2d\n")
+    assert per_call_predicate_calls(source) == [4, 5, 6]
