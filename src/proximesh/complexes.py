@@ -135,9 +135,8 @@ def closure(a: SubComplex) -> SubComplex:
     for e in a.edges:
         verts.update(e)
     for t_idx in a.triangles:
-        tri = a.mesh.triangles[t_idx]
-        verts.update(tri.indices)
-        edges.update(tri.edges())
+        verts.update(a.mesh.triangles[t_idx].indices)
+        edges.update(a.mesh.triangle_edges[t_idx])
     return SubComplex(
         a.mesh, frozenset(verts), frozenset(edges), frozenset(a.triangles)
     )
@@ -381,7 +380,7 @@ def _require_same_mesh(a: SubComplex, b: SubComplex) -> None:
 def _edge_triangle_counts(cl: SubComplex) -> dict[Edge, int]:
     counts = {e: 0 for e in cl.edges}
     for t_idx in cl.triangles:
-        for e in cl.mesh.triangles[t_idx].edges():
+        for e in cl.mesh.triangle_edges[t_idx]:
             counts[e] += 1
     return counts
 

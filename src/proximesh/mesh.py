@@ -15,6 +15,11 @@ conflict test alone decides cocircular ties, by a symbolic perturbation
 of the lifted sites: each cocircular Delaunay polygon is fanned from its
 least site index; the triangles do not depend on insertion order.
 
+A `Mesh` derives each table from its triangles once (each triangle's
+edges, the triangles on each edge and at each site, each triangle's
+neighbors) for every module to read. One walk along a site-to-site map
+traces the hull cycle, each interior site's fan and a region's frontier.
+
 Validation is linear: triangles whose one-triangle edges form one
 convex cycle tile the sites' hull, and then an empty circumcircle across
 every interior edge implies a Delaunay triangulation (Delaunay lemma).
@@ -25,8 +30,9 @@ interior site's cell is the ring of its fan's circumcenters when they
 all lie strictly inside the clip box; hull sites, and sites whose fan
 reaches the box, get the clip box cut by the exact
 perpendicular-bisector half-planes toward their Delaunay neighbors.
-Cells are built on first access, since only the `voronoi` output, cell
-rendering and the Delaunay-characterization audit read them. The tests
+The circumcenters, the derived clip box and the cells are built on
+first access, since only the `voronoi` output, rendering and the
+Delaunay-characterization audit read them. The tests
 keep an all-sites bisector construction as an independent oracle for
 these cells.
 """
@@ -186,19 +192,20 @@ class Mesh:
 
     Adjacency queries and the relation algebra in `complexes` work off
     the index maps built here; nothing mutates a Mesh after construction
-    except the caches of its circumcenters and Voronoi cells, filled on
-    first access.
+    except the caches of its circumcenters, derived clip box and Voronoi
+    cells, filled on first access.
     """
 
     __slots__ = (
         "site_set",
         "triangles",
+        "triangle_edges",
         "edge_triangles",
         "vertex_triangles",
         "triangle_neighbors",
-        "clip_box",
         "_hull_sites",
         "_circumcenters",
+        "_clip_box",
         "_voronoi",
     )
 
@@ -210,24 +217,25 @@ class Mesh:
     ) -> None:
         self.site_set = site_set
         self.triangles = tuple(triangles)
+        self.triangle_edges = tuple(t.edges() for t in self.triangles)
         edge_map: dict[Edge, list[int]] = {}
         vertex_map: dict[int, list[int]] = {i: [] for i in range(len(site_set))}
         for t_idx, tri in enumerate(self.triangles):
-            for e in tri.edges():
+            for e in self.triangle_edges[t_idx]:
                 edge_map.setdefault(e, []).append(t_idx)
             for v in tri.indices:
                 vertex_map[v].append(t_idx)
         self.edge_triangles = {e: tuple(ts) for e, ts in sorted(edge_map.items())}
         self.vertex_triangles = {v: tuple(ts) for v, ts in vertex_map.items()}
         self._hull_sites = frozenset(self._validate())
-        # Edge-neighbors of each triangle, across its edges in the order
-        # (v0v1, v1v2, v2v0).
+        # Edge-neighbors of each triangle, in the order of its edges; hull
+        # edges add none, so positions do not map to edges.
         self.triangle_neighbors = tuple(
-            tuple(u for e in tri.edges() for u in edge_map[e] if u != t)
-            for t, tri in enumerate(self.triangles)
+            tuple(u for e in edges for u in edge_map[e] if u != t)
+            for t, edges in enumerate(self.triangle_edges)
         )
         self._circumcenters: Optional[tuple[Point2, ...]] = None
-        self.clip_box = clip_box if clip_box is not None else self._derive_clip_box()
+        self._clip_box = clip_box
         self._voronoi: Optional[tuple[VoronoiRegion, ...]] = None
 
     @property
@@ -248,8 +256,10 @@ class Mesh:
             self._voronoi = tuple(voronoi(self))
         return self._voronoi
 
-    def _derive_clip_box(self) -> Rect:
-        """Clip box: the sites' extent widened to cover every triangle
+    @property
+    def clip_box(self) -> Rect:
+        """The clip box given to the mesh, else the one derived on first
+        access: the sites' extent widened to cover every triangle
         circumcenter, plus the margin on each side.
 
         Covering the circumcenters keeps all Voronoi vertices strictly
@@ -258,19 +268,16 @@ class Mesh:
         clipping. Without this, shared-segment edge detection would
         depend on how far the fixed-margin box happens to reach.
         """
-        sites = self.site_set.sites
-        xs = [p.x for p in sites]
-        ys = [p.y for p in sites]
-        xmin, xmax = min(xs), max(xs)
-        ymin, ymax = min(ys), max(ys)
-        mx = (xmax - xmin) * self.site_set.clip_margin
-        my = (ymax - ymin) * self.site_set.clip_margin
-        for u in self.circumcenters:
-            xmin = min(xmin, u.x)
-            xmax = max(xmax, u.x)
-            ymin = min(ymin, u.y)
-            ymax = max(ymax, u.y)
-        return Rect(xmin - mx, ymin - my, xmax + mx, ymax + my)
+        if self._clip_box is None:
+            sites, margin = self.site_set.sites, self.site_set.clip_margin
+            xs, ys = [p.x for p in sites], [p.y for p in sites]
+            mx = (max(xs) - min(xs)) * margin
+            my = (max(ys) - min(ys)) * margin
+            xs += [u.x for u in self.circumcenters]
+            ys += [u.y for u in self.circumcenters]
+            self._clip_box = Rect(min(xs) - mx, min(ys) - my,
+                                  max(xs) + mx, max(ys) + my)
+        return self._clip_box
 
     @property
     def sites(self) -> tuple[Point2, ...]:
@@ -330,9 +337,7 @@ class Mesh:
         # as it ends, and the triangles' area leaves some; a walk from one
         # start meets them all only if they form one cycle of distinct sites.
         after = {i: j for i, j in directed if (j, i) not in directed}
-        cycle = [min(after)]
-        while after[cycle[-1]] != cycle[0] and len(cycle) < len(after):
-            cycle.append(after[cycle[-1]])
+        cycle = _trace_cycle(after)
         if len(cycle) != 2 * e - 3 * f:
             on = set(zip(cycle, cycle[1:] + cycle[:1]))
             i, j = min(d for d in directed - on if d[::-1] not in directed)
@@ -418,18 +423,23 @@ def voronoi(mesh: Mesh) -> list[VoronoiRegion]:
 
 def _fan(mesh: Mesh, i: int) -> list[int]:
     """The triangles around interior site i, in counterclockwise order."""
-    after: dict[int, tuple[int, int]] = {}
+    after: dict[int, int] = {}
+    triangle: dict[int, int] = {}
     for t in mesh.vertex_triangles[i]:
         a, b, c = mesh.triangles[t].indices
         u, v = (b, c) if i == a else (c, a) if i == b else (a, b)
-        after[u] = (v, t)
-    first = u = next(iter(after))
-    fan = []
-    while True:
-        u, t = after[u]
-        fan.append(t)
-        if u == first:
-            return fan
+        after[u] = v
+        triangle[u] = t
+    return [triangle[u] for u in _trace_cycle(after)]
+
+
+def _trace_cycle(after: dict[int, int]) -> list[int]:
+    """The sites met walking the site-to-site map `after` from its least
+    key, until the walk closes or has met `len(after)` sites."""
+    cycle = [min(after)]
+    while after[cycle[-1]] != cycle[0] and len(cycle) < len(after):
+        cycle.append(after[cycle[-1]])
+    return cycle
 
 
 def is_delaunay_edge(p: int, q: int, mesh: Mesh) -> bool:
@@ -597,7 +607,4 @@ def _in_conflict(t: tuple[int, int, int], idx: int, site_set: SiteSet) -> bool:
     side = site_set.orient(i, j, idx)
     if side:
         return side > 0
-    # On the hull edge's line: inside the open edge when the vectors to
-    # its ends point apart.
-    _, (xi, yi, xj, yj, x, y) = site_set.scaled(i, j, idx)
-    return (xi - x) * (xj - x) + (yi - y) * (yj - y) < 0
+    return site_set.between(i, j, idx)

@@ -26,7 +26,7 @@ from .geometry import (
     is_convex_polygon,
     squared_distance,
 )
-from .mesh import Mesh, is_delaunay_edge, is_delaunay_triangle
+from .mesh import Mesh, _trace_cycle, is_delaunay_edge, is_delaunay_triangle
 
 PAIRWISE_STRONG = "pairwise-strong"
 EDGE_CHAIN = "edge-chain"
@@ -111,11 +111,9 @@ def region_union_polygon(region: Region) -> Polygon:
     """Exact union of the region's triangles, traced along frontier edges."""
     mesh = region.mesh
     boundary: dict[int, int] = {}
-    count = 0
     for t in region.triangles:
         i, j, k = mesh.triangles[t].indices
-        for a, b in ((i, j), (j, k), (k, i)):
-            e = (a, b) if a < b else (b, a)
+        for a, b, e in zip((i, j, k), (j, k, i), mesh.triangle_edges[t]):
             incident = [
                 x for x in mesh.edge_triangles[e] if x in region.triangles
             ]
@@ -125,14 +123,8 @@ def region_union_polygon(region: Region) -> Polygon:
                         f"union boundary pinches at vertex {a}"
                     )
                 boundary[a] = b
-                count += 1
-    start = min(boundary)
-    ring = [start]
-    nxt = boundary[start]
-    while nxt != start:
-        ring.append(nxt)
-        nxt = boundary[nxt]
-    if len(ring) != count:
+    ring = _trace_cycle(boundary)
+    if len(ring) != len(boundary):
         raise RegionTraceError("union of triangles has a hole")
     return Polygon([mesh.site_set[v] for v in ring])
 
@@ -202,11 +194,11 @@ def audit_delaunay_characterizations(mesh: Mesh) -> list[RelationReport]:
     """
     reports = []
     sites = mesh.site_set
+    walls = {e: is_delaunay_edge(*e, mesh) for e in mesh.edges}
     for t_idx, tri in enumerate(mesh.triangles):
-        p, q, r = tri.indices
         empty_circle = is_delaunay_triangle(tri, sites)
         center = circumcenter(*mesh.triangle_points(tri))
-        radius2 = squared_distance(center, sites[p])
+        radius2 = squared_distance(center, sites[tri.v0])
         dual_vertex = all(
             squared_distance(center, sites[s]) >= radius2
             for s in range(len(sites))
@@ -220,10 +212,7 @@ def audit_delaunay_characterizations(mesh: Mesh) -> list[RelationReport]:
             dual_vertex = dual_vertex and in_cells
         else:
             note = "circumcenter outside clip box; cell cross-check skipped"
-        shared_walls = all(
-            is_delaunay_edge(a, b, mesh)
-            for a, b in ((p, q), (q, r), (p, r))
-        )
+        shared_walls = all(walls[e] for e in mesh.triangle_edges[t_idx])
         convex = is_convex_polygon(Polygon(mesh.triangle_points(tri)))
         agree = (empty_circle == dual_vertex == shared_walls) and convex
         reports.append(

@@ -7,8 +7,8 @@ constraint does not block visibility: the blocking test is
 interior-disjointness, not empty intersection, and the audit reports
 pairs where the two readings would differ. Sites and constraint ends
 are indices into the `SiteSet`, whose lattice `between` and `overlap`
-decide every segment test; the audit's sample points are the
-independent Fraction check.
+decide every segment test; the audit's sample points and its
+Fraction test of each constraint are the independent check.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .complexes import RelationReport
-from .geometry import Point2, squared_distance
+from .geometry import Point2
 from .mesh import SiteSet
 
 
@@ -125,13 +125,35 @@ def _visible_pair_violation(
     for t in _sample_parameters(p, q, sites, online):
         x = Point2(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t)
         for s in online:
-            if squared_distance(x, sites[s]) == 0:
+            if x == sites[s]:
                 return ("site_in_open_segment", s)
     key = (p, q) if p < q else (q, p)
     for pair in sorted(constraints.pairs):
-        if pair != key and sites.overlap(p, q, *pair):
+        if pair != key and _interiors_meet(a, b, *(sites[v] for v in pair)):
             return ("constraint_interior_contact", pair)
     return None
+
+
+def _interiors_meet(a: Point2, b: Point2, c: Point2, d: Point2) -> bool:
+    """Segments ab and cd share a point interior to both, in Fractions.
+
+    Off one line, Cramer's rule solves a + t(b - a) = c + u(d - c) and
+    both parameters must lie in (0, 1). On one line, c and d have
+    parameters along ab, and their interval must overlap (0, 1) for a
+    positive length.
+    """
+    rx, ry, sx, sy = b.x - a.x, b.y - a.y, d.x - c.x, d.y - c.y
+    wx, wy = c.x - a.x, c.y - a.y
+    den = rx * sy - ry * sx
+    if den:
+        t, u = (wx * sy - wy * sx) / den, (wx * ry - wy * rx) / den
+        return 0 < t < 1 and 0 < u < 1
+    if wx * ry - wy * rx:
+        return False  # parallel lines
+    rr = rx * rx + ry * ry
+    tc = (wx * rx + wy * ry) / rr
+    td = ((d.x - a.x) * rx + (d.y - a.y) * ry) / rr
+    return max(0, min(tc, td)) < min(1, max(tc, td))
 
 
 def _sample_parameters(

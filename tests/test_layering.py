@@ -82,3 +82,28 @@ def test_the_rule_finds_per_call_predicates():
               "d = sites.incircle(0, 1, 2, 3)\ne = self.orient(0, 1, 2)\n"
               "f = orient2d\n")
     assert per_call_predicate_calls(source) == [4, 5, 6]
+
+
+def edges_calls(source: str) -> list[int]:
+    """Lines that call an `edges` method."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "edges"]
+
+
+@pytest.mark.parametrize(
+    "module",
+    sorted(p.name for p in SRC.glob("*.py") if p.name != "mesh.py"),
+)
+def test_triangle_edges_come_from_the_mesh(module):
+    # `Mesh` takes each triangle's `Triangle.edges()` once, as
+    # `Mesh.triangle_edges`; every other module reads that table.
+    assert edges_calls((SRC / module).read_text()) == []
+
+
+def test_the_rule_finds_edges_calls():
+    source = ("a = tri.edges()\nb = mesh.edges\n"
+              "c = mesh.triangles[t].edges()\nd = sorted(sub.edges)\n"
+              "e = edges(t)\n")
+    assert edges_calls(source) == [1, 3]

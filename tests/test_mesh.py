@@ -203,6 +203,35 @@ class TestSiteSet:
         assert box.xmin == -1 and box.xmax == 11
         assert box.ymin == -1 and box.ymax == 11
 
+    @pytest.mark.parametrize("read", ["clip_box", "circumcenters", "voronoi"])
+    def test_circumcenters_wait_for_a_reader(self, read):
+        mesh = triangulate(random_sites(2, 12))
+        assert mesh.triangle_neighbors and mesh.edge_triangles
+        assert mesh._circumcenters is None
+        getattr(mesh, read)
+        assert mesh._circumcenters is not None
+        assert mesh.clip_box is mesh.clip_box
+
+    @pytest.mark.parametrize("name, box", [
+        ("fan", (Fraction(-2, 5), Fraction(-9, 5), Fraction(22, 5),
+                 Fraction(33, 10))),
+        ("grid", (Fraction(-3, 10),) * 2 + (Fraction(33, 10),) * 2),
+    ])
+    def test_derived_box(self, name, box, request):
+        # The sites' extent and every circumcenter, widened by a tenth of
+        # the sites' extent on each side.
+        mesh = request.getfixturevalue(f"{name}_mesh")
+        centers = [circumcenter(*mesh.triangle_points(t))
+                   for t in mesh.triangles]
+        xs = [p.x for p in mesh.sites]
+        ys = [p.y for p in mesh.sites]
+        mx, my = (max(xs) - min(xs)) / 10, (max(ys) - min(ys)) / 10
+        xs += [u.x for u in centers]
+        ys += [u.y for u in centers]
+        expected = Rect(min(xs) - mx, min(ys) - my, max(xs) + mx,
+                        max(ys) + my)
+        assert mesh.clip_box == expected == Rect(*box)
+
 
 class TestTriangulate:
     def test_fan_matches_brute_force(self, fan_mesh):
@@ -412,6 +441,13 @@ class TestTriangleNeighbors:
                 )
                 assert mesh.triangle_neighbors[t] == expected
                 assert all(t in mesh.triangle_neighbors[u] for u in expected)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_triangle_edges_taken_once(self, seed, grid_mesh):
+        for mesh in (grid_mesh, triangulate(random_sites(seed, 20))):
+            assert len(mesh.triangle_edges) == len(mesh.triangles)
+            for t, tri in enumerate(mesh.triangles):
+                assert mesh.triangle_edges[t] == tri.edges()
 
 
 class TestIsDelaunayTriangle:

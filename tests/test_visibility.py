@@ -172,6 +172,25 @@ class TestAuditSegmentVisibility:
         assert "(2, 3)" in notes[("site 0", "site 1")]
         assert all(r.verdict for r in reports)
 
+    @pytest.mark.parametrize("pts", [
+        [P(0, 0), P(4, 0), P(2, 3), P(2, -3)],  # the constraint crosses
+        [P(0, 0), P(4, 0), P(-1, 0), P(5, 0), P(2, 3)],  # it covers 01
+    ])
+    def test_constraint_contact_checked_on_its_own_route(self, pts,
+                                                         monkeypatch):
+        # With the lattice's `overlap` blind, segment 01 passes as visible
+        # through constraint 23; the audit's own test must still see it.
+        ss = SiteSet(pts)
+        monkeypatch.setattr(SiteSet, "overlap", lambda self, *idx: False)
+        reports = audit_segment_visibility(
+            ss, ConstraintSet.of([(2, 3)]), 50, seed=3
+        )
+        report = {r.operands: r for r in reports}[("site 0", "site 1")]
+        assert not report.verdict
+        assert report.counterexample == (
+            "constraint_interior_contact", (2, 3)
+        )
+
     def test_constraint_validation(self):
         ss = SiteSet([P(0, 0), P(4, 0), P(2, 3)])
         with pytest.raises(ValueError):
