@@ -151,12 +151,6 @@ def circumcenter(a: Point2, b: Point2, c: Point2) -> Point2:
     return Point2(ux, uy)
 
 
-def squared_distance(p: Point2, q: Point2) -> Fraction:
-    dx = p.x - q.x
-    dy = p.y - q.y
-    return dx * dx + dy * dy
-
-
 def convex_hull(points: Iterable[Point2]) -> Polygon:
     """Counterclockwise strict convex hull (collinear boundary points
     excluded), by a monotone chain on the points' lattice."""

@@ -2,7 +2,9 @@
 
 A `SiteSet` is the `rational.Lattice` of its sites: every orientation,
 incircle and circumcenter on sites runs on their integer coordinates, by
-site index.
+site index. `is_delaunay_triangle` tests the empty circle only on the
+sites of the lattice's `slab` about the circumcenter, those whose x lies
+within the circle's x-range.
 
 Triangulation is incremental Bowyer-Watson, inserting sites in input
 order. The hull edges carry ghost triangles through one vertex at
@@ -129,8 +131,10 @@ class SiteSet(Lattice):
     def circumcenter(self, i: int, j: int, k: int) -> Point2:
         """`geometry.circumcenter` of the non-collinear sites i, j, k.
 
-        The Delaunay-characterization audit keeps `geometry.circumcenter`,
-        on Fraction arithmetic, as a route independent of this one.
+        `is_delaunay_triangle` takes its slab about this center. The
+        Delaunay-characterization audit's dual-vertex route keeps
+        `geometry.circumcenter`, on Fraction arithmetic, as a center
+        independent of this one, and takes its own slab about it.
         """
         s, (ax, ay, bx, by, cx, cy) = self.scaled(i, j, k)
         bx, by, cx, cy = bx - ax, by - ay, cx - ax, cy - ay
@@ -361,10 +365,16 @@ class Mesh:
 
 
 def is_delaunay_triangle(t: Triangle, sites: SiteSet) -> bool:
-    """True when no site lies strictly inside the triangle's circumcircle."""
+    """True when no site lies strictly inside the triangle's circumcircle.
+
+    Only a site in the circle's x-slab can, so the lattice `incircle`
+    tests the sites of `SiteSet.slab` about `SiteSet.circumcenter`, all
+    of them on own scales. No mesh adjacency is read.
+    """
+    i, j, k = t.indices
     return all(
-        sites.incircle(*t.indices, s) <= 0
-        for s in range(len(sites))
+        sites.incircle(i, j, k, s) <= 0
+        for s in sites.slab(sites.circumcenter(i, j, k), i)
         if s not in t.indices
     )
 

@@ -10,6 +10,10 @@ call (`scaled_ints`); no library module calls them. A `Lattice` rescales
 a whole point set once, to one shared scale where that stays narrow, and
 is the one place that knows which: its `orient`, `incircle`, `key`,
 `between`, `overlap`, `crossings` and `area2` decide by point index.
+On a shared scale, `slab` finds the points within a circle's x-range
+on an x-order of the lattice, built on first use, and `nearer` compares
+squared distances to a rational center as integers; on own scales they
+fall back to every point and to Fraction distances.
 `mesh.SiteSet` is a lattice of its sites, `geometry.Polygon` of its
 vertices, and `geometry.clip_halfplane`, `geometry.convex_hull` and
 `mesh.is_delaunay_edge` build one for their points.
@@ -18,6 +22,7 @@ vertices, and `geometry.clip_halfplane`, `geometry.convex_hull` and
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -80,7 +85,7 @@ class Lattice:
     caller asks which of the two rules holds.
     """
 
-    __slots__ = ("points", "scale", "scales", "lattice")
+    __slots__ = ("points", "scale", "scales", "lattice", "_by_x")
 
     def __init__(self, points: Iterable) -> None:
         """Scale `points`, each with Fraction coordinates `x` and `y`."""
@@ -102,6 +107,7 @@ class Lattice:
         self.scale = shared
         self.scales = tuple(own) if shared is None else (shared,) * len(own)
         self.lattice = tuple(map(_on_scale, points, self.scales))
+        self._by_x = None
 
     def joined(self, p) -> Lattice:
         """These points and p after them. p keeps its own scale beside
@@ -111,6 +117,7 @@ class Lattice:
         w = math.lcm(p.x.denominator, p.y.denominator)
         out = Lattice.__new__(Lattice)
         out.points = (*self.points, p)
+        out._by_x = None
         if self.scale is None:
             out.scale = None
             out.scales = (*self.scales, w)
@@ -190,6 +197,53 @@ class Lattice:
         yx = [self.key(i)[::-1] for i in ring]
         upper = [b > a for a, b in zip(yx, yx[1:] + yx[:1])]
         return sum(u != upper[k - 1] for k, u in enumerate(upper))
+
+    def slab(self, center, i: int) -> Sequence[int]:
+        """The points whose x lies in the closed x-range of the circle
+        about `center` through point i; every point on own scales."""
+        if self.scale is None:
+            return range(len(self.points))
+        q, u, _, r2 = self._circle(center, i)
+        return self._x_range(q, u, r2)
+
+    def nearer(self, center, i: int) -> list[int]:
+        """The points strictly nearer to `center` than point i. A shared
+        scale compares the squared distances of the `slab`'s points as
+        integers; own scales compare every point's as Fractions."""
+        if self.scale is None:
+            def d2(p):
+                return (p.x - center.x) ** 2 + (p.y - center.y) ** 2
+            r2 = d2(self.points[i])
+            return [k for k, p in enumerate(self.points) if d2(p) < r2]
+        q, u, v, r2 = self._circle(center, i)
+        lattice = self.lattice
+        return [
+            k for k in self._x_range(q, u, r2)
+            if (lattice[k][0] * q - u) ** 2 + (lattice[k][1] * q - v) ** 2 < r2
+        ]
+
+    def _circle(self, center, i: int) -> tuple[int, int, int, int]:
+        """q, the lcm of the center's denominators; the center's
+        coordinates as integers over the shared scale s times q; and the
+        squared distance of point i from it, over (s·q)²."""
+        q = math.lcm(center.x.denominator, center.y.denominator)
+        u, v = (c * self.scale for c in _on_scale(center, q))
+        x, y = self.lattice[i]
+        return q, u, v, (x * q - u) ** 2 + (y * q - v) ** 2
+
+    def _x_range(self, q: int, u: int, r2: int) -> list[int]:
+        """The points whose x, as an integer over s·q, lies within the
+        square root of r2 of u. Those offsets are integers, so that root's
+        floor, `math.isqrt`, bounds them exactly. The lattice's x-order is
+        sorted on first use."""
+        if self._by_x is None:
+            order = sorted(range(len(self.lattice)),
+                           key=lambda k: self.lattice[k][0])
+            self._by_x = [self.lattice[k][0] for k in order], order
+        xs, order = self._by_x
+        r = math.isqrt(r2)
+        return order[bisect_left(xs, -((r - u) // q)):
+                     bisect_right(xs, (u + r) // q)]
 
     def area2(self, ring: Iterable[int]) -> Fraction:
         """Twice the signed area of the ring of point indices."""

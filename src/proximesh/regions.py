@@ -24,7 +24,6 @@ from .geometry import (
     Polygon,
     circumcenter,
     is_convex_polygon,
-    squared_distance,
 )
 from .mesh import Mesh, _trace_cycle, is_delaunay_edge, is_delaunay_triangle
 
@@ -191,19 +190,23 @@ def audit_delaunay_characterizations(mesh: Mesh) -> list[RelationReport]:
     inside the clip box; (3) the three sites' cells pairwise share
     positive-length boundary; (4) the triangle is a convex polygon. A
     report's verdict is True when 1-3 agree and 4 holds.
+
+    Routes 1 and 2 read no mesh adjacency. Route 1 is
+    `is_delaunay_triangle`, about the lattice circumcenter. Route 2
+    takes `geometry.circumcenter` in Fraction arithmetic as its own
+    center, and asks the site set which sites of that center's slab
+    are `nearer` than the triangle's first site: by integer distances
+    where the sites share one scale. The two share only the sites'
+    x-order.
     """
     reports = []
     sites = mesh.site_set
     walls = {e: is_delaunay_edge(*e, mesh) for e in mesh.edges}
     for t_idx, tri in enumerate(mesh.triangles):
         empty_circle = is_delaunay_triangle(tri, sites)
-        center = circumcenter(*mesh.triangle_points(tri))
-        radius2 = squared_distance(center, sites[tri.v0])
-        dual_vertex = all(
-            squared_distance(center, sites[s]) >= radius2
-            for s in range(len(sites))
-            if s not in tri.indices
-        )
+        points = mesh.triangle_points(tri)
+        center = circumcenter(*points)
+        dual_vertex = all(s in tri for s in sites.nearer(center, tri.v0))
         note = ""
         if mesh.clip_box.contains(center):
             in_cells = all(
@@ -213,7 +216,7 @@ def audit_delaunay_characterizations(mesh: Mesh) -> list[RelationReport]:
         else:
             note = "circumcenter outside clip box; cell cross-check skipped"
         shared_walls = all(walls[e] for e in mesh.triangle_edges[t_idx])
-        convex = is_convex_polygon(Polygon(mesh.triangle_points(tri)))
+        convex = is_convex_polygon(Polygon(points))
         agree = (empty_circle == dual_vertex == shared_walls) and convex
         reports.append(
             RelationReport(

@@ -11,7 +11,10 @@ traced areas, polygon convexity is decided by every edge's supporting
 line instead of by turns and half-plane crossings, and the hull-boundary,
 visibility and segment oracles find points on a segment, and segments
 that overlap, by cross and dot products instead of orientation and
-span tests.
+span tests. The Delaunay-characterization audit's two global routes,
+empty circle and dual vertex, test only the sites of an x-slab; their
+references here take an incircle test and a Fraction squared distance
+for every site.
 """
 
 from fractions import Fraction
@@ -76,6 +79,27 @@ def _empty_circumcircle(points, i, j, k):
     return True
 
 
+def all_sites_empty_circle(t, sites):
+    """No site lies strictly inside the circumcircle of the
+    counterclockwise triangle t: one lattice incircle per site."""
+    return all(
+        sites.incircle(*t.indices, s) <= 0
+        for s in range(len(sites))
+        if s not in t.indices
+    )
+
+
+def all_sites_dual_vertex(center, t, sites):
+    """No site other than t's is strictly nearer to `center` than t's
+    first vertex, by Fraction squared distances to every site."""
+    radius2 = squared_distance(center, sites[t.v0])
+    return all(
+        squared_distance(center, sites[s]) >= radius2
+        for s in range(len(sites))
+        if s not in t.indices
+    )
+
+
 def _separated(t, u):
     """Some edge line of one counterclockwise triangle has the whole
     other triangle on its closed outer side (separating axis test)."""
@@ -133,18 +157,18 @@ def all_sites_voronoi(sites, box):
     for i, p in enumerate(sites):
         order = sorted(
             (j for j in range(len(sites)) if j != i),
-            key=lambda j: (_squared_distance(p, sites[j]), j),
+            key=lambda j: (squared_distance(p, sites[j]), j),
         )
         verts = box.corners()
-        reach = max(_squared_distance(p, v) for v in verts)
+        reach = max(squared_distance(p, v) for v in verts)
         for j in order:
-            if _squared_distance(p, sites[j]) > 4 * reach:
+            if squared_distance(p, sites[j]) > 4 * reach:
                 break
             q = sites[j]
             mid = Point2((p.x + q.x) / 2, (p.y + q.y) / 2)
             along = Point2(mid.x - (q.y - p.y), mid.y + (q.x - p.x))
             verts = fraction_clip_halfplane(verts, mid, along)
-            reach = max(_squared_distance(p, v) for v in verts)
+            reach = max(squared_distance(p, v) for v in verts)
         cell = Polygon(verts)
         clipped = on_hull(p) or any(
             box.on_boundary(v) for v in cell.vertices
@@ -232,7 +256,8 @@ def fraction_polygon(verts):
     return tuple(ring), abs(area2) / 2, convex
 
 
-def _squared_distance(p, q):
+def squared_distance(p, q):
+    """|p - q|^2 in Fraction arithmetic."""
     dx, dy = _sub(p, q)
     return dx * dx + dy * dy
 

@@ -11,6 +11,7 @@ from oracles import (
     fraction_polygon,
     segment_contains,
     segments_overlap,
+    squared_distance,
 )
 from test_mesh import _on_unit_circle, own_denominator_sites
 from proximesh.geometry import (
@@ -23,7 +24,6 @@ from proximesh.geometry import (
     incircle,
     is_convex_polygon,
     orient2d,
-    squared_distance,
 )
 from proximesh.rational import Lattice
 

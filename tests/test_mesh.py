@@ -5,13 +5,16 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    all_sites_dual_vertex,
+    all_sites_empty_circle,
     all_sites_voronoi,
     brute_force_delaunay,
     is_delaunay_triangulation,
+    squared_distance,
 )
 import proximesh.geometry as geometry_module
 import proximesh.mesh as mesh_module
@@ -22,7 +25,6 @@ from proximesh.geometry import (
     incircle,
     is_convex_polygon,
     orient2d,
-    squared_distance,
 )
 from proximesh.harness import generate_sites
 from proximesh.mesh import (
@@ -450,6 +452,70 @@ class TestTriangleNeighbors:
                 assert mesh.triangle_edges[t] == tri.edges()
 
 
+# The twelve lattice points at distance 5 from the origin.
+_RADIUS_5 = [(x, y) for x in range(-5, 6) for y in range(-5, 6)
+             if x * x + y * y == 25]
+
+
+@st.composite
+def shared_scale_slab_cases(draw):
+    """Grid sites over one unit, the first of them on a radius-5 circle,
+    whose x-extremes are exact slab edges; and three of them, from the
+    circle or from anywhere."""
+    unit = draw(st.sampled_from(
+        [Fraction(1), Fraction(1, 3), Fraction(2, 7), Fraction(1, 10**20)]
+    ))
+    a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+    ring = [(a + x, b + y) for x, y in draw(
+        st.lists(st.sampled_from(_RADIUS_5), unique=True, max_size=6))]
+    grid = draw(st.lists(st.tuples(st.integers(-8, 8), st.integers(-8, 8)),
+                         max_size=10))
+    pts = list(dict.fromkeys(ring + grid))
+    pool = range(len(ring) if len(ring) >= 3 and draw(st.booleans())
+                 else len(pts))
+    assume(len(pool) >= 3)
+    triple = draw(st.lists(st.sampled_from(pool), min_size=3, max_size=3,
+                           unique=True))
+    return [P(x * unit, y * unit) for x, y in pts], tuple(triple)
+
+
+@st.composite
+def own_scale_slab_cases(draw):
+    """Sites over unrelated 20-digit denominators, or those moved onto
+    the unit circle beside its x-extremes (1, 0) and (-1, 0); and three
+    of them."""
+    sites = own_denominator_sites(draw(st.integers(0, 2**32)),
+                                  draw(st.integers(8, 12)), 20)
+    if draw(st.booleans()):
+        sites = [P(1, 0), P(-1, 0)] + [_on_unit_circle(6 * p.x - 3)
+                                       for p in sites]
+    triple = draw(st.lists(st.integers(0, len(sites) - 1), min_size=3,
+                           max_size=3, unique=True))
+    return sites, tuple(triple)
+
+
+def _assert_slab_routes_match_all_sites(sites, triple):
+    assume(orient2d(*(sites[v] for v in triple)) != 0)
+    site_set = SiteSet(sites)
+    t = make_triangle(*triple, site_set)
+    center = circumcenter(*(sites[v] for v in t.indices))
+    r2 = squared_distance(center, sites[t.v0])
+    slab = set(site_set.slab(center, t.v0))
+    if site_set.scale is None:
+        assert slab == set(range(len(sites)))
+    else:
+        assert slab == {k for k, p in enumerate(sites)
+                        if (p.x - center.x) ** 2 <= r2}
+    nearer = site_set.nearer(center, t.v0)
+    assert sorted(nearer) == [k for k, p in enumerate(sites)
+                              if squared_distance(center, p) < r2]
+    assert is_delaunay_triangle(t, site_set) == all_sites_empty_circle(
+        t, site_set)
+    # The audit's dual-vertex route.
+    assert all(s in t for s in nearer) == all_sites_dual_vertex(
+        center, t, site_set)
+
+
 class TestIsDelaunayTriangle:
     def test_blocked_by_interior_site(self, fan_mesh):
         big = make_triangle(0, 1, 2, fan_mesh.site_set)
@@ -458,6 +524,25 @@ class TestIsDelaunayTriangle:
     def test_single(self, single_triangle_mesh):
         t = single_triangle_mesh.triangles[0]
         assert is_delaunay_triangle(t, single_triangle_mesh.site_set)
+
+    # The circumcircle of (0, 0), (5, 0), (0, 2) spans x in [-0.19, 5.19],
+    # so its slab is x in [0, 5]. The fourth site, inside the circle, is in
+    # the slab's last column, then its first. The last example's triangle
+    # is the top, left and bottom of a circle whose right end is a site.
+    @example(([P(0, 0), P(5, 0), P(0, 2), P(5, 1)], (0, 1, 2)))
+    @example(([P(0, 0), P(5, 0), P(0, 2), P(0, 1)], (0, 1, 2)))
+    @example(([P(0, 5), P(-5, 0), P(0, -5), P(5, 0), P(1, 1)], (0, 1, 2)))
+    @settings(max_examples=200, deadline=None)
+    @given(shared_scale_slab_cases())
+    def test_shared_scale_slab_routes_match_all_sites(self, case):
+        _assert_slab_routes_match_all_sites(*case)
+
+    @settings(max_examples=40, deadline=None)
+    @given(own_scale_slab_cases())
+    def test_own_scale_slab_routes_match_all_sites(self, case):
+        sites, triple = case
+        assert SiteSet(sites).scale is None
+        _assert_slab_routes_match_all_sites(sites, triple)
 
 
 class TestIsDelaunayEdge:

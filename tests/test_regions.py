@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+import proximesh.geometry as geometry_module
+import proximesh.regions as regions_module
 from oracles import sampling_convexity_oracle
 from proximesh.complexes import SubComplex, closure
 from proximesh.geometry import Point2, Polygon, circumcenter
@@ -315,6 +317,51 @@ class TestDelaunayCharacterizationsAudit:
             assert all(
                 r.verdict for r in audit_delaunay_characterizations(mesh)
             )
+
+    def test_each_route_runs_once_per_triangle(self, monkeypatch):
+        # The empty-circle route and the Fraction circumcenter each run
+        # once per triangle, and the dual-vertex route takes its distances
+        # from that Fraction center, not from the lattice's circumcenter.
+        rng = random.Random(5)
+        mesh = triangulate(SiteSet(
+            [P(Fraction(rng.random()), Fraction(rng.random()))
+             for _ in range(16)]
+        ))
+        assert regions_module.circumcenter is geometry_module.circumcenter
+        calls = {"is_delaunay_triangle": [], "circumcenter": []}
+        centers = []
+
+        def counted(name):
+            original = getattr(regions_module, name)
+
+            def call(*args):
+                calls[name].append(args)
+                out = original(*args)
+                if name == "circumcenter":
+                    centers.append(out)
+                return out
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(regions_module, name, counted(name))
+        compared = []
+        nearer = SiteSet.nearer
+
+        def recorded(site_set, center, i):
+            compared.append(center)
+            return nearer(site_set, center, i)
+
+        monkeypatch.setattr(SiteSet, "nearer", recorded)
+        reports = audit_delaunay_characterizations(mesh)
+        assert all(r.verdict for r in reports)
+        assert calls["is_delaunay_triangle"] == [
+            (t, mesh.site_set) for t in mesh.triangles
+        ]
+        assert calls["circumcenter"] == [
+            mesh.triangle_points(t) for t in mesh.triangles
+        ]
+        assert len(compared) == len(centers) == len(mesh.triangles)
+        assert all(a is b for a, b in zip(compared, centers))
 
     def test_cocircular_divergence_reported(self, square_mesh):
         # Degenerate quads break the shared-wall route: the tie-break
