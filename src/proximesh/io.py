@@ -143,11 +143,11 @@ def read_mesh(path: PathLike) -> Mesh:
     doc = _load(path, MESH_FORMAT)
     try:
         sites = [
-            Point2(parse_rational(x), parse_rational(y))
-            for x, y in doc["sites"]
+            Point2(*map(parse_rational, _row(row, 2)))
+            for row in doc["sites"]
         ]
         margin = parse_rational(doc["clip_margin"])
-        box = Rect(*(parse_rational(v) for v in doc["clip_box"]))
+        box = Rect(*map(parse_rational, _row(doc["clip_box"], 4)))
         n = len(sites)
         tri_rows = [_index(row, n, arity=3) for row in doc["triangles"]]
     except (KeyError, TypeError, ValueError) as exc:
@@ -159,6 +159,13 @@ def read_mesh(path: PathLike) -> Mesh:
             raise FileFormatError(f"{path}: clip_box does not contain site {i}")
     triangles = [make_triangle(i, j, k, site_set) for i, j, k in tri_rows]
     return Mesh(site_set, triangles, clip_box=box)
+
+
+def _row(value, size: int) -> list:
+    """`value` if it is a JSON list of `size` entries, else an error."""
+    if not (isinstance(value, list) and len(value) == size):
+        raise FileFormatError(f"{value!r} is not a list of {size} coordinates")
+    return value
 
 
 def _index(value, n: int, of: str = "site", arity: int = 0):

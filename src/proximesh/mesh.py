@@ -454,31 +454,22 @@ def _trace_cycle(after: dict[int, int]) -> list[int]:
 
 def is_delaunay_edge(p: int, q: int, mesh: Mesh) -> bool:
     """True when the clipped cells of p and q share a boundary segment of
-    positive length (meeting at a single point does not count).
+    positive length, not just a point: when they share two corners.
 
-    Each cell lies on its own site's side of the p-q bisector, so it
-    meets that line in at most one of its edges; the cells share a wall
-    exactly when those two edges overlap. Each cell's `Polygon` lattice,
-    joined with two points of the bisector, takes one orientation per
-    vertex, and a lattice of the two walls' ends decides their overlap.
+    Let L be the p-q bisector. Both cells are clipped to the same box, so
+    cell p and cell q meet L in the same set. Each lies on its own site's
+    side of L, so a wall is one edge of both, with the same two exact
+    `Point2` ends. A shared corner lies on L, and a normalized convex ring
+    has at most two corners on one line: one shared corner means the cells
+    meet at a point (the cocircular case), and two span a wall.
     """
     if p == q:
         raise MeshError("edge endpoints must differ")
-    sites = mesh.site_set
-    if not (0 <= p < len(sites) and 0 <= q < len(sites)):
+    n = len(mesh.site_set)
+    if not (0 <= p < n and 0 <= q < n):
         raise MeshError(f"site index out of range: {(p, q)}")
-    mid, along = _bisector(sites[p], sites[q])
-    ends = []
-    for site in (p, q):
-        cell = mesh.voronoi[site].cell
-        n = len(cell.vertices)
-        lattice = cell.joined(mid).joined(along)
-        on = [lattice.orient(n, n + 1, k) == 0 for k in range(n)]
-        k = next((k for k in range(n) if on[k] and on[(k + 1) % n]), None)
-        if k is None:
-            return False
-        ends += [cell.vertices[k], cell.vertices[(k + 1) % n]]
-    return Lattice(ends).overlap(0, 1, 2, 3)
+    ring = mesh.voronoi[q].cell.vertices
+    return sum(v in ring for v in mesh.voronoi[p].cell.vertices) >= 2
 
 
 def _edge(i: int, j: int) -> Edge:

@@ -15,8 +15,8 @@ on an x-order of the lattice, built on first use, and `nearer` compares
 squared distances to a rational center as integers; on own scales they
 fall back to every point and to Fraction distances.
 `mesh.SiteSet` is a lattice of its sites, `geometry.Polygon` of its
-vertices, and `geometry.clip_halfplane`, `geometry.convex_hull` and
-`mesh.is_delaunay_edge` build one for their points.
+vertices, and `geometry.clip_halfplane` and `geometry.convex_hull` build
+one for their points.
 """
 
 from __future__ import annotations

@@ -11,10 +11,12 @@ traced areas, polygon convexity is decided by every edge's supporting
 line instead of by turns and half-plane crossings, and the hull-boundary,
 visibility and segment oracles find points on a segment, and segments
 that overlap, by cross and dot products instead of orientation and
-span tests. The Delaunay-characterization audit's two global routes,
-empty circle and dual vertex, test only the sites of an x-slab; their
-references here take an incircle test and a Fraction squared distance
-for every site.
+span tests. The shared-wall oracle finds each cell's edge on the
+bisector by equal squared distances and overlaps the two, where the
+library counts shared cell corners. The Delaunay-characterization
+audit's two global routes, empty circle and dual vertex, test only the
+sites of an x-slab; their references here take an incircle test and a
+Fraction squared distance for every site.
 """
 
 from fractions import Fraction
@@ -280,6 +282,23 @@ def segments_overlap(a, b, c, d):
         return sc * sd < 0 and _cross(f, _sub(a, c)) * _cross(f, _sub(b, c)) < 0
     tc, td = _dot(_sub(c, a), e), _dot(_sub(d, a), e)
     return max(0, min(tc, td)) < min(_dot(e, e), max(tc, td))
+
+
+def bisector_wall_overlap(p, q, mesh):
+    """The clipped cells of sites p and q share a boundary segment of
+    positive length: each cell has an edge with both ends on the p-q
+    bisector, and the two edges overlap. A corner is on the bisector
+    when its Fraction squared distances to p and q are equal."""
+    a, b = mesh.sites[p], mesh.sites[q]
+    walls = []
+    for site in (p, q):
+        ring = mesh.voronoi[site].cell.vertices
+        on = [squared_distance(v, a) == squared_distance(v, b) for v in ring]
+        k = next((k for k in range(len(ring)) if on[k - 1] and on[k]), None)
+        if k is None:
+            return False
+        walls += [ring[k - 1], ring[k]]
+    return segments_overlap(*walls)
 
 
 def collinear_visible(p, q, sites):

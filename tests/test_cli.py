@@ -361,6 +361,56 @@ class TestJsonNumberCoordinates:
         assert not (tmp_path / "x.svg").exists()
 
 
+class TestMalformedMeshRows:
+    """A site row or clip box that is not a JSON list of 2 or 4
+    coordinates is a malformed mesh: a string, or an object's keys,
+    would unpack as one-digit numbers."""
+
+    @staticmethod
+    def _doc():
+        return {
+            "format": io.MESH_FORMAT,
+            "sites": [["0", "0"], ["4", "0"], ["0", "4"], ["4", "4"],
+                      ["2", "0"]],
+            "triangles": [[0, 4, 2], [1, 3, 4], [2, 4, 3]],
+            "clip_margin": "1/10",
+            "clip_box": ["0", "0", "5", "5"],
+        }
+
+    def test_valid_rows_pass(self, tmp_path, capsys):
+        mesh_file = tmp_path / "mesh.json"
+        mesh_file.write_text(json.dumps(self._doc()))
+        assert main(["check", "--suite", "thm36", "--mesh",
+                     str(mesh_file)]) == 0
+        assert "pass=3 fail=0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("sites", ["00", "40", "04", "44", "20"]),
+            ("sites", [["0", "0"], ["4", "0"], ["0", "4"], ["4", "4"],
+                       {"2": "x", "0": "y"}]),
+            ("sites", [["0", "0"], ["4", "0"], ["0", "4"], ["4", "4"],
+                       ["2", "0", "0"]]),
+            ("clip_box", "0055"),
+            ("clip_box", ["0", "0", "5"]),
+        ],
+        ids=["string-sites", "object-site", "three-entry-site",
+             "string-box", "three-entry-box"],
+    )
+    def test_exit_two_with_one_error_line(self, tmp_path, capsys, field,
+                                          value):
+        doc = self._doc()
+        doc[field] = value
+        mesh_file = tmp_path / "mesh.json"
+        mesh_file.write_text(json.dumps(doc))
+        assert main(["check", "--suite", "thm36", "--mesh",
+                     str(mesh_file)]) == 2
+        line = _one_error_line(capsys.readouterr())
+        assert f"{mesh_file}: malformed mesh document" in line
+        assert "is not a list of" in line
+
+
 class TestDeeplyNestedJson:
     @pytest.mark.parametrize("target", ["mesh", "subcomplex"])
     def test_exit_two_with_one_error_line(self, workspace, capsys, target):

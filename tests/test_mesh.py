@@ -12,6 +12,7 @@ from oracles import (
     all_sites_dual_vertex,
     all_sites_empty_circle,
     all_sites_voronoi,
+    bisector_wall_overlap,
     brute_force_delaunay,
     is_delaunay_triangulation,
     squared_distance,
@@ -327,6 +328,14 @@ lattice_sites = st.lists(
 ).map(lambda pts: [P(x, y) for x, y in pts])
 
 
+def _assume_not_collinear(sites):
+    a, b = sites[:2]
+    assume(any(
+        (b.x - a.x) * (c.y - a.y) != (b.y - a.y) * (c.x - a.x)
+        for c in sites[2:]
+    ))
+
+
 class TestExactPass:
     def test_flat_hull_matches_brute_force(self):
         mesh = triangulate(SiteSet(FLAT_HULL))
@@ -370,11 +379,7 @@ class TestExactPass:
     @settings(max_examples=60, deadline=None)
     @given(lattice_sites)
     def test_lattice_sites_match_global_oracle(self, sites):
-        a, b = sites[:2]
-        assume(any(
-            (b.x - a.x) * (c.y - a.y) != (b.y - a.y) * (c.x - a.x)
-            for c in sites[2:]
-        ))
+        _assume_not_collinear(sites)
         mesh = triangulate(SiteSet(sites))
         assert is_delaunay_triangulation(sites, _indices(mesh))
         assert _indices(triangulate(SiteSet(sites))) == _indices(mesh)
@@ -545,6 +550,31 @@ class TestIsDelaunayTriangle:
         _assert_slab_routes_match_all_sites(sites, triple)
 
 
+@st.composite
+def wall_meshes(draw):
+    """A mesh over shared-scale lattice sites, whose unit squares are
+    cocircular, or over sites with unrelated 20-digit denominators, on
+    one circle or not; its clip box derived, or loaded as the sites'
+    extent, which passes through hull sites."""
+    if draw(st.booleans()):
+        sites = draw(lattice_sites)
+        _assume_not_collinear(sites)
+    else:
+        sites = own_denominator_sites(draw(st.integers(0, 2**32)),
+                                      draw(st.integers(4, 9)), 20)
+        if draw(st.booleans()):
+            sites = [_on_unit_circle(6 * p.x - 3) for p in sites]
+    mesh = triangulate(SiteSet(sites))
+    return _in_extent_box(mesh) if draw(st.booleans()) else mesh
+
+
+def _in_extent_box(mesh):
+    """The mesh loaded with the sites' extent as its clip box."""
+    xs, ys = [p.x for p in mesh.sites], [p.y for p in mesh.sites]
+    box = Rect(min(xs), min(ys), max(xs), max(ys))
+    return Mesh(mesh.site_set, mesh.triangles, clip_box=box)
+
+
 class TestIsDelaunayEdge:
     def test_fan_every_pair_is_edge(self, fan_mesh):
         for p in range(4):
@@ -580,6 +610,28 @@ class TestIsDelaunayEdge:
     def test_same_index_rejected(self, fan_mesh):
         with pytest.raises(MeshError):
             is_delaunay_edge(2, 2, fan_mesh)
+
+    def test_index_out_of_range_rejected(self, fan_mesh):
+        # Python would read cell -1 as the last site's.
+        for bad in (-1, len(fan_mesh.sites)):
+            for p, q in ((bad, 0), (0, bad)):
+                with pytest.raises(MeshError, match="out of range"):
+                    is_delaunay_edge(p, q, fan_mesh)
+
+    # A 3x3 grid in a box through its hull sites: its four cocircular
+    # squares meet the corner test's one-corner case.
+    @example(_in_extent_box(triangulate(
+        SiteSet([P(i, j) for j in range(3) for i in range(3)]))))
+    @settings(max_examples=60, deadline=None)
+    @given(wall_meshes())
+    def test_shared_corners_match_bisector_overlap(self, mesh):
+        n = len(mesh.sites)
+        for p in range(n):
+            for q in range(n):
+                if p != q:
+                    assert is_delaunay_edge(p, q, mesh) == (
+                        bisector_wall_overlap(p, q, mesh)
+                    ), (p, q)
 
 
 class TestTrianglesSharingEdge:

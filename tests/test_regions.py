@@ -322,13 +322,15 @@ class TestDelaunayCharacterizationsAudit:
         # The empty-circle route and the Fraction circumcenter each run
         # once per triangle, and the dual-vertex route takes its distances
         # from that Fraction center, not from the lattice's circumcenter.
+        # Each edge's wall is decided once, for all triangles on it.
         rng = random.Random(5)
         mesh = triangulate(SiteSet(
             [P(Fraction(rng.random()), Fraction(rng.random()))
              for _ in range(16)]
         ))
         assert regions_module.circumcenter is geometry_module.circumcenter
-        calls = {"is_delaunay_triangle": [], "circumcenter": []}
+        calls = {"is_delaunay_triangle": [], "circumcenter": [],
+                 "is_delaunay_edge": []}
         centers = []
 
         def counted(name):
@@ -360,6 +362,7 @@ class TestDelaunayCharacterizationsAudit:
         assert calls["circumcenter"] == [
             mesh.triangle_points(t) for t in mesh.triangles
         ]
+        assert calls["is_delaunay_edge"] == [(*e, mesh) for e in mesh.edges]
         assert len(compared) == len(centers) == len(mesh.triangles)
         assert all(a is b for a, b in zip(compared, centers))
 
