@@ -2,9 +2,14 @@
 
 Points carry arbitrary-precision rational coordinates, every predicate
 in this module decides its sign exactly, and no function here returns a
-float. A `Polygon`, and the points of one `convex_hull` or
-`clip_halfplane` call, are scaled once to a `rational.Lattice`, which
-takes every sign on them by point index, segment tests included.
+float. A `Polygon`, and the points of one `convex_hull` call, are scaled
+once to a `rational.Lattice`, which takes every sign on them by point
+index, segment tests included. A polygon given its vertices as corners,
+homogeneous integer triples (X, Y, W), takes its signs on those.
+`clip_halfplane` cuts a ring of corners, each with the integer line of
+its edge, by a line: each crossing is the cross product of two lines, so
+corners do not widen from clip to clip, and no Fraction is made. `Rect`,
+the Voronoi clip box, gives the first such ring.
 `orient2d` and `incircle` scale their points to integers per call and
 run `rational`'s integer kernels; they serve callers outside the
 library, which takes all its signs on lattices.
@@ -12,13 +17,19 @@ library, which takes all its signs on lattices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
-from .rational import Lattice, _incircle, _orient, scaled_ints
+from .rational import Lattice, _cross, _incircle, _orient, scaled_ints
 
 Coord = Union[Fraction, int, str]
+# The point (X/W, Y/W) as the integers (X, Y, W), W > 0.
+Corner = tuple[int, int, int]
+# The line a·X + b·Y + c·W = 0 as the integers (a, b, c); its positive
+# side is where a·X + b·Y + c·W > 0.
+Line = tuple[int, int, int]
 
 
 class DegenerateInputError(ValueError):
@@ -34,13 +45,16 @@ class Point2:
     y: Fraction
 
     def __init__(self, x: Coord, y: Coord) -> None:
-        try:
-            object.__setattr__(self, "x", Fraction(x))
-            object.__setattr__(self, "y", Fraction(y))
-        except (ValueError, OverflowError) as exc:
-            raise DegenerateInputError(
-                f"coordinates must be finite rationals: ({x!r}, {y!r})"
-            ) from exc
+        # A Fraction is kept as given; anything else is parsed.
+        if type(x) is not Fraction or type(y) is not Fraction:
+            try:
+                x, y = Fraction(x), Fraction(y)
+            except (ValueError, OverflowError) as exc:
+                raise DegenerateInputError(
+                    f"coordinates must be finite rationals: ({x!r}, {y!r})"
+                ) from exc
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
     def __repr__(self) -> str:
         return f"Point2({self.x}, {self.y})"
@@ -55,16 +69,21 @@ class Polygon(Lattice):
     sets compare equal.
 
     The polygon is the `rational.Lattice` of its vertices, kept in ring
-    order, and decides every sign by vertex index with the lattice's
-    `orient`, `key`, `crossings` and `area2`.
+    order, and decides every sign and order by vertex index with the
+    lattice's `orient`, `compare`, `crossings` and `area2`. Given
+    `corners`, vertex i's integer triple (X, Y, W) as corner i, the
+    lattice holds each vertex on its own W, and no lcm is taken.
     """
 
     __slots__ = ("vertices", "_convex")
 
-    def __init__(self, vertices: Sequence[Point2]) -> None:
-        verts = _dedupe_cyclic(list(vertices))
-        super().__init__(verts)
-        ring = list(range(len(verts)))
+    def __init__(
+        self,
+        vertices: Sequence[Point2],
+        corners: Optional[Sequence[Corner]] = None,
+    ) -> None:
+        super().__init__(vertices, corners)
+        ring = self._dedupe_cyclic()
         turns = self._drop_collinear(ring)
         if len(ring) < 3:
             raise DegenerateInputError("polygon needs >= 3 effective vertices")
@@ -78,9 +97,13 @@ class Polygon(Lattice):
             raise DegenerateInputError("polygon has zero area")
         if area2 < 0:
             ring.reverse()
-        start = min(range(len(ring)), key=lambda k: self.key(ring[k]))
+        start = 0
+        for k, v in enumerate(ring):
+            u = ring[start]
+            if (self.compare(v, u, 0) or self.compare(v, u, 1)) > 0:
+                start = k
         ring = ring[start:] + ring[:start]
-        self.vertices = self.points = tuple(verts[i] for i in ring)
+        self.vertices = self.points = tuple(self.points[i] for i in ring)
         self.scales = tuple(self.scales[i] for i in ring)
         self.lattice = tuple(self.lattice[i] for i in ring)
 
@@ -102,6 +125,20 @@ class Polygon(Lattice):
         n = len(self.vertices)
         return all(lattice.orient(i, (i + 1) % n, n) >= 0 for i in range(n))
 
+    def _dedupe_cyclic(self) -> list[int]:
+        """The vertex indices without consecutive repeats, the last not
+        repeating the first."""
+        def same(i: int, j: int) -> bool:
+            return not (self.compare(i, j, 0) or self.compare(i, j, 1))
+
+        ring: list[int] = []
+        for i in range(len(self.points)):
+            if not ring or not same(ring[-1], i):
+                ring.append(i)
+        while len(ring) > 1 and same(ring[0], ring[-1]):
+            ring.pop()
+        return ring
+
     def _drop_collinear(self, ring: list[int]) -> list[int]:
         """Delete from the ring of vertex indices the first vertex whose
         neighbors are collinear with it, until none is; return the turns
@@ -118,6 +155,43 @@ class Polygon(Lattice):
             else:
                 return turns
         return []
+
+
+@dataclass(frozen=True, slots=True)
+class Rect:
+    """Axis-aligned rectangle used as the Voronoi clip box."""
+
+    xmin: Fraction
+    ymin: Fraction
+    xmax: Fraction
+    ymax: Fraction
+
+    def corners(self) -> list[Point2]:
+        return [
+            Point2(self.xmin, self.ymin),
+            Point2(self.xmax, self.ymin),
+            Point2(self.xmax, self.ymax),
+            Point2(self.xmin, self.ymax),
+        ]
+
+    def contains(self, p: Point2) -> bool:
+        return self.xmin <= p.x <= self.xmax and self.ymin <= p.y <= self.ymax
+
+    def strictly_contains(self, p: Point2) -> bool:
+        return self.xmin < p.x < self.xmax and self.ymin < p.y < self.ymax
+
+    def on_boundary(self, p: Point2) -> bool:
+        return self.contains(p) and not self.strictly_contains(p)
+
+    def ring(self) -> list[tuple[Corner, Line]]:
+        """The corners counterclockwise from (xmin, ymin), on one scale,
+        each with the line of its edge to the next: the ring that
+        `clip_halfplane` cuts."""
+        box = self.xmin, self.ymin, self.xmax, self.ymax
+        s = math.lcm(*(v.denominator for v in box))
+        x0, y0, x1, y1 = (v.numerator * (s // v.denominator) for v in box)
+        c = [(x0, y0, s), (x1, y0, s), (x1, y1, s), (x0, y1, s)]
+        return [(u, _cross(u, v)) for u, v in zip(c, c[1:] + c[:1])]
 
 
 def orient2d(a: Point2, b: Point2, c: Point2) -> int:
@@ -183,49 +257,31 @@ def is_convex_polygon(poly: Polygon) -> bool:
     return poly._convex
 
 
-def clip_halfplane(verts: list[Point2], a: Point2, b: Point2) -> list[Point2]:
-    """Clip a convex ring to the closed half-plane left of directed line ab.
+def clip_halfplane(
+    ring: list[tuple[Corner, Line]], line: Line
+) -> list[tuple[Corner, Line]]:
+    """Clip a convex ring to the closed positive side of `line`.
 
-    The ring and the line are scaled once to a `rational.Lattice`. Each
-    vertex's side is the lattice's orientation of a, b and the vertex,
-    and the point where an edge crosses the line is built from its two
-    ends' determinants on one scale, with one division per coordinate.
+    Each entry of the ring is a corner and the line of its edge to the
+    next corner. A corner's side is the sign of its dot product with
+    `line`. Where an edge crosses `line`, the new corner is the cross
+    product of the two lines, its W made positive, so corners are never
+    wider than a product of two lines. Each corner kept or made carries
+    the line of its edge in the clipped ring: `line` itself from the
+    corner where the ring leaves the half-plane, even a corner on
+    `line`, else the line of the edge it starts.
     """
-    n = len(verts)
-    lattice = Lattice((*verts, a, b))
-    signs = [lattice.orient(n, n + 1, i) for i in range(n)]
-    out: list[Point2] = []
-    for i in range(n):
-        j = (i + 1) % n
-        si, sj = signs[i], signs[j]
+    a, b, c = line
+    sides = [a * x + b * y + c * w for (x, y, w), _ in ring]
+    out: list[tuple[Corner, Line]] = []
+    for i, (corner, edge) in enumerate(ring):
+        si, sj = sides[i], sides[(i + 1) % len(ring)]
         if si >= 0:
-            out.append(verts[i])
-        if si * sj < 0:
-            fi, fj = _line_sides(lattice, n, i, j)
-            s, (xi, yi, xj, yj) = lattice.scaled(i, j)
-            den = s * (fi - fj)
-            out.append(Point2(Fraction(xj * fi - xi * fj, den),
-                              Fraction(yj * fi - yi * fj, den)))
+            out.append((corner, line if si == 0 > sj else edge))
+        if si > 0 > sj or si < 0 < sj:
+            x, y, w = _cross(edge, line)
+            if w < 0:
+                x, y, w = -x, -y, -w
+            out.append(((x, y, w), line if si > 0 else edge))
     return out
 
-
-def _line_sides(lattice: Lattice, n: int, *idx: int) -> list[int]:
-    """For each point of idx, the determinant (b - a) x (p - a) against
-    the line through points a = n and b = n + 1, all over one common
-    scale: two of them give the crossing point's share of the way."""
-    _, (ax, ay, bx, by, *coords) = lattice.scaled(n, n + 1, *idx)
-    dx, dy = bx - ax, by - ay
-    return [
-        dx * (coords[k + 1] - ay) - dy * (coords[k] - ax)
-        for k in range(0, len(coords), 2)
-    ]
-
-
-def _dedupe_cyclic(verts: list[Point2]) -> list[Point2]:
-    out: list[Point2] = []
-    for v in verts:
-        if not out or out[-1] != v:
-            out.append(v)
-    while len(out) > 1 and out[0] == out[-1]:
-        out.pop()
-    return out

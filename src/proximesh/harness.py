@@ -375,11 +375,13 @@ def suite_delaunay_characterizations(
     meshes = [_trial_mesh(mesh, seed, t) for t in range(count)]
     for m_idx, m in enumerate(meshes):
         for rep in rg.audit_delaunay_characterizations(m):
-            result.check(
-                f"mesh={m_idx} {rep.operands[0]}",
-                rep.verdict,
-                f"verdicts={rep.witness} seed={seed}",
-            )
+            label = f"mesh={m_idx} {rep.operands[0]}"
+            if rep.verdict and rep.note:
+                # A route skipped on a loaded clip box passes with its note.
+                result.records.append(CheckRecord(label, PASS, rep.note))
+            else:
+                result.check(label, rep.verdict,
+                             f"verdicts={rep.witness} seed={seed}")
     return result
 
 

@@ -26,15 +26,17 @@ Validation is linear: triangles whose one-triangle edges form one
 convex cycle tile the sites' hull, and then an empty circumcircle across
 every interior edge implies a Delaunay triangulation (Delaunay lemma).
 
-Voronoi cells are the Delaunay dual. Each triangle's circumcenter is
-computed once per mesh, for the clip box and the cells alike. An
-interior site's cell is the ring of its fan's circumcenters when they
-all lie strictly inside the clip box; hull sites, and sites whose fan
-reaches the box, get the clip box cut by the exact
-perpendicular-bisector half-planes toward their Delaunay neighbors.
-The circumcenters, the derived clip box and the cells are built on
-first access, since only the `voronoi` output, rendering and the
-Delaunay-characterization audit read them. The tests
+Voronoi cells are the Delaunay dual, built on corners, the integer
+triples (X, Y, W) of `geometry.Corner`. Each triangle's circumcenter is
+computed once per mesh as a corner, and as a `Point2` from it, for the
+clip box and the cells alike. An interior site's cell is the ring of its
+fan's circumcenters when they all lie strictly inside the clip box;
+hull sites, and sites whose fan reaches the box, get the clip box cut
+by the integer bisector lines toward their Delaunay neighbors, each
+line built once per edge. A `Point2` is made only for a corner that a
+clipped cell keeps. The circumcenters, the derived clip box and the
+cells are built on first access, since only the `voronoi` output,
+rendering and the Delaunay-characterization audit read them. The tests
 keep an all-sites bisector construction as an independent oracle for
 these cells.
 """
@@ -45,7 +47,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .geometry import Point2, Polygon, clip_halfplane, is_convex_polygon
+from .geometry import (Corner, Line, Point2, Polygon, Rect, clip_halfplane,
+                       is_convex_polygon)
 from .rational import Lattice
 
 DEFAULT_CLIP_MARGIN = Fraction(1, 10)
@@ -57,33 +60,6 @@ class MeshError(ValueError):
     """A site set or triangulation violates the mesh contracts."""
 
 
-@dataclass(frozen=True, slots=True)
-class Rect:
-    """Axis-aligned rectangle used as the Voronoi clip box."""
-
-    xmin: Fraction
-    ymin: Fraction
-    xmax: Fraction
-    ymax: Fraction
-
-    def corners(self) -> list[Point2]:
-        return [
-            Point2(self.xmin, self.ymin),
-            Point2(self.xmax, self.ymin),
-            Point2(self.xmax, self.ymax),
-            Point2(self.xmin, self.ymax),
-        ]
-
-    def contains(self, p: Point2) -> bool:
-        return self.xmin <= p.x <= self.xmax and self.ymin <= p.y <= self.ymax
-
-    def strictly_contains(self, p: Point2) -> bool:
-        return self.xmin < p.x < self.xmax and self.ymin < p.y < self.ymax
-
-    def on_boundary(self, p: Point2) -> bool:
-        return self.contains(p) and not self.strictly_contains(p)
-
-
 class SiteSet(Lattice):
     """An indexed set of at least three distinct, non-collinear sites.
 
@@ -93,7 +69,7 @@ class SiteSet(Lattice):
 
     A site set is the `rational.Lattice` of its sites, so its inherited
     `orient`, `incircle` and `crossings` decide by site index, and
-    `circumcenter` solves on the lattice with one division at the end.
+    `center` and `bisector` build circumcenters and bisectors on it.
     """
 
     __slots__ = ("sites", "clip_margin")
@@ -136,16 +112,7 @@ class SiteSet(Lattice):
         `geometry.circumcenter`, on Fraction arithmetic, as a center
         independent of this one, and takes its own slab about it.
         """
-        s, (ax, ay, bx, by, cx, cy) = self.scaled(i, j, k)
-        bx, by, cx, cy = bx - ax, by - ay, cx - ax, cy - ay
-        d = 2 * (bx * cy - by * cx)
-        b2 = bx * bx + by * by
-        c2 = cx * cx + cy * cy
-        den = d * s
-        return Point2(
-            Fraction(ax * d + cy * b2 - by * c2, den),
-            Fraction(ay * d + bx * c2 - cx * b2, den),
-        )
+        return _point(self.center(i, j, k))
 
 
 @dataclass(frozen=True, slots=True)
@@ -209,6 +176,7 @@ class Mesh:
         "triangle_neighbors",
         "_hull_sites",
         "_circumcenters",
+        "_corners",
         "_clip_box",
         "_voronoi",
     )
@@ -239,17 +207,20 @@ class Mesh:
             for t, edges in enumerate(self.triangle_edges)
         )
         self._circumcenters: Optional[tuple[Point2, ...]] = None
+        self._corners: tuple[Corner, ...] = ()
         self._clip_box = clip_box
         self._voronoi: Optional[tuple[VoronoiRegion, ...]] = None
 
     @property
     def circumcenters(self) -> tuple[Point2, ...]:
         """Circumcenter of each triangle, by triangle index, computed on
-        first access; the derived clip box and the cells share them."""
+        first access from its corner, kept in `_corners`; the derived
+        clip box and the cells share them."""
         if self._circumcenters is None:
-            self._circumcenters = tuple(
-                self.site_set.circumcenter(*t.indices) for t in self.triangles
+            self._corners = tuple(
+                self.site_set.center(*t.indices) for t in self.triangles
             )
+            self._circumcenters = tuple(map(_point, self._corners))
         return self._circumcenters
 
     @property
@@ -273,14 +244,15 @@ class Mesh:
         depend on how far the fixed-margin box happens to reach.
         """
         if self._clip_box is None:
-            sites, margin = self.site_set.sites, self.site_set.clip_margin
-            xs, ys = [p.x for p in sites], [p.y for p in sites]
-            mx = (max(xs) - min(xs)) * margin
-            my = (max(ys) - min(ys)) * margin
-            xs += [u.x for u in self.circumcenters]
-            ys += [u.y for u in self.circumcenters]
-            self._clip_box = Rect(min(xs) - mx, min(ys) - my,
-                                  max(xs) + mx, max(ys) + my)
+            sites = self.site_set
+            centers = Lattice(self.circumcenters, self._corners)
+            ends = []
+            for axis in (0, 1):
+                (a, b), (c, d) = sites.extremes(axis), centers.extremes(axis)
+                pad = (b - a) * sites.clip_margin
+                ends += [min(a, c) - pad, max(b, d) + pad]
+            x0, x1, y0, y1 = ends
+            self._clip_box = Rect(x0, y0, x1, y1)
         return self._clip_box
 
     @property
@@ -394,30 +366,45 @@ def voronoi(mesh: Mesh) -> list[VoronoiRegion]:
 
     An interior site whose fan circumcenters all lie strictly inside the
     clip box has the ring of those circumcenters, in fan order, as its
-    cell; `Polygon` drops the coincident ones of cocircular fans. Every
-    other cell is the clip box intersected with the closed bisector
-    half-planes toward the site's Delaunay neighbors. On a Delaunay
-    triangulation both are the cell that all other sites cut.
+    cell: the mesh's own `Point2`s, with their corners; `Polygon` drops
+    the coincident ones of cocircular fans. Every other cell is the clip
+    box cut by the closed bisector half-planes toward the site's
+    Delaunay neighbors, in integers, and a `Point2` is made for each
+    corner left. On a Delaunay triangulation both are the cell that all
+    other sites cut.
     """
     sites = mesh.sites
     box = mesh.clip_box
     centers = mesh.circumcenters
-    inside = [box.strictly_contains(u) for u in centers]
+    corners = mesh._corners
+    box_ring = box.ring()
+    (x0, y0, s), _ = box_ring[0]
+    (x1, y1, _), _ = box_ring[2]
+    inside = [x0 * w < x * s < x1 * w and y0 * w < y * s < y1 * w
+              for x, y, w in corners]
     neighbors: list[list[int]] = [[] for _ in sites]
     for i, j in mesh.edges:
         neighbors[i].append(j)
         neighbors[j].append(i)
+    # The bisector of an edge, kept negated for the far site's cell.
+    bisectors: dict[Edge, Line] = {}
     regions: list[VoronoiRegion] = []
     for i, p in enumerate(sites):
         fan = None if mesh.is_hull_site(i) else _fan(mesh, i)
         ring = fan is not None and all(inside[t] for t in fan)
         if ring:
-            verts = [centers[t] for t in fan]
+            cell = Polygon([centers[t] for t in fan],
+                           [corners[t] for t in fan])
         else:
-            verts = box.corners()
+            edges = box_ring
             for j in neighbors[i]:
-                verts = clip_halfplane(verts, *_bisector(p, sites[j]))
-        cell = Polygon(verts)
+                line = bisectors.pop((i, j), None)
+                if line is None:
+                    line = mesh.site_set.bisector(i, j)
+                    bisectors[j, i] = (-line[0], -line[1], -line[2])
+                edges = clip_halfplane(edges, line)
+            kept = [c for c, _ in edges]
+            cell = Polygon([_point(c) for c in kept], kept)
         if not is_convex_polygon(cell):
             raise MeshError(f"voronoi cell of site {i} is not convex")
         if not cell.contains(p):
@@ -476,11 +463,9 @@ def _edge(i: int, j: int) -> Edge:
     return (i, j) if i < j else (j, i)
 
 
-def _bisector(p: Point2, q: Point2) -> tuple[Point2, Point2]:
-    """Two points on the perpendicular bisector of pq, in the direction
-    that puts p on its left."""
-    mid = Point2((p.x + q.x) / 2, (p.y + q.y) / 2)
-    return mid, Point2(mid.x - (q.y - p.y), mid.y + (q.x - p.x))
+def _point(corner: Corner) -> Point2:
+    x, y, w = corner
+    return Point2(Fraction(x, w), Fraction(y, w))
 
 
 def _bowyer_watson(site_set: SiteSet) -> list[Triangle]:

@@ -4,19 +4,24 @@ All geometry in this package runs on ``fractions.Fraction``. These helpers
 parse user-facing coordinate strings exactly, render them canonically, and
 rescale points to plain integers so that sign-of-determinant predicates
 run on int arithmetic instead of Fraction arithmetic. The integer kernels
-`_orient` and `_incircle` live here.
+live here: `_orient` and `_incircle` on points over one scale, `_orient_w`
+on homogeneous points (X, Y, W), and `_cross`, the line through two such
+points or the point where two lines meet.
 `geometry.orient2d` and `geometry.incircle` rescale their points on every
 call (`scaled_ints`); no library module calls them. A `Lattice` rescales
 a whole point set once, to one shared scale where that stays narrow, and
 is the one place that knows which: its `orient`, `incircle`, `key`,
-`between`, `overlap`, `crossings` and `area2` decide by point index.
+`between`, `overlap`, `crossings` and `area2` decide by point index,
+and `center` and `bisector` build a circumcenter and a bisector in
+integers.
+On own scales, `orient` takes the homogeneous determinant over each
+point's (X, Y, W), which needs no common scale.
 On a shared scale, `slab` finds the points within a circle's x-range
 on an x-order of the lattice, built on first use, and `nearer` compares
 squared distances to a rational center as integers; on own scales they
 fall back to every point and to Fraction distances.
 `mesh.SiteSet` is a lattice of its sites, `geometry.Polygon` of its
-vertices, and `geometry.clip_halfplane` and `geometry.convex_hull` build
-one for their points.
+vertices, and `geometry.convex_hull` builds one for its points.
 """
 
 from __future__ import annotations
@@ -80,16 +85,31 @@ class Lattice:
     `scale`, the lcm of all their denominators, unless that lcm has more
     than 4·b + 64 bits, b being the bit length of the widest point's own
     lcm; then `scale` is None and each point keeps the lcm of its own two
-    denominators. `scaled` puts the points of one predicate on the lcm
-    of their scales. Every sign taken by point index runs here, so no
+    denominators. Points given as corners, integer triples (X, Y, W) with
+    W > 0, keep W as their own scale, whatever its factors. `orient` on
+    own scales takes the sign of the homogeneous determinant over
+    (X, Y, W); `scaled` puts the points of one predicate on the lcm of
+    their scales. Every sign taken by point index runs here, so no
     caller asks which of the two rules holds.
     """
 
     __slots__ = ("points", "scale", "scales", "lattice", "_by_x")
 
-    def __init__(self, points: Iterable) -> None:
-        """Scale `points`, each with Fraction coordinates `x` and `y`."""
+    def __init__(
+        self,
+        points: Iterable,
+        corners: Optional[Sequence[tuple[int, int, int]]] = None,
+    ) -> None:
+        """Scale `points`, each with Fraction coordinates `x` and `y`;
+        or, given `corners`, the points' integer triples in the same
+        order, hold each point on its own W."""
         points = self.points = tuple(points)
+        self._by_x = None
+        if corners is not None:
+            self.scale = None
+            self.lattice = tuple((x, y) for x, y, _ in corners)
+            self.scales = tuple(w for _, _, w in corners)
+            return
         own = [math.lcm(p.x.denominator, p.y.denominator) for p in points]
         # A predicate on four points pays at most for the lcm of their own
         # scales, about four times the widest. A shared scale within that,
@@ -107,7 +127,6 @@ class Lattice:
         self.scale = shared
         self.scales = tuple(own) if shared is None else (shared,) * len(own)
         self.lattice = tuple(map(_on_scale, points, self.scales))
-        self._by_x = None
 
     def joined(self, p) -> Lattice:
         """These points and p after them. p keeps its own scale beside
@@ -148,9 +167,11 @@ class Lattice:
 
     def orient(self, i: int, j: int, k: int) -> int:
         """`geometry.orient2d` of the points i, j, k."""
-        if self.scale is None:
-            return _orient(*self.scaled(i, j, k)[1])
         lattice = self.lattice
+        if self.scale is None:
+            w = self.scales
+            return _orient_w(*lattice[i], w[i], *lattice[j], w[j],
+                             *lattice[k], w[k])
         return _orient(*lattice[i], *lattice[j], *lattice[k])
 
     def incircle(self, i: int, j: int, k: int, d: int) -> int:
@@ -160,6 +181,46 @@ class Lattice:
             return _incircle(*self.scaled(i, j, k, d)[1])
         lattice = self.lattice
         return _incircle(*lattice[i], *lattice[j], *lattice[k], *lattice[d])
+
+    def center(self, i: int, j: int, k: int) -> tuple[int, int, int]:
+        """The circumcenter of the non-collinear points i, j, k as an
+        unreduced corner (X, Y, W), W > 0: the point (X/W, Y/W)."""
+        s, (ax, ay, bx, by, cx, cy) = self.scaled(i, j, k)
+        bx, by, cx, cy = bx - ax, by - ay, cx - ax, cy - ay
+        d = 2 * (bx * cy - by * cx)
+        b2 = bx * bx + by * by
+        c2 = cx * cx + cy * cy
+        x, y = ax * d + cy * b2 - by * c2, ay * d + bx * c2 - cx * b2
+        return (x, y, d * s) if d > 0 else (-x, -y, -d * s)
+
+    def bisector(self, i: int, j: int) -> tuple[int, int, int]:
+        """The perpendicular bisector of points i and j as a line
+        (a, b, c), positive on point i's side: 2s(Q - P)·x = |Q|² - |P|²
+        for P and Q, the points over their common scale s."""
+        s, (px, py, qx, qy) = self.scaled(i, j)
+        return (2 * s * (px - qx), 2 * s * (py - qy),
+                qx * qx + qy * qy - px * px - py * py)
+
+    def compare(self, i: int, j: int, axis: int) -> int:
+        """The sign of coordinate `axis` (0 for x, 1 for y) of point j
+        less that of point i, in integers: on own scales, each point's
+        over the other's scale."""
+        a, b = self.lattice[i][axis], self.lattice[j][axis]
+        if self.scale is None:
+            a, b = a * self.scales[j], b * self.scales[i]
+        return (b > a) - (b < a)
+
+    def extremes(self, axis: int) -> tuple[Fraction, Fraction]:
+        """The least and the greatest coordinate `axis` of the points,
+        found by `compare`."""
+        lo = hi = 0
+        for k in range(1, len(self.lattice)):
+            if self.compare(k, lo, axis) > 0:
+                lo = k
+            elif self.compare(hi, k, axis) > 0:
+                hi = k
+        lo, hi = self.points[lo], self.points[hi]
+        return (lo.x, hi.x) if axis == 0 else (lo.y, hi.y)
 
     def key(self, i: int) -> tuple:
         """A key that orders the points by (x, y): their integers on a
@@ -194,8 +255,11 @@ class Lattice:
         between the upper and lower half-planes. A ring that turns one
         way at every vertex makes one full turn, and so bounds a convex
         polygon, exactly when this is 2 (Fenchel)."""
-        yx = [self.key(i)[::-1] for i in ring]
-        upper = [b > a for a, b in zip(yx, yx[1:] + yx[:1])]
+        ring = list(ring)
+        upper = [
+            (self.compare(i, j, 1) or self.compare(i, j, 0)) > 0
+            for i, j in zip(ring, ring[1:] + ring[:1])
+        ]
         return sum(u != upper[k - 1] for k, u in enumerate(upper))
 
     def slab(self, center, i: int) -> Sequence[int]:
@@ -270,14 +334,37 @@ def _on_scale(p, w: int) -> tuple[int, int]:
             p.y.numerator * (w // p.y.denominator))
 
 
-# The integer kernels behind every orientation and incircle sign. They
-# take the coordinates already scaled to one integer lattice: per call in
-# `geometry.orient2d`/`incircle`, and once per point set by a `Lattice`.
+# The integer kernels behind every orientation and incircle sign. `_orient`
+# and `_incircle` take the coordinates already scaled to one integer
+# lattice: per call in `geometry.orient2d`/`incircle`, and once per point
+# set by a `Lattice`. `_orient_w` takes each point over its own W.
 
 
 def _orient(ax: int, ay: int, bx: int, by: int, cx: int, cy: int) -> int:
     det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
     return (det > 0) - (det < 0)
+
+
+def _orient_w(
+    ax: int, ay: int, aw: int, bx: int, by: int, bw: int,
+    cx: int, cy: int, cw: int,
+) -> int:
+    """The orientation of the points (X/W, Y/W), W > 0: the sign of the
+    determinant of their rows (X, Y, W), each row that of
+    (X/W, Y/W, 1) scaled by its positive W (Fortune and Van Wyk 1996)."""
+    det = (ax * (by * cw - cy * bw) - ay * (bx * cw - cx * bw)
+           + aw * (bx * cy - cx * by))
+    return (det > 0) - (det < 0)
+
+
+def _cross(u: tuple[int, int, int],
+           v: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The cross product of two integer triples: the line (a, b, c),
+    a·X + b·Y + c·W = 0, through two points (X, Y, W), or the point where
+    two such lines meet. The line through u then v takes, at a point p,
+    the determinant of the rows u, v and p: positive left of u to v."""
+    (a, b, c), (d, e, f) = u, v
+    return b * f - c * e, c * d - a * f, a * e - b * d
 
 
 def _incircle(

@@ -11,7 +11,7 @@ are rejected by the tracer rather than approximated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .complexes import (
     RelationReport,
@@ -188,8 +188,11 @@ def audit_delaunay_characterizations(mesh: Mesh) -> list[RelationReport]:
     sites; (2) its circumcenter is a true Voronoi vertex of its three
     sites, cross-checked against the clipped cell polygons when it lies
     inside the clip box; (3) the three sites' cells pairwise share
-    positive-length boundary; (4) the triangle is a convex polygon. A
-    report's verdict is True when 1-3 agree and 4 holds.
+    positive-length boundary, asked only when the circumcenter lies
+    strictly inside the box, where each of the three walls it ends keeps
+    positive length; (4) the triangle is a convex polygon. A report's
+    verdict is True when the routes taken agree and 4 holds; its note
+    names the routes skipped.
 
     Routes 1 and 2 read no mesh adjacency. Route 1 is
     `is_delaunay_triangle`, about the lattice circumcenter. Route 2
@@ -208,16 +211,22 @@ def audit_delaunay_characterizations(mesh: Mesh) -> list[RelationReport]:
         center = circumcenter(*points)
         dual_vertex = all(s in tri for s in sites.nearer(center, tri.v0))
         note = ""
+        shared_walls: Optional[bool] = None
+        if mesh.clip_box.strictly_contains(center):
+            shared_walls = all(walls[e] for e in mesh.triangle_edges[t_idx])
+        else:
+            note = "circumcenter on clip box; shared-wall route skipped"
         if mesh.clip_box.contains(center):
             in_cells = all(
                 mesh.voronoi[s].cell.contains(center) for s in tri.indices
             )
             dual_vertex = dual_vertex and in_cells
         else:
-            note = "circumcenter outside clip box; cell cross-check skipped"
-        shared_walls = all(walls[e] for e in mesh.triangle_edges[t_idx])
+            note = ("circumcenter outside clip box; cell cross-check and "
+                    "shared-wall route skipped")
         convex = is_convex_polygon(Polygon(points))
-        agree = (empty_circle == dual_vertex == shared_walls) and convex
+        agree = (empty_circle == dual_vertex
+                 and shared_walls in (None, empty_circle) and convex)
         reports.append(
             RelationReport(
                 relation="delaunay_characterizations",

@@ -6,6 +6,7 @@ import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from io import StringIO
 from pathlib import Path
 
@@ -646,6 +647,31 @@ class TestCheck:
                      "--out", str(out_file)])
         assert code == 0
         assert "summary suite=thm36" in out_file.read_text()
+
+    def test_extent_box_skips_walls_it_cuts(self, tmp_path):
+        # The sites' extent as the clip box cuts the walls at every
+        # circumcenter outside it; those triangles pass with a note, where
+        # the shared-wall route would fail twelve valid Delaunay triangles.
+        sites, mesh_file = tmp_path / "sites.txt", tmp_path / "mesh.json"
+        assert main(["generate", "--seed", "11", "--count", "40",
+                     "--out", str(sites)]) == 0
+        assert main(["triangulate", "--sites", str(sites),
+                     "--out", str(mesh_file)]) == 0
+        doc = json.loads(mesh_file.read_text())
+        del doc["mesh_id"]
+        xs, ys = ([Fraction(row[k]) for row in doc["sites"]] for k in (0, 1))
+        doc["clip_box"] = [str(v) for v in (min(xs), min(ys), max(xs),
+                                            max(ys))]
+        mesh_file.write_text(json.dumps(doc))
+        out = tmp_path / "report.txt"
+        code = main(["check", "--suite", "all", "--mesh", str(mesh_file),
+                     "--trials", "5", "--out", str(out)])
+        assert code == 0
+        noted = [line for line in _suite_section(out.read_text(), "thm36")
+                 if "shared-wall route skipped" in line]
+        assert len(noted) == 12
+        assert all(" status=pass detail=circumcenter outside clip box;"
+                   in line for line in noted)
 
     def test_check_all_deterministic(self, tmp_path):
         r1 = tmp_path / "r1.txt"

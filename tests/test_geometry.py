@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -25,7 +25,7 @@ from proximesh.geometry import (
     is_convex_polygon,
     orient2d,
 )
-from proximesh.rational import Lattice
+from proximesh.rational import Lattice, _cross
 
 P = Point2
 
@@ -219,13 +219,38 @@ class TestIsConvexPolygon:
         assert is_convex_polygon(Polygon([P(0, 0), P(2, 0), P(1, 1)]))
 
 
+def _corner(p: Point2) -> tuple[int, int, int]:
+    return (p.x.numerator * p.y.denominator,
+            p.y.numerator * p.x.denominator,
+            p.x.denominator * p.y.denominator)
+
+
+def _edges(verts) -> list:
+    """The `clip_halfplane` ring of points: each corner with the line
+    through it and the next."""
+    c = [_corner(v) for v in verts]
+    return [(u, _cross(u, v)) for u, v in zip(c, c[1:] + c[:1])]
+
+
+def _points(ring) -> list[Point2]:
+    return [P(Fraction(x, w), Fraction(y, w)) for (x, y, w), _ in ring]
+
+
+def _clip(verts, a: Point2, b: Point2) -> list[Point2]:
+    """`clip_halfplane` of the ring of points to the closed half-plane
+    left of directed line ab."""
+    return _points(clip_halfplane(_edges(verts), _cross(_corner(a),
+                                                        _corner(b))))
+
+
 def _intersect(p1: Polygon, p2: Polygon) -> list[Point2]:
-    """The ring of p1 clipped to the left of every edge of p2."""
-    verts = list(p1.vertices)
-    ring = p2.vertices
-    for a, b in zip(ring, ring[1:] + ring[:1]):
-        verts = clip_halfplane(verts, a, b)
-    return verts
+    """The ring of p1 clipped to the left of every edge of p2, each clip
+    cutting the ring the last one left, with the lines it carries."""
+    ring = _edges(p1.vertices)
+    q = [_corner(v) for v in p2.vertices]
+    for a, b in zip(q, q[1:] + q[:1]):
+        ring = clip_halfplane(ring, _cross(a, b))
+    return _points(ring)
 
 
 class TestIntersectConvex:
@@ -290,6 +315,12 @@ _CIRCLE_65 = [P(x, y) for x in range(-8, 9) for y in range(-8, 9)
 _units = st.sampled_from([Fraction(1), Fraction(1, 3), Fraction(1, 2**53)])
 _grid = st.lists(st.builds(P, st.integers(-6, 6), st.integers(-6, 6)),
                  min_size=3, max_size=8)
+# Points over unrelated 20-digit denominators, too many for one scale
+# even beside three points on lines through them.
+_points20 = st.builds(own_denominator_sites, st.integers(0, 2**32),
+                      st.integers(14, 16), st.just(20))
+_q20 = st.builds(Fraction, st.integers(-10**20, 10**20),
+                 st.integers(10**19, 10**20 - 1))
 shared_rings = st.tuples(
     _units,
     st.one_of(_grid, st.lists(st.sampled_from(_CIRCLE_65), min_size=3,
@@ -374,7 +405,7 @@ def _assert_matches_fractions(ring, own_scales):
                  (mids[1], inner), (vertices[-1], vertices[1])]
         for a, b in lines:
             if a != b:
-                assert clip_halfplane(list(vertices), a, b) == (
+                assert _clip(vertices, a, b) == (
                     fraction_clip_halfplane(list(vertices), a, b)
                 )
 
@@ -403,6 +434,24 @@ class TestLatticeMatchesFractions:
     @given(own_lines)
     def test_own_scale_segments(self, lines):
         _assert_segments_match(*lines, own_scales=True)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_points20, st.lists(_q20, min_size=3, max_size=3))
+    def test_own_scale_orient_matches_per_call(self, pts, ts):
+        # Own scales take the homogeneous determinant over (X, Y, W);
+        # `orient2d` puts each triple on the lcm of its denominators. A
+        # point on the line of each of three pairs makes exactly
+        # collinear triples.
+        pairs = ((pts[0], pts[1]), (pts[1], pts[2]), (pts[2], pts[0]))
+        pts = pts + [P(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
+                     for (a, b), t in zip(pairs, ts)]
+        lattice = Lattice(pts)
+        assume(lattice.scale is None)
+        signs = []
+        for i, j, k in combinations(range(len(pts)), 3):
+            signs.append(lattice.orient(i, j, k))
+            assert signs[-1] == orient2d(pts[i], pts[j], pts[k])
+        assert 0 in signs
 
     @pytest.mark.parametrize(
         "ring",

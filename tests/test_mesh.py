@@ -169,7 +169,7 @@ class TestSiteSet:
                 return kernel(*coords)
             return call
 
-        for name in ("_orient", "_incircle"):
+        for name in ("_orient", "_orient_w", "_incircle"):
             monkeypatch.setattr(rational_module, name,
                                 sized(getattr(rational_module, name)))
         start = time.perf_counter()
@@ -698,6 +698,41 @@ class TestVoronoi:
     @pytest.mark.parametrize(
         "sites",
         [
+            [P(x, y) for y in range(3) for x in range(3)],
+            [P(0, 0), P(2, 0), P(2, 2), P(0, 2), P(1, 1)],
+            [P(4, 4), P(3, 2), P(3, 3), P(1, 4)],
+        ],
+        ids=["grid-3x3", "square-and-center", "corner-then-crossing"],
+    )
+    def test_clip_corners_on_the_line(self, sites):
+        # On the sites' extent, bisectors pass exactly through box
+        # corners and through corners of earlier clips. A corner on the
+        # line is kept; where the ring leaves the half-plane there, its
+        # edge turns onto the line, which a later clip may cross: in the
+        # cell of site 3, the bisector toward site 1 leaves the box at its
+        # corner (1, 2), and the bisector toward site 2 crosses the edge
+        # from (1, 2) along it.
+        base = triangulate(SiteSet(sites))
+        xs = [p.x for p in sites]
+        ys = [p.y for p in sites]
+        box = Rect(min(xs), min(ys), max(xs), max(ys))
+        mesh = Mesh(base.site_set, base.triangles, clip_box=box)
+        assert mesh.voronoi == tuple(all_sites_voronoi(sites, box))
+
+    def test_ring_cell_corners_are_the_mesh_circumcenters(self):
+        mesh = triangulate(SiteSet([P(x, y) for y in range(5)
+                                    for x in range(5)]))
+        rings = [r for r in mesh.voronoi if not r.clipped]
+        assert rings
+        for r in rings:
+            centers = [mesh.circumcenters[t]
+                       for t in mesh.vertex_triangles[r.site]]
+            assert all(any(v is u for u in centers)
+                       for v in r.cell.vertices)
+
+    @pytest.mark.parametrize(
+        "sites",
+        [
             [P(x, y) for y in range(12) for x in range(12)],
             [P(0, 0)] + [P(x, y) for x in range(-8, 9) for y in range(-8, 9)
                          if x * x + y * y == 65],
@@ -743,25 +778,23 @@ class TestVoronoi:
         )
 
     def test_own_scale_cells_stay_narrow(self, monkeypatch):
-        # Each polygon keeps its vertices' own scales when their lcm is
-        # too wide to share, so an orientation pays for its own three
-        # points. The center's cell has 40 corners; the lcm of all their
-        # scales has about 36,000 bits.
+        # Each cell holds its corners on their own W, so an orientation
+        # pays for its own three points. The center's cell has 40
+        # corners; the lcm of all their scales has about 36,000 bits.
         sites = own_denominator_wheel(3, 40, 50)
         site_set = SiteSet(sites)
         assert site_set.scale is None
         widest = 0
-        kernel = rational_module._orient
+        kernel = rational_module._orient_w
 
         def sized(*coords):
             nonlocal widest
             widest = max(widest, *(c.bit_length() for c in coords))
             return kernel(*coords)
 
-        # Lattices take the kernel from `rational`; `orient2d` holds it
-        # under `geometry`'s name.
-        monkeypatch.setattr(rational_module, "_orient", sized)
-        monkeypatch.setattr(geometry_module, "_orient", sized)
+        # Own-scale lattices, cells among them, take the homogeneous
+        # kernel from `rational`.
+        monkeypatch.setattr(rational_module, "_orient_w", sized)
         mesh = triangulate(site_set)
         cells = mesh.voronoi
         own = max(

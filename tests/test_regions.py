@@ -10,7 +10,7 @@ import proximesh.regions as regions_module
 from oracles import sampling_convexity_oracle
 from proximesh.complexes import SubComplex, closure
 from proximesh.geometry import Point2, Polygon, circumcenter
-from proximesh.mesh import SiteSet, triangulate
+from proximesh.mesh import Mesh, Rect, SiteSet, triangulate
 from proximesh.regions import (
     EDGE_CHAIN,
     PAIRWISE_STRONG,
@@ -303,6 +303,18 @@ class TestDelaunayCharacterizationsAudit:
         assert reports[0].verdict
         center = circumcenter(*mesh.triangle_points(mesh.triangles[0]))
         assert all(r.cell.contains(center) for r in mesh.voronoi)
+
+    def test_circumcenter_on_box_skips_walls(self):
+        # The square's extent box holds the four circumcenters on its
+        # edges, where the walls between hull sites have no length.
+        base = triangulate(SiteSet([P(0, 0), P(2, 0), P(2, 2), P(0, 2),
+                                    P(1, 1)]))
+        mesh = Mesh(base.site_set, base.triangles, clip_box=Rect(0, 0, 2, 2))
+        reports = audit_delaunay_characterizations(mesh)
+        assert [r.note for r in reports] == (
+            ["circumcenter on clip box; shared-wall route skipped"] * 4)
+        assert all(r.verdict and r.witness[1] == (True, True, None, True)
+                   for r in reports)
 
     def test_random_meshes_agree(self):
         for seed in range(4):
