@@ -10,6 +10,8 @@ homogeneous integer triples (X, Y, W), takes its signs on those.
 its edge, by a line: each crossing is the cross product of two lines, so
 corners do not widen from clip to clip, and no Fraction is made. `Rect`,
 the Voronoi clip box, gives the first such ring.
+`Polygon.contains` and `circumcenter` work in integers; the latter makes
+a Fraction only of each of its two coordinates.
 `orient2d` and `incircle` scale their points to integers per call and
 run `rational`'s integer kernels; they serve callers outside the
 library, which takes all its signs on lattices.
@@ -22,7 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .rational import Lattice, _cross, _incircle, _orient, scaled_ints
+from .rational import (Lattice, _cross, _incircle, _on_scale, _orient,
+                       _orient_w, scaled_ints)
 
 Coord = Union[Fraction, int, str]
 # The point (X/W, Y/W) as the integers (X, Y, W), W > 0.
@@ -55,6 +58,15 @@ class Point2:
                 ) from exc
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
+
+    def __eq__(self, other: object) -> bool:
+        # Fractions in lowest terms are equal when their parts are.
+        if type(other) is not Point2:
+            return NotImplemented
+        x, y, u, v = self.x, self.y, other.x, other.y
+        return (x.numerator == u.numerator and y.numerator == v.numerator
+                and x.denominator == u.denominator
+                and y.denominator == v.denominator)
 
     def __repr__(self) -> str:
         return f"Point2({self.x}, {self.y})"
@@ -120,10 +132,13 @@ class Polygon(Lattice):
         return self.area2(range(len(self.vertices))) / 2
 
     def contains(self, p: Point2) -> bool:
-        """Closed-region membership; requires a convex polygon."""
-        lattice = self.joined(p)
-        n = len(self.vertices)
-        return all(lattice.orient(i, (i + 1) % n, n) >= 0 for i in range(n))
+        """Closed-region membership; requires a convex polygon. Each edge
+        takes `_orient_w` on its ends' (X, Y, scale) and p's own (X, Y, W)."""
+        w = math.lcm(p.x.denominator, p.y.denominator)
+        px, py = _on_scale(p, w)
+        ends = [(*v, s) for v, s in zip(self.lattice, self.scales)]
+        return all(_orient_w(*u, *v, px, py, w) >= 0
+                   for u, v in zip(ends, ends[1:] + ends[:1]))
 
     def _dedupe_cyclic(self) -> list[int]:
         """The vertex indices without consecutive repeats, the last not
@@ -213,16 +228,22 @@ def incircle(a: Point2, b: Point2, c: Point2, d: Point2) -> int:
 
 
 def circumcenter(a: Point2, b: Point2, c: Point2) -> Point2:
-    """Exact circumcenter of a non-collinear triple."""
-    d = 2 * ((b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x))
+    """Exact circumcenter of a non-collinear triple, by the
+    absolute-coordinate formula on the points over the lcm s of their
+    denominators: two integer numerators over d·s."""
+    coords = a.x, a.y, b.x, b.y, c.x, c.y
+    s = math.lcm(*(v.denominator for v in coords))
+    ax, ay, bx, by, cx, cy = (v.numerator * (s // v.denominator)
+                              for v in coords)
+    d = 2 * ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
     if d == 0:
         raise DegenerateInputError("circumcenter of collinear points")
-    a2 = a.x * a.x + a.y * a.y
-    b2 = b.x * b.x + b.y * b.y
-    c2 = c.x * c.x + c.y * c.y
-    ux = (a2 * (b.y - c.y) + b2 * (c.y - a.y) + c2 * (a.y - b.y)) / d
-    uy = (a2 * (c.x - b.x) + b2 * (a.x - c.x) + c2 * (b.x - a.x)) / d
-    return Point2(ux, uy)
+    a2 = ax * ax + ay * ay
+    b2 = bx * bx + by * by
+    c2 = cx * cx + cy * cy
+    ux = a2 * (by - cy) + b2 * (cy - ay) + c2 * (ay - by)
+    uy = a2 * (cx - bx) + b2 * (ax - cx) + c2 * (bx - ax)
+    return Point2(Fraction(ux, d * s), Fraction(uy, d * s))
 
 
 def convex_hull(points: Iterable[Point2]) -> Polygon:

@@ -109,8 +109,9 @@ class SiteSet(Lattice):
 
         `is_delaunay_triangle` takes its slab about this center. The
         Delaunay-characterization audit's dual-vertex route keeps
-        `geometry.circumcenter`, on Fraction arithmetic, as a center
-        independent of this one, and takes its own slab about it.
+        `geometry.circumcenter`, which scales its three points itself and
+        calls no `Lattice` method, as a center independent of this one,
+        and takes its own slab about it.
         """
         return _point(self.center(i, j, k))
 

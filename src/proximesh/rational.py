@@ -1,11 +1,11 @@
 """Exact rational coordinates and the integer predicates on them.
 
-All geometry in this package runs on ``fractions.Fraction``. These helpers
-parse user-facing coordinate strings exactly, render them canonically, and
-rescale points to plain integers so that sign-of-determinant predicates
-run on int arithmetic instead of Fraction arithmetic. The integer kernels
-live here: `_orient` and `_incircle` on points over one scale, `_orient_w`
-on homogeneous points (X, Y, W), and `_cross`, the line through two such
+Points in this package carry exact ``fractions.Fraction`` coordinates.
+These helpers parse user-facing coordinate strings exactly, render them
+canonically, and rescale points to plain integers, on which every
+sign-of-determinant predicate runs. The integer kernels live here:
+`_orient` and `_incircle` on points over one scale, `_orient_w` on
+homogeneous points (X, Y, W), and `_cross`, the line through two such
 points or the point where two lines meet.
 `geometry.orient2d` and `geometry.incircle` rescale their points on every
 call (`scaled_ints`); no library module calls them. A `Lattice` rescales
@@ -127,29 +127,6 @@ class Lattice:
         self.scale = shared
         self.scales = tuple(own) if shared is None else (shared,) * len(own)
         self.lattice = tuple(map(_on_scale, points, self.scales))
-
-    def joined(self, p) -> Lattice:
-        """These points and p after them. p keeps its own scale beside
-        own scales; a shared scale widens to its lcm with p's own, so
-        that a predicate on p and two points pays at most for its three
-        points and the shared scale."""
-        w = math.lcm(p.x.denominator, p.y.denominator)
-        out = Lattice.__new__(Lattice)
-        out.points = (*self.points, p)
-        out._by_x = None
-        if self.scale is None:
-            out.scale = None
-            out.scales = (*self.scales, w)
-            out.lattice = (*self.lattice, _on_scale(p, w))
-            return out
-        s = out.scale = math.lcm(self.scale, w)
-        out.scales = (s,) * (len(self.scales) + 1)
-        m = s // self.scale
-        lattice = self.lattice if m == 1 else (
-            (x * m, y * m) for x, y in self.lattice
-        )
-        out.lattice = (*lattice, _on_scale(p, s))
-        return out
 
     def scaled(self, *idx: int) -> tuple[int, list[int]]:
         """A common scale of the points idx, and their coordinates, x then

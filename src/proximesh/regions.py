@@ -190,17 +190,17 @@ def audit_delaunay_characterizations(mesh: Mesh) -> list[RelationReport]:
     inside the clip box; (3) the three sites' cells pairwise share
     positive-length boundary, asked only when the circumcenter lies
     strictly inside the box, where each of the three walls it ends keeps
-    positive length; (4) the triangle is a convex polygon. A report's
-    verdict is True when the routes taken agree and 4 holds; its note
-    names the routes skipped.
+    positive length; (4) the triangle is a convex polygon: its three
+    sites are not collinear. A report's verdict is True when the routes
+    taken agree and 4 holds; its note names the routes skipped.
 
     Routes 1 and 2 read no mesh adjacency. Route 1 is
     `is_delaunay_triangle`, about the lattice circumcenter. Route 2
-    takes `geometry.circumcenter` in Fraction arithmetic as its own
-    center, and asks the site set which sites of that center's slab
-    are `nearer` than the triangle's first site: by integer distances
-    where the sites share one scale. The two share only the sites'
-    x-order.
+    takes `geometry.circumcenter`, which scales the three points itself
+    and calls no `Lattice` method, as its own center, and asks the site
+    set which sites of that center's slab are `nearer` than the
+    triangle's first site: by integer distances where the sites share
+    one scale. The two share only the sites' x-order.
     """
     reports = []
     sites = mesh.site_set
@@ -224,7 +224,7 @@ def audit_delaunay_characterizations(mesh: Mesh) -> list[RelationReport]:
         else:
             note = ("circumcenter outside clip box; cell cross-check and "
                     "shared-wall route skipped")
-        convex = is_convex_polygon(Polygon(points))
+        convex = sites.orient(*tri.indices) != 0
         agree = (empty_circle == dual_vertex
                  and shared_walls in (None, empty_circle) and convex)
         reports.append(

@@ -673,6 +673,36 @@ class TestCheck:
         assert all(" status=pass detail=circumcenter outside clip box;"
                    in line for line in noted)
 
+    @pytest.mark.parametrize("n,divergences", [(3, 8), (12, 242)])
+    def test_cocircular_grid_walls_diverge(self, tmp_path, capsys, n,
+                                           divergences):
+        # Each unit square of the n x n integer grid is fanned across a
+        # diagonal whose cells meet at a point: every triangle on one is
+        # an expected divergence naming the diagonal and the square's
+        # fourth, cocircular, site.
+        sites, mesh_file = tmp_path / "sites.txt", tmp_path / "mesh.json"
+        sites.write_text("".join(f"{i},{j}\n" for j in range(n)
+                                 for i in range(n)))
+        assert main(["triangulate", "--sites", str(sites),
+                     "--out", str(mesh_file)]) == 0
+        capsys.readouterr()
+        assert main(["check", "--suite", "thm36", "--mesh",
+                     str(mesh_file)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == ("summary suite=thm36 pass=0 fail=0 "
+                             f"expected_divergence={divergences}")
+        checks = lines[1:-1]
+        assert len(checks) == divergences
+        assert all(" status=expected_divergence detail=shared wall has no "
+                   "length: edge (" in line and line.endswith(
+                       " verdicts=(True, True, False, True) seed=0")
+                   for line in checks)
+        assert checks[0] == (
+            f"check mesh=0 triangle 0 (0, 1, {n + 1}) status="
+            "expected_divergence detail=shared wall has no length: edge "
+            f"(0, {n + 1}) with cocircular site {n} verdicts=(True, True, "
+            "False, True) seed=0")
+
     def test_check_all_deterministic(self, tmp_path):
         r1 = tmp_path / "r1.txt"
         r2 = tmp_path / "r2.txt"

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    circumcenter_by_equations,
     fraction_clip_halfplane,
     fraction_polygon,
     segment_contains,
@@ -25,6 +26,8 @@ from proximesh.geometry import (
     is_convex_polygon,
     orient2d,
 )
+from proximesh.harness import mesh_for_trial
+from proximesh.mesh import SiteSet, triangulate
 from proximesh.rational import Lattice, _cross
 
 P = Point2
@@ -33,6 +36,12 @@ coords = st.fractions(
     min_value=Fraction(-20), max_value=Fraction(20), max_denominator=64
 )
 points = st.builds(P, coords, coords)
+# 53-bit dyadic coordinates, as `harness.generate_sites` draws them.
+dyadic = st.builds(Fraction, st.integers(-2**53, 2**53), st.just(2**53))
+dyadic_points = st.builds(P, dyadic, dyadic)
+# Three points, each coordinate over its own 20-digit denominator.
+own_triples = st.builds(own_denominator_sites, st.integers(0, 2**32),
+                        st.just(3), st.just(20))
 
 
 class TestOrient2d:
@@ -88,6 +97,37 @@ class TestCircumcenter:
     def test_collinear_rejected(self):
         with pytest.raises(DegenerateInputError):
             circumcenter(P(0, 0), P(1, 1), P(2, 2))
+
+    @staticmethod
+    def _assert_matches_equations(a, b, c):
+        expected = circumcenter_by_equations(a, b, c)
+        if expected is None:
+            with pytest.raises(DegenerateInputError):
+                circumcenter(a, b, c)
+        else:
+            u = circumcenter(a, b, c)
+            assert (u.x, u.y) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(dyadic_points, dyadic_points, dyadic_points)
+    def test_matches_equations_on_dyadic_points(self, a, b, c):
+        self._assert_matches_equations(a, b, c)
+
+    @settings(max_examples=100, deadline=None)
+    @given(own_triples)
+    def test_matches_equations_on_own_denominators(self, triple):
+        self._assert_matches_equations(*triple)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(st.tuples(dyadic_points, dyadic_points),
+                     own_triples.map(lambda t: t[:2])),
+           st.fractions(max_denominator=10**20))
+    def test_collinear_triples_rejected(self, ends, t):
+        # c on line ab, or a, b and c one point when a == b.
+        a, b = ends
+        c = P(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
+        with pytest.raises(DegenerateInputError):
+            circumcenter(a, b, c)
 
     @given(points, points, points)
     def test_equidistant(self, a, b, c):
@@ -199,6 +239,25 @@ class TestPolygon:
 class TestPoint2:
     def test_exact_decimal_strings(self):
         assert P("0.1", "0.3").x == Fraction(1, 10)
+
+    # Few values, written as ints, Fractions and strings, so that equal
+    # points are drawn often.
+    _coord = st.sampled_from([0, 1, -1, Fraction(1, 3), Fraction(2, 6),
+                              "1/3", "0.5", Fraction(1, 2), 2**53])
+
+    @given(_coord, _coord, _coord, _coord)
+    def test_equality_and_hash_are_the_coordinates(self, a, b, c, d):
+        p, q = P(a, b), P(c, d)
+        same = (Fraction(a), Fraction(b)) == (Fraction(c), Fraction(d))
+        assert (p == q) is same
+        assert (p != q) is not same
+        if same:
+            assert hash(p) == hash(q)
+
+    def test_not_equal_to_a_tuple(self):
+        assert (P(1, 2) == (1, 2)) is False
+        assert P(1, 2) != (1, 2)
+        assert P(1, 2).__eq__((1, 2)) is NotImplemented
 
     def test_non_finite_rejected(self):
         for bad in (float("nan"), float("inf"), "oops"):
@@ -408,6 +467,41 @@ def _assert_matches_fractions(ring, own_scales):
                 assert _clip(vertices, a, b) == (
                     fraction_clip_halfplane(list(vertices), a, b)
                 )
+
+
+# Generated meshes of 4-30 dyadic sites, one over unrelated 20-digit
+# denominators, and the 4x4 grid, whose cocircular fans repeat corners.
+_PROBE_MESHES = {
+    **{f"trial{seed}": (lambda seed=seed: mesh_for_trial(seed, 0))
+       for seed in (1, 2, 3, 40000)},
+    "own20": lambda: triangulate(SiteSet(own_denominator_sites(7, 12, 20))),
+    "grid": lambda: triangulate(
+        SiteSet([P(i, j) for j in range(4) for i in range(4)])),
+}
+
+
+@pytest.mark.parametrize("name", list(_PROBE_MESHES))
+def test_cell_contains_matches_fraction_sides(name):
+    # Cells are built on their corners, so `contains` takes `_orient_w`
+    # on the corners' own W; the Fraction side of each edge decides it
+    # here. Probes: every site, circumcenter, cell vertex and cell-edge
+    # midpoint.
+    mesh = _PROBE_MESHES[name]()
+    cells = [region.cell for region in mesh.voronoi]
+    probes = [*mesh.sites, *mesh.circumcenters]
+    for cell in cells:
+        vertices = cell.vertices
+        edges = list(zip(vertices, vertices[1:] + vertices[:1]))
+        probes += [*vertices,
+                   *(P((a.x + b.x) / 2, (a.y + b.y) / 2) for a, b in edges)]
+    for cell in cells:
+        vertices = cell.vertices
+        edges = list(zip(vertices, vertices[1:] + vertices[:1]))
+        inside = [p for p in probes if cell.contains(p)]
+        assert inside == [
+            p for p in probes if all(_side(a, b, p) >= 0 for a, b in edges)
+        ]
+        assert len(inside) > len(vertices)
 
 
 class TestLatticeMatchesFractions:

@@ -151,6 +151,54 @@ class TestSuites:
     def test_explicit_mesh_used(self, grid_mesh):
         (result,) = run_suite("thm36", 1, seed=0, mesh=grid_mesh)
         assert len(result.records) == len(grid_mesh.triangles)
+        # Every grid triangle has a cocircular diagonal with no wall.
+        assert result.divergences == len(result.records)
+
+    @staticmethod
+    def _force_walls_false(monkeypatch, edges):
+        """Make the audit and the suite read no wall on the given edges."""
+        wall = hs.is_delaunay_edge
+
+        def forced(p, q, mesh):
+            return (p, q) not in edges and wall(p, q, mesh)
+
+        monkeypatch.setattr(rg, "is_delaunay_edge", forced)
+        monkeypatch.setattr(hs, "is_delaunay_edge", forced)
+
+    def test_forced_false_wall_in_general_position_fails(self, monkeypatch):
+        # No fourth site is cocircular with a triangle here, so a wall
+        # forced false is a failure of both triangles on its edge.
+        mesh = mesh_for_trial(1, 0)
+        edge = next(e for e, ts in mesh.edge_triangles.items()
+                    if len(ts) == 2)
+        self._force_walls_false(monkeypatch, {edge})
+        (result,) = run_suite("thm36", 1, seed=5, mesh=mesh)
+        assert [r for r in result.records if r.status != PASS] == [
+            CheckRecord(f"mesh=0 triangle {t} {mesh.triangles[t].indices}",
+                        FAIL, "verdicts=(True, True, False, True) seed=5")
+            for t in mesh.edge_triangles[edge]
+        ]
+
+    def test_grid_failures_beside_a_cocircular_wall_stay_failures(
+        self, grid_mesh, monkeypatch
+    ):
+        # Triangle 0, (0, 1, 5), has the cocircular diagonal (0, 5). A hull
+        # edge (0, 1) forced wall-less has no site across it, and a forced
+        # empty-circle failure breaks the first route: both stay failures.
+        self._force_walls_false(monkeypatch, {(0, 1)})
+        empty_circle = rg.is_delaunay_triangle
+        monkeypatch.setattr(
+            rg, "is_delaunay_triangle",
+            lambda t, sites: t.indices != (1, 2, 6) and empty_circle(t, sites))
+        (result,) = run_suite("thm36", 1, seed=0, mesh=grid_mesh)
+        failed = [r for r in result.records if r.status == FAIL]
+        assert [r.label for r in failed] == [
+            "mesh=0 triangle 0 (0, 1, 5)", "mesh=0 triangle 2 (1, 2, 6)"]
+        assert [r.detail for r in failed] == [
+            "verdicts=(True, True, False, True) seed=0",
+            "verdicts=(False, True, False, True) seed=0",
+        ]
+        assert result.divergences == len(grid_mesh.triangles) - 2
 
     def test_suite_result_counters(self):
         r = SuiteResult("x", 0, 3)

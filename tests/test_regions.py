@@ -9,7 +9,13 @@ import proximesh.geometry as geometry_module
 import proximesh.regions as regions_module
 from oracles import sampling_convexity_oracle
 from proximesh.complexes import SubComplex, closure
-from proximesh.geometry import Point2, Polygon, circumcenter
+from proximesh.geometry import (
+    DegenerateInputError,
+    Point2,
+    Polygon,
+    circumcenter,
+    is_convex_polygon,
+)
 from proximesh.mesh import Mesh, Rect, SiteSet, triangulate
 from proximesh.regions import (
     EDGE_CHAIN,
@@ -330,10 +336,35 @@ class TestDelaunayCharacterizationsAudit:
                 r.verdict for r in audit_delaunay_characterizations(mesh)
             )
 
+    def test_convexity_route_matches_polygon(self):
+        # Route 4 reads a triangle as convex when its sites are not
+        # collinear; a `Polygon` of the three points, which rejects a
+        # collinear triple, is the oracle. Triples of grid sites include
+        # collinear ones.
+        rng = random.Random(11)
+        for n in (6, 12, 20):
+            mesh = triangulate(SiteSet(
+                [P(Fraction(rng.random()), Fraction(rng.random()))
+                 for _ in range(n)]
+            ))
+            reports = audit_delaunay_characterizations(mesh)
+            assert [r.witness[1][3] for r in reports] == [
+                is_convex_polygon(Polygon(mesh.triangle_points(t)))
+                for t in mesh.triangles
+            ]
+        sites = SiteSet([P(i, j) for j in range(3) for i in range(3)])
+        for triple in itertools.combinations(range(len(sites)), 3):
+            try:
+                convex = is_convex_polygon(
+                    Polygon([sites[i] for i in triple]))
+            except DegenerateInputError:
+                convex = False
+            assert (sites.orient(*triple) != 0) == convex
+
     def test_each_route_runs_once_per_triangle(self, monkeypatch):
-        # The empty-circle route and the Fraction circumcenter each run
+        # The empty-circle route and `geometry.circumcenter` each run
         # once per triangle, and the dual-vertex route takes its distances
-        # from that Fraction center, not from the lattice's circumcenter.
+        # from that independent center, not from the lattice's circumcenter.
         # Each edge's wall is decided once, for all triangles on it.
         rng = random.Random(5)
         mesh = triangulate(SiteSet(
