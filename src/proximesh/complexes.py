@@ -6,6 +6,22 @@ invisible and their strong variants) are all decided on simplicial
 closures, which makes every verdict exact and lets the axiom checker
 falsify rather than assume the algebra's claimed properties.
 
+A subcomplex is three bit masks, Python ints: its vertices by site
+index, its edges by position in the sorted `Mesh.edge_triangles`, and
+its triangles by triangle index. The lowest set bit of a mask is its
+least simplex, the `min` that names a witness. The tables that masks
+are read against (each triangle's vertex and edge masks, each edge's
+vertex and triangle masks, each site's fan mask and the hull-site mask)
+are built once per mesh, for its first subcomplex, and kept on the mesh.
+Closure is an OR of table rows over set bits, and each relation a test
+of `&`, `~` and `bit_count` on masks. A closure carries a closed flag
+(as do the empty subcomplex and unions and intersections of closed
+ones), and `closure` returns such an operand unchanged. Indices are
+checked once, where a subcomplex is made from them by `SubComplex.of`;
+closure, union and intersection results are not checked again. The
+`vertices`, `edges` and `triangles` views are frozensets, so `describe`
+and the writers keep their sorted text.
+
 Closure adds every face of every member simplex. Boundary and interior
 follow the union of a subcomplex's closed triangles: an edge shared by
 two included triangles is interior, an edge on the union's frontier is
@@ -20,7 +36,10 @@ inside survives.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import reduce
+from itertools import compress
+from operator import or_
 from typing import Iterable, Optional
 
 from .mesh import Edge, Mesh
@@ -29,35 +48,71 @@ from .mesh import Edge, Mesh
 # exactly when k / 2**53 < 1/3, that is when k <= 3002399751580330.
 TRIANGLE_PICK_PROBABILITY = 1 / 3
 
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
 
 class MeshMismatchError(ValueError):
     """Relation operands live on different meshes."""
 
 
+class _Tables:
+    """The masks of one mesh's simplices, read by the operations here."""
+
+    __slots__ = ("edges", "edge_index", "tri_v", "tri_e", "edge_v", "edge_t",
+                 "fan", "hull")
+
+    def __init__(self, mesh: Mesh) -> None:
+        self.edges = tuple(mesh.edge_triangles)
+        self.edge_index = {e: i for i, e in enumerate(self.edges)}
+        index = self.edge_index
+        self.tri_v = tuple(1 << t.v0 | 1 << t.v1 | 1 << t.v2
+                           for t in mesh.triangles)
+        self.tri_e = tuple(1 << index[a] | 1 << index[b] | 1 << index[c]
+                           for a, b, c in mesh.triangle_edges)
+        self.edge_v = tuple(1 << i | 1 << j for i, j in self.edges)
+        self.edge_t = tuple(_mask_of(ts) for ts in mesh.edge_triangles.values())
+        n = len(mesh.site_set)
+        self.fan = tuple(_mask_of(mesh.vertex_triangles[v]) for v in range(n))
+        self.hull = _mask_of(v for v in range(n) if mesh.is_hull_site(v))
+
+
+def _tables(mesh: Mesh) -> _Tables:
+    tables = mesh._masks
+    if tables is None:
+        tables = mesh._masks = _Tables(mesh)
+    return tables
+
+
 @dataclass(frozen=True, slots=True)
 class SubComplex:
-    """An immutable selection of mesh simplices."""
+    """An immutable selection of mesh simplices, as bit masks.
+
+    Make one from indices with `of`, which checks them; the constructor
+    takes masks as they are.
+    """
 
     mesh: Mesh
-    vertices: frozenset[int]
-    edges: frozenset[Edge]
-    triangles: frozenset[int]
+    vmask: int = 0
+    emask: int = 0
+    tmask: int = 0
+    closed: bool = field(default=False, compare=False)
 
-    def __post_init__(self) -> None:
-        n = len(self.mesh.site_set)
-        for v in self.vertices:
-            if not 0 <= v < n:
-                raise ValueError(f"vertex index out of range: {v}")
-        for e in self.edges:
-            if e not in self.mesh.edge_triangles:
-                raise ValueError(f"not a mesh edge: {e}")
-        for t in self.triangles:
-            if not 0 <= t < len(self.mesh.triangles):
-                raise ValueError(f"triangle index out of range: {t}")
+    @property
+    def vertices(self) -> frozenset[int]:
+        return frozenset(_bits(self.vmask))
+
+    @property
+    def edges(self) -> frozenset[Edge]:
+        edges = _tables(self.mesh).edges
+        return frozenset(edges[i] for i in _bits(self.emask))
+
+    @property
+    def triangles(self) -> frozenset[int]:
+        return frozenset(_bits(self.tmask))
 
     @classmethod
     def empty(cls, mesh: Mesh) -> "SubComplex":
-        return cls(mesh, frozenset(), frozenset(), frozenset())
+        return cls(mesh, closed=True)
 
     @classmethod
     def of(
@@ -67,48 +122,64 @@ class SubComplex:
         edges: Iterable[tuple[int, int]] = (),
         triangles: Iterable[int] = (),
     ) -> "SubComplex":
-        norm_edges = frozenset(
-            (i, j) if i < j else (j, i) for i, j in edges
+        """The subcomplex of these simplices. Each index must be an int
+        in range, and each edge, in either order, an edge of the mesh."""
+        index = _tables(mesh).edge_index
+        emask = 0
+        for i, j in edges:
+            if type(i) is not int or type(j) is not int:
+                raise ValueError(f"edge index is not an int: {(i, j)!r}")
+            e = (i, j) if i < j else (j, i)
+            if e not in index:
+                raise ValueError(f"not a mesh edge: {e}")
+            emask |= 1 << index[e]
+        return cls(
+            mesh,
+            _checked_mask(vertices, len(mesh.site_set), "vertex"),
+            emask,
+            _checked_mask(triangles, len(mesh.triangles), "triangle"),
         )
-        return cls(mesh, frozenset(vertices), norm_edges, frozenset(triangles))
 
     @classmethod
     def of_triangles(cls, mesh: Mesh, triangles: Iterable[int]) -> "SubComplex":
         return cls.of(mesh, triangles=triangles)
 
     def is_empty(self) -> bool:
-        return not (self.vertices or self.edges or self.triangles)
+        return not (self.vmask or self.emask or self.tmask)
 
     def union(self, other: "SubComplex") -> "SubComplex":
         _require_same_mesh(self, other)
         return SubComplex(
             self.mesh,
-            self.vertices | other.vertices,
-            self.edges | other.edges,
-            self.triangles | other.triangles,
+            self.vmask | other.vmask,
+            self.emask | other.emask,
+            self.tmask | other.tmask,
+            self.closed and other.closed,
         )
 
     def intersection(self, other: "SubComplex") -> "SubComplex":
         _require_same_mesh(self, other)
         return SubComplex(
             self.mesh,
-            self.vertices & other.vertices,
-            self.edges & other.edges,
-            self.triangles & other.triangles,
+            self.vmask & other.vmask,
+            self.emask & other.emask,
+            self.tmask & other.tmask,
+            self.closed and other.closed,
         )
 
     def issubset(self, other: "SubComplex") -> bool:
         _require_same_mesh(self, other)
-        return (
-            self.vertices <= other.vertices
-            and self.edges <= other.edges
-            and self.triangles <= other.triangles
+        return not (
+            self.vmask & ~other.vmask
+            or self.emask & ~other.emask
+            or self.tmask & ~other.tmask
         )
 
     def describe(self) -> str:
+        edges = _tables(self.mesh).edges
         return (
-            f"v={sorted(self.vertices)} e={sorted(self.edges)} "
-            f"t={sorted(self.triangles)}"
+            f"v={_bits(self.vmask)} e={[edges[i] for i in _bits(self.emask)]} "
+            f"t={_bits(self.tmask)}"
         )
 
 
@@ -129,17 +200,16 @@ class RelationReport:
 
 
 def closure(a: SubComplex) -> SubComplex:
-    """The subcomplex plus every face of its members; idempotent."""
-    verts = set(a.vertices)
-    edges = set(a.edges)
-    for e in a.edges:
-        verts.update(e)
-    for t_idx in a.triangles:
-        verts.update(a.mesh.triangles[t_idx].indices)
-        edges.update(a.mesh.triangle_edges[t_idx])
-    return SubComplex(
-        a.mesh, frozenset(verts), frozenset(edges), frozenset(a.triangles)
-    )
+    """The subcomplex plus every face of its members; idempotent, and a
+    closed operand is returned as it is."""
+    if a.closed:
+        return a
+    tables = _tables(a.mesh)
+    tris = _bits(a.tmask)
+    verts = reduce(or_, map(tables.edge_v.__getitem__, _bits(a.emask)),
+                   reduce(or_, map(tables.tri_v.__getitem__, tris), a.vmask))
+    edges = reduce(or_, map(tables.tri_e.__getitem__, tris), a.emask)
+    return SubComplex(a.mesh, verts, edges, a.tmask, True)
 
 
 def boundary(a: SubComplex) -> SubComplex:
@@ -149,12 +219,8 @@ def boundary(a: SubComplex) -> SubComplex:
     vertices) have no planar interior and belong to the boundary whole.
     """
     cl = closure(a)
-    counts = _edge_triangle_counts(cl)
-    bdy_edges = frozenset(e for e, c in counts.items() if c != 2)
-    bdy_verts = frozenset(
-        v for v in cl.vertices if not _has_full_fan(cl, v)
-    )
-    return SubComplex(a.mesh, bdy_verts, bdy_edges, frozenset())
+    _, twice = _edge_triangle_counts(cl)
+    return SubComplex(a.mesh, cl.vmask & ~_full_fans(cl), cl.emask & ~twice)
 
 
 def interior(a: SubComplex) -> SubComplex:
@@ -162,15 +228,15 @@ def interior(a: SubComplex) -> SubComplex:
     their relative interiors (an edge without its endpoints, a bare
     point)."""
     cl = closure(a)
-    counts = _edge_triangle_counts(cl)
-    int_edges = frozenset(e for e, c in counts.items() if c != 1)
-    edge_verts = {v for e in cl.edges for v in e}
-    int_verts = frozenset(
-        v
-        for v in cl.vertices
-        if _has_full_fan(cl, v) or v not in edge_verts
+    once, twice = _edge_triangle_counts(cl)
+    edge_v = _tables(a.mesh).edge_v
+    edge_verts = reduce(or_, map(edge_v.__getitem__, _bits(cl.emask)), 0)
+    return SubComplex(
+        a.mesh,
+        cl.vmask & (_full_fans(cl) | ~edge_verts),
+        cl.emask & ~(once & ~twice),
+        cl.tmask,
     )
-    return SubComplex(a.mesh, int_verts, int_edges, cl.triangles)
 
 
 def near(a: SubComplex, b: SubComplex) -> RelationReport:
@@ -251,10 +317,11 @@ def strongly_invisible(a: SubComplex, b: SubComplex) -> RelationReport:
     b; an empty or triangle-free b passes vacuously.
     """
     _require_same_mesh(a, b)
-    seen_from_a = closure(a).vertices
-    for t in sorted(b.triangles):
+    seen_from_a = closure(a).vmask
+    tri_v = _tables(b.mesh).tri_v
+    for t in _bits(b.tmask):
         # A lone triangle's closure has exactly its three vertices.
-        if not seen_from_a.isdisjoint(b.mesh.triangles[t].indices):
+        if tri_v[t] & seen_from_a:
             return RelationReport(
                 relation="strongly_invisible",
                 verdict=False,
@@ -263,7 +330,7 @@ def strongly_invisible(a: SubComplex, b: SubComplex) -> RelationReport:
     return RelationReport(
         relation="strongly_invisible",
         verdict=True,
-        witness=("all_triangle_subsets_invisible", len(b.triangles)),
+        witness=("all_triangle_subsets_invisible", b.tmask.bit_count()),
     )
 
 
@@ -296,10 +363,12 @@ def strongly_far(
             note="explicit witness",
         )
     mesh = a.mesh
-    seed = _incident_triangles(cl_c)
-    frontier = set(seed)
+    tables = _tables(mesh)
+    # The triangles at c's vertices, then those across their edges.
+    frontier = reduce(or_, map(tables.fan.__getitem__, _bits(cl_c.vmask)),
+                      cl_c.tmask)
     for radius in (1, 2, 3):
-        candidate = SubComplex.of_triangles(mesh, frontier)
+        candidate = SubComplex(mesh, tmask=frontier)
         if _witnesses_strongly_far(cl_a, cl_c, candidate):
             return RelationReport(
                 relation="strongly_far",
@@ -307,7 +376,9 @@ def strongly_far(
                 witness=("witness_set", candidate.describe()),
                 note=f"witness found at adjacency radius {radius}",
             )
-        frontier |= {u for t in frontier for u in mesh.triangle_neighbors[t]}
+        edges = reduce(or_, map(tables.tri_e.__getitem__, _bits(frontier)), 0)
+        frontier = reduce(or_, map(tables.edge_t.__getitem__, _bits(edges)),
+                          frontier)
     return RelationReport(
         relation="strongly_far",
         verdict=False,
@@ -350,12 +421,11 @@ def check_cech_axioms(
 
 def random_triangle_subcomplex(mesh: Mesh, rng: random.Random) -> SubComplex:
     """Closure of a triangle set sampled with fixed per-triangle odds."""
-    picked = [
-        t
-        for t in range(len(mesh.triangles))
-        if rng.random() < TRIANGLE_PICK_PROBABILITY
-    ]
-    return closure(SubComplex.of_triangles(mesh, picked))
+    picked = 0
+    for t in range(len(mesh.triangles)):
+        if rng.random() < TRIANGLE_PICK_PROBABILITY:
+            picked |= 1 << t
+    return closure(SubComplex(mesh, tmask=picked))
 
 
 def _axiom_violation(rel, a, b, c) -> Optional[tuple]:
@@ -377,22 +447,59 @@ def _require_same_mesh(a: SubComplex, b: SubComplex) -> None:
         raise MeshMismatchError("operands belong to different meshes")
 
 
-def _edge_triangle_counts(cl: SubComplex) -> dict[Edge, int]:
-    counts = {e: 0 for e in cl.edges}
-    for t_idx in cl.triangles:
-        for e in cl.mesh.triangle_edges[t_idx]:
-            counts[e] += 1
-    return counts
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of a mask, lowest first."""
+    if mask.bit_count() * 8 < mask.bit_length():
+        # Sparse: one step per set bit, each on the whole mask.
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return out
+    # Dense: the binary digits, lowest first, as 0/1 bytes that select
+    # their own positions.
+    digits = bin(mask).encode().translate(_DIGIT_BYTES)[:1:-1]
+    return list(compress(range(len(digits)), digits))
 
 
-def _has_full_fan(cl: SubComplex, v: int) -> bool:
-    """The vertex's complete mesh fan is present and it is off the hull,
-    so the triangle union covers a whole neighborhood of it."""
-    mesh = cl.mesh
-    if mesh.is_hull_site(v):
-        return False
-    fan = mesh.vertex_triangles[v]
-    return bool(fan) and all(t in cl.triangles for t in fan)
+def _mask_of(indices: Iterable[int]) -> int:
+    return reduce(or_, (1 << i for i in indices), 0)
+
+
+def _checked_mask(indices: Iterable[int], n: int, kind: str) -> int:
+    mask = 0
+    for i in indices:
+        if type(i) is not int:
+            raise ValueError(f"{kind} index is not an int: {i!r}")
+        if not 0 <= i < n:
+            raise ValueError(f"{kind} index out of range: {i}")
+        mask |= 1 << i
+    return mask
+
+
+def _edge_triangle_counts(cl: SubComplex) -> tuple[int, int]:
+    """The edges of at least one and of two of the closure's triangles."""
+    tri_e = _tables(cl.mesh).tri_e
+    once = twice = 0
+    for t in _bits(cl.tmask):
+        twice |= once & tri_e[t]
+        once |= tri_e[t]
+    return once, twice
+
+
+def _full_fans(cl: SubComplex) -> int:
+    """The closure's vertices whose complete mesh fan is present and
+    that are off the hull, so that the triangle union covers a whole
+    neighborhood of them."""
+    tables = _tables(cl.mesh)
+    missing = ~cl.tmask
+    full = 0
+    for v in _bits(cl.vmask & ~tables.hull):
+        fan = tables.fan[v]
+        if fan and not fan & missing:
+            full |= 1 << v
+    return full
 
 
 def _closures(a: SubComplex, b: SubComplex) -> tuple[SubComplex, SubComplex]:
@@ -400,31 +507,35 @@ def _closures(a: SubComplex, b: SubComplex) -> tuple[SubComplex, SubComplex]:
     return closure(a), closure(b)
 
 
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
 def _shared_vertex(cl_a: SubComplex, cl_b: SubComplex) -> Optional[tuple]:
-    shared = cl_a.vertices & cl_b.vertices
+    shared = cl_a.vmask & cl_b.vmask
     if shared:
-        return ("vertex", min(shared))
+        return ("vertex", _lowest(shared))
     return None
 
 
 def _shared_edge(cl_a: SubComplex, cl_b: SubComplex) -> Optional[tuple]:
-    shared = cl_a.edges & cl_b.edges
+    shared = cl_a.emask & cl_b.emask
     if shared:
-        return ("edge", min(shared))
+        return ("edge", _tables(cl_a.mesh).edges[_lowest(shared)])
     return None
 
 
 def _shared_simplex(cl_a: SubComplex, cl_b: SubComplex) -> Optional[tuple]:
     """Lowest-dimensional simplex common to both closures."""
-    shared_v = cl_a.vertices & cl_b.vertices
-    if shared_v:
-        return ("vertex", min(shared_v))
-    shared_e = cl_a.edges & cl_b.edges
-    if shared_e:
-        return ("edge", min(shared_e))
-    shared_t = cl_a.triangles & cl_b.triangles
-    if shared_t:
-        return ("triangle", min(shared_t))
+    shared = cl_a.vmask & cl_b.vmask
+    if shared:
+        return ("vertex", _lowest(shared))
+    shared = cl_a.emask & cl_b.emask
+    if shared:
+        return ("edge", _tables(cl_a.mesh).edges[_lowest(shared)])
+    shared = cl_a.tmask & cl_b.tmask
+    if shared:
+        return ("triangle", _lowest(shared))
     return None
 
 
@@ -433,15 +544,7 @@ def _witnesses_strongly_far(
 ) -> bool:
     """The witness is far from cl_a and its interior holds cl_c."""
     _require_same_mesh(cl_a, witness_b)
-    if _shared_simplex(cl_a, closure(witness_b)) is not None:
+    cl_b = closure(witness_b)
+    if _shared_simplex(cl_a, cl_b) is not None:
         return False
-    return cl_c.issubset(interior(witness_b))
-
-
-def _incident_triangles(cl: SubComplex) -> set[int]:
-    mesh = cl.mesh
-    out: set[int] = set()
-    for v in cl.vertices:
-        out.update(mesh.vertex_triangles[v])
-    out.update(cl.triangles)
-    return out
+    return cl_c.issubset(interior(cl_b))

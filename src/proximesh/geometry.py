@@ -198,6 +198,22 @@ class Rect:
     def on_boundary(self, p: Point2) -> bool:
         return self.contains(p) and not self.strictly_contains(p)
 
+    def place(self, p: Point2) -> int:
+        """+1 when p is strictly inside, 0 on the boundary, -1 outside;
+        each coordinate is compared with the box's by integer
+        cross-multiplication of numerators and denominators."""
+        inside = 1
+        for v, lo, hi in ((p.x, self.xmin, self.xmax),
+                          (p.y, self.ymin, self.ymax)):
+            n, d = v.numerator, v.denominator
+            above = n * lo.denominator - lo.numerator * d
+            below = hi.numerator * d - n * hi.denominator
+            if above < 0 or below < 0:
+                return -1
+            if not (above and below):
+                inside = 0
+        return inside
+
     def ring(self) -> list[tuple[Corner, Line]]:
         """The corners counterclockwise from (xmin, ymin), on one scale,
         each with the line of its edge to the next: the ring that

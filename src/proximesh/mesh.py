@@ -164,8 +164,8 @@ class Mesh:
 
     Adjacency queries and the relation algebra in `complexes` work off
     the index maps built here; nothing mutates a Mesh after construction
-    except the caches of its circumcenters, derived clip box and Voronoi
-    cells, filled on first access.
+    except the caches of its circumcenters, derived clip box, Voronoi
+    cells and `complexes`' bit-mask tables, filled on first access.
     """
 
     __slots__ = (
@@ -180,6 +180,7 @@ class Mesh:
         "_corners",
         "_clip_box",
         "_voronoi",
+        "_masks",
     )
 
     def __init__(
@@ -211,6 +212,7 @@ class Mesh:
         self._corners: tuple[Corner, ...] = ()
         self._clip_box = clip_box
         self._voronoi: Optional[tuple[VoronoiRegion, ...]] = None
+        self._masks = None
 
     @property
     def circumcenters(self) -> tuple[Point2, ...]:
@@ -449,15 +451,22 @@ def is_delaunay_edge(p: int, q: int, mesh: Mesh) -> bool:
     side of L, so a wall is one edge of both, with the same two exact
     `Point2` ends. A shared corner lies on L, and a normalized convex ring
     has at most two corners on one line: one shared corner means the cells
-    meet at a point (the cocircular case), and two span a wall.
+    meet at a point (the cocircular case), and two span a wall. Each
+    corner of cell p is looked up in the set of cell q's corners, keyed by
+    the numerators and denominators of their coordinates in lowest terms.
     """
     if p == q:
         raise MeshError("edge endpoints must differ")
     n = len(mesh.site_set)
     if not (0 <= p < n and 0 <= q < n):
         raise MeshError(f"site index out of range: {(p, q)}")
-    ring = mesh.voronoi[q].cell.vertices
-    return sum(v in ring for v in mesh.voronoi[p].cell.vertices) >= 2
+    ring = set(map(_key, mesh.voronoi[q].cell.vertices))
+    return sum(_key(v) in ring for v in mesh.voronoi[p].cell.vertices) >= 2
+
+
+def _key(v: Point2) -> tuple[int, int, int, int]:
+    x, y = v.x, v.y
+    return (x.numerator, x.denominator, y.numerator, y.denominator)
 
 
 def _edge(i: int, j: int) -> Edge:

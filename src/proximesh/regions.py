@@ -200,7 +200,8 @@ def audit_delaunay_characterizations(mesh: Mesh) -> list[RelationReport]:
     and calls no `Lattice` method, as its own center, and asks the site
     set which sites of that center's slab are `nearer` than the
     triangle's first site: by integer distances where the sites share
-    one scale. The two share only the sites' x-order.
+    one scale. The two share only the sites' x-order. Route 2's center
+    is placed against the clip box once, by `Rect.place`, in integers.
     """
     reports = []
     sites = mesh.site_set
@@ -212,11 +213,12 @@ def audit_delaunay_characterizations(mesh: Mesh) -> list[RelationReport]:
         dual_vertex = all(s in tri for s in sites.nearer(center, tri.v0))
         note = ""
         shared_walls: Optional[bool] = None
-        if mesh.clip_box.strictly_contains(center):
+        place = mesh.clip_box.place(center)
+        if place > 0:
             shared_walls = all(walls[e] for e in mesh.triangle_edges[t_idx])
         else:
             note = "circumcenter on clip box; shared-wall route skipped"
-        if mesh.clip_box.contains(center):
+        if place >= 0:
             in_cells = all(
                 mesh.voronoi[s].cell.contains(center) for s in tri.indices
             )

@@ -16,14 +16,20 @@ bisector by equal squared distances and overlaps the two, where the
 library counts shared cell corners. The Delaunay-characterization
 audit's two global routes, empty circle and dual vertex, test only the
 sites of an x-slab; their references here take an incircle test and a
-Fraction squared distance for every site.
+Fraction squared distance for every site. The subcomplex algebra is
+kept here in the frozenset form that the library's bit masks replaced:
+sets of vertex indices, edge pairs and triangle indices, checked on
+construction, with closure and every relation rebuilt from them.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import Iterable, Optional
 
+from proximesh.complexes import MeshMismatchError, RelationReport
 from proximesh.geometry import Point2, Polygon
-from proximesh.mesh import VoronoiRegion
+from proximesh.mesh import Edge, Mesh, VoronoiRegion
 
 
 def _sub(p, q):
@@ -416,3 +422,348 @@ def sampling_convexity_oracle(mesh, triangle_indices, grid=8):
                     )
                 )
     return all(in_union(p) for p in candidates if in_hull(p))
+
+
+# Subcomplexes as frozensets of simplices: the relation algebra as it was
+# written before `proximesh.complexes` moved to bit masks, kept unchanged
+# as the reference that the masks are compared against.
+
+
+@dataclass(frozen=True, slots=True)
+class SubComplex:
+    """An immutable selection of mesh simplices."""
+
+    mesh: Mesh
+    vertices: frozenset[int]
+    edges: frozenset[Edge]
+    triangles: frozenset[int]
+
+    def __post_init__(self) -> None:
+        n = len(self.mesh.site_set)
+        for v in self.vertices:
+            if not 0 <= v < n:
+                raise ValueError(f"vertex index out of range: {v}")
+        for e in self.edges:
+            if e not in self.mesh.edge_triangles:
+                raise ValueError(f"not a mesh edge: {e}")
+        for t in self.triangles:
+            if not 0 <= t < len(self.mesh.triangles):
+                raise ValueError(f"triangle index out of range: {t}")
+
+    @classmethod
+    def empty(cls, mesh: Mesh) -> "SubComplex":
+        return cls(mesh, frozenset(), frozenset(), frozenset())
+
+    @classmethod
+    def of(
+        cls,
+        mesh: Mesh,
+        vertices: Iterable[int] = (),
+        edges: Iterable[tuple[int, int]] = (),
+        triangles: Iterable[int] = (),
+    ) -> "SubComplex":
+        norm_edges = frozenset(
+            (i, j) if i < j else (j, i) for i, j in edges
+        )
+        return cls(mesh, frozenset(vertices), norm_edges, frozenset(triangles))
+
+    @classmethod
+    def of_triangles(cls, mesh: Mesh, triangles: Iterable[int]) -> "SubComplex":
+        return cls.of(mesh, triangles=triangles)
+
+    def is_empty(self) -> bool:
+        return not (self.vertices or self.edges or self.triangles)
+
+    def union(self, other: "SubComplex") -> "SubComplex":
+        _require_same_mesh(self, other)
+        return SubComplex(
+            self.mesh,
+            self.vertices | other.vertices,
+            self.edges | other.edges,
+            self.triangles | other.triangles,
+        )
+
+    def intersection(self, other: "SubComplex") -> "SubComplex":
+        _require_same_mesh(self, other)
+        return SubComplex(
+            self.mesh,
+            self.vertices & other.vertices,
+            self.edges & other.edges,
+            self.triangles & other.triangles,
+        )
+
+    def issubset(self, other: "SubComplex") -> bool:
+        _require_same_mesh(self, other)
+        return (
+            self.vertices <= other.vertices
+            and self.edges <= other.edges
+            and self.triangles <= other.triangles
+        )
+
+    def describe(self) -> str:
+        return (
+            f"v={sorted(self.vertices)} e={sorted(self.edges)} "
+            f"t={sorted(self.triangles)}"
+        )
+
+
+def closure(a: SubComplex) -> SubComplex:
+    """The subcomplex plus every face of its members; idempotent."""
+    verts = set(a.vertices)
+    edges = set(a.edges)
+    for e in a.edges:
+        verts.update(e)
+    for t_idx in a.triangles:
+        verts.update(a.mesh.triangles[t_idx].indices)
+        edges.update(a.mesh.triangle_edges[t_idx])
+    return SubComplex(
+        a.mesh, frozenset(verts), frozenset(edges), frozenset(a.triangles)
+    )
+
+
+def boundary(a: SubComplex) -> SubComplex:
+    """Simplices of the closure on the frontier of the triangle union.
+
+    Lower-dimensional pieces (edges on no included triangle, stray
+    vertices) have no planar interior and belong to the boundary whole.
+    """
+    cl = closure(a)
+    counts = _edge_triangle_counts(cl)
+    bdy_edges = frozenset(e for e, c in counts.items() if c != 2)
+    bdy_verts = frozenset(
+        v for v in cl.vertices if not _has_full_fan(cl, v)
+    )
+    return SubComplex(a.mesh, bdy_verts, bdy_edges, frozenset())
+
+
+def interior(a: SubComplex) -> SubComplex:
+    """Closure minus boundary, with lower-dimensional pieces keeping
+    their relative interiors (an edge without its endpoints, a bare
+    point)."""
+    cl = closure(a)
+    counts = _edge_triangle_counts(cl)
+    int_edges = frozenset(e for e, c in counts.items() if c != 1)
+    edge_verts = {v for e in cl.edges for v in e}
+    int_verts = frozenset(
+        v
+        for v in cl.vertices
+        if _has_full_fan(cl, v) or v not in edge_verts
+    )
+    return SubComplex(a.mesh, int_verts, int_edges, cl.triangles)
+
+
+def near(a: SubComplex, b: SubComplex) -> RelationReport:
+    """Closures intersect in at least one simplex."""
+    shared = _shared_simplex(*_closures(a, b))
+    return RelationReport(
+        relation="near",
+        verdict=shared is not None,
+        witness=shared,
+    )
+
+
+def far(a: SubComplex, b: SubComplex) -> RelationReport:
+    """Closures are disjoint; the negation of near."""
+    shared = _shared_simplex(*_closures(a, b))
+    return RelationReport(
+        relation="far",
+        verdict=shared is None,
+        counterexample=shared,
+    )
+
+
+def strongly_near(a: SubComplex, b: SubComplex) -> RelationReport:
+    """Closures share at least one full edge."""
+    shared = _shared_edge(*_closures(a, b))
+    return RelationReport(
+        relation="strongly_near",
+        verdict=shared is not None,
+        witness=shared,
+    )
+
+
+def visible(a: SubComplex, b: SubComplex) -> RelationReport:
+    """Closures share at least one vertex."""
+    shared = _shared_vertex(*_closures(a, b))
+    return RelationReport(
+        relation="visible",
+        verdict=shared is not None,
+        witness=shared,
+    )
+
+
+def invisible(a: SubComplex, b: SubComplex) -> RelationReport:
+    """No shared vertex between the closures; the negation of visible."""
+    shared = _shared_vertex(*_closures(a, b))
+    return RelationReport(
+        relation="invisible",
+        verdict=shared is None,
+        counterexample=shared,
+    )
+
+
+def strongly_visible(a: SubComplex, b: SubComplex) -> RelationReport:
+    """Closures share an edge, or one nonempty operand's closure is
+    contained in the other's."""
+    cl_a, cl_b = _closures(a, b)
+    shared = _shared_edge(cl_a, cl_b)
+    if shared is not None:
+        verdict = True
+        witness: Optional[tuple] = shared
+    elif not cl_a.is_empty() and cl_a.issubset(cl_b):
+        verdict, witness = True, ("containment", "first within second")
+    elif not cl_b.is_empty() and cl_b.issubset(cl_a):
+        verdict, witness = True, ("containment", "second within first")
+    else:
+        verdict, witness = False, None
+    return RelationReport(
+        relation="strongly_visible",
+        verdict=verdict,
+        witness=witness,
+    )
+
+
+def strongly_invisible(a: SubComplex, b: SubComplex) -> RelationReport:
+    """Every single-triangle subset of b is invisible from a.
+
+    Closure monotonicity extends the verdict to every triangle subset of
+    b; an empty or triangle-free b passes vacuously.
+    """
+    _require_same_mesh(a, b)
+    seen_from_a = closure(a).vertices
+    for t in sorted(b.triangles):
+        # A lone triangle's closure has exactly its three vertices.
+        if not seen_from_a.isdisjoint(b.mesh.triangles[t].indices):
+            return RelationReport(
+                relation="strongly_invisible",
+                verdict=False,
+                counterexample=("triangle", t),
+            )
+    return RelationReport(
+        relation="strongly_invisible",
+        verdict=True,
+        witness=("all_triangle_subsets_invisible", len(b.triangles)),
+    )
+
+
+def strongly_far(
+    a: SubComplex,
+    c: SubComplex,
+    witness_b: Optional[SubComplex] = None,
+) -> RelationReport:
+    """a is far from some witness set whose closure's interior swallows c.
+
+    With an explicit witness the verdict is exact. Without one, candidate
+    witnesses are grown as triangle neighborhoods around c of adjacency
+    radius 1, 2, 3; the bounded search can miss witnesses, so a false
+    verdict without a witness is conservative.
+    """
+    _require_same_mesh(a, c)
+    if a.is_empty() or c.is_empty():
+        return RelationReport(
+            relation="strongly_far",
+            verdict=False,
+            note="operands must be nonempty",
+        )
+    cl_a, cl_c = closure(a), closure(c)
+    if witness_b is not None:
+        ok = _witnesses_strongly_far(cl_a, cl_c, witness_b)
+        return RelationReport(
+            relation="strongly_far",
+            verdict=ok,
+            witness=("witness_set", witness_b.describe()) if ok else None,
+            note="explicit witness",
+        )
+    mesh = a.mesh
+    seed = _incident_triangles(cl_c)
+    frontier = set(seed)
+    for radius in (1, 2, 3):
+        candidate = SubComplex.of_triangles(mesh, frontier)
+        if _witnesses_strongly_far(cl_a, cl_c, candidate):
+            return RelationReport(
+                relation="strongly_far",
+                verdict=True,
+                witness=("witness_set", candidate.describe()),
+                note=f"witness found at adjacency radius {radius}",
+            )
+        frontier |= {u for t in frontier for u in mesh.triangle_neighbors[t]}
+    return RelationReport(
+        relation="strongly_far",
+        verdict=False,
+        note="bounded witness search exhausted (radius 3)",
+    )
+
+
+def _require_same_mesh(a: SubComplex, b: SubComplex) -> None:
+    if a.mesh is not b.mesh:
+        raise MeshMismatchError("operands belong to different meshes")
+
+
+def _edge_triangle_counts(cl: SubComplex) -> dict[Edge, int]:
+    counts = {e: 0 for e in cl.edges}
+    for t_idx in cl.triangles:
+        for e in cl.mesh.triangle_edges[t_idx]:
+            counts[e] += 1
+    return counts
+
+
+def _has_full_fan(cl: SubComplex, v: int) -> bool:
+    """The vertex's complete mesh fan is present and it is off the hull,
+    so the triangle union covers a whole neighborhood of it."""
+    mesh = cl.mesh
+    if mesh.is_hull_site(v):
+        return False
+    fan = mesh.vertex_triangles[v]
+    return bool(fan) and all(t in cl.triangles for t in fan)
+
+
+def _closures(a: SubComplex, b: SubComplex) -> tuple[SubComplex, SubComplex]:
+    _require_same_mesh(a, b)
+    return closure(a), closure(b)
+
+
+def _shared_vertex(cl_a: SubComplex, cl_b: SubComplex) -> Optional[tuple]:
+    shared = cl_a.vertices & cl_b.vertices
+    if shared:
+        return ("vertex", min(shared))
+    return None
+
+
+def _shared_edge(cl_a: SubComplex, cl_b: SubComplex) -> Optional[tuple]:
+    shared = cl_a.edges & cl_b.edges
+    if shared:
+        return ("edge", min(shared))
+    return None
+
+
+def _shared_simplex(cl_a: SubComplex, cl_b: SubComplex) -> Optional[tuple]:
+    """Lowest-dimensional simplex common to both closures."""
+    shared_v = cl_a.vertices & cl_b.vertices
+    if shared_v:
+        return ("vertex", min(shared_v))
+    shared_e = cl_a.edges & cl_b.edges
+    if shared_e:
+        return ("edge", min(shared_e))
+    shared_t = cl_a.triangles & cl_b.triangles
+    if shared_t:
+        return ("triangle", min(shared_t))
+    return None
+
+
+def _witnesses_strongly_far(
+    cl_a: SubComplex, cl_c: SubComplex, witness_b: SubComplex
+) -> bool:
+    """The witness is far from cl_a and its interior holds cl_c."""
+    _require_same_mesh(cl_a, witness_b)
+    if _shared_simplex(cl_a, closure(witness_b)) is not None:
+        return False
+    return cl_c.issubset(interior(witness_b))
+
+
+def _incident_triangles(cl: SubComplex) -> set[int]:
+    mesh = cl.mesh
+    out: set[int] = set()
+    for v in cl.vertices:
+        out.update(mesh.vertex_triangles[v])
+    out.update(cl.triangles)
+    return out

@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from proximesh import complexes as cx
 from proximesh.complexes import (
     MeshMismatchError,
     SubComplex,
@@ -23,6 +26,7 @@ from proximesh.complexes import (
     visible,
 )
 from proximesh.geometry import Point2
+from proximesh.harness import generate_sites
 from proximesh.mesh import SiteSet, triangulate
 from proximesh.regions import PAIRWISE_STRONG, build_region, regions_proximal
 
@@ -68,7 +72,51 @@ def buried_config(grid5_mesh):
     return a, b, c
 
 
+class TestOf:
+    @pytest.mark.parametrize("kwargs, bad", [
+        ({"vertices": [1.5]}, "vertex index is not an int: 1.5"),
+        ({"vertices": [True]}, "vertex index is not an int: True"),
+        ({"triangles": [0.5]}, "triangle index is not an int: 0.5"),
+        ({"edges": [(0, 1.0)]}, r"edge index is not an int: \(0, 1.0\)"),
+    ])
+    def test_index_not_an_int_rejected(self, fan_mesh, kwargs, bad):
+        with pytest.raises(ValueError, match=bad):
+            SubComplex.of(fan_mesh, **kwargs)
+
+    @pytest.mark.parametrize("kwargs, bad", [
+        ({"vertices": [4]}, "vertex index out of range: 4"),
+        ({"vertices": [-1]}, "vertex index out of range: -1"),
+        ({"triangles": [3]}, "triangle index out of range: 3"),
+        ({"edges": [(1, 0), (7, 0)]}, r"not a mesh edge: \(0, 7\)"),
+    ])
+    def test_index_not_in_the_mesh_rejected(self, fan_mesh, kwargs, bad):
+        with pytest.raises(ValueError, match=bad):
+            SubComplex.of(fan_mesh, **kwargs)
+
+    def test_edges_in_either_order(self, fan_mesh):
+        a = SubComplex.of(fan_mesh, edges=[(3, 0), (0, 1)])
+        assert a.edges == frozenset({(0, 1), (0, 3)})
+        assert a.describe() == "v=[] e=[(0, 1), (0, 3)] t=[]"
+
+    def test_tables_built_on_first_subcomplex(self):
+        mesh = triangulate(SiteSet([P(0, 0), P(4, 0), P(2, 3), P(2, 1)]))
+        mesh.voronoi
+        assert mesh._masks is None
+        SubComplex.empty(mesh)
+        assert mesh._masks is None
+        SubComplex.of(mesh, vertices=[0])
+        assert mesh._masks is not None
+
+
 class TestClosure:
+    def test_closed_operand_returned_as_is(self, fan_mesh):
+        cl = closure(tri_sub(fan_mesh, 0))
+        assert closure(cl) is cl
+        assert closure(cl.union(closure(tri_sub(fan_mesh, 2)))).closed
+        # Equality reads the simplices, not the flag.
+        assert SubComplex.of(fan_mesh, cl.vertices, cl.edges,
+                             cl.triangles) == cl
+
     def test_triangle_closure(self, fan_mesh):
         cl = closure(tri_sub(fan_mesh, 0))
         tri = fan_mesh.triangles[0]
@@ -522,3 +570,123 @@ class TestReportsRenderNothing:
         for relation in ("near", "visible"):
             reports = check_cech_axioms(mesh, relation, 5, seed=3)
             assert all(r.verdict for r in reports)
+
+
+@cache
+def oracle_mesh(name):
+    if name == "fan":
+        return triangulate(SiteSet([P(0, 0), P(4, 0), P(2, 3), P(2, 1)]))
+    if name == "grid":  # every unit square cocircular
+        return triangulate(SiteSet([P(i, j) for j in range(5) for i in range(5)]))
+    count, seed = {"random-12": (12, 3), "random-40": (40, 7)}[name]
+    return triangulate(generate_sites(seed, count)[0])
+
+
+@st.composite
+def operand(draw, mesh):
+    """Indices of one operand: empty, vertex-only, edge-only, triangle-only
+    or mixed, the edges in either order; closed first or not."""
+    n, t = len(mesh.sites), len(mesh.triangles)
+    edges = sorted(mesh.edges)
+    verts = st.lists(st.integers(0, n - 1), max_size=6)
+    edge = st.tuples(st.sampled_from(edges), st.booleans()).map(
+        lambda eb: eb[0][::-1] if eb[1] else eb[0])
+    tris = st.lists(st.integers(0, t - 1), max_size=t)
+    kind = draw(st.sampled_from(["empty", "vertex", "edge", "triangle",
+                                 "mixed"]))
+    return (
+        draw(verts) if kind in ("vertex", "mixed") else [],
+        draw(st.lists(edge, max_size=6)) if kind in ("edge", "mixed") else [],
+        draw(tris) if kind in ("triangle", "mixed") else [],
+        draw(st.booleans()),
+    )
+
+
+def both(mesh, indices):
+    """The operand as a mask subcomplex and as a frozenset one."""
+    vertices, edges, triangles, closed = indices
+    a = SubComplex.of(mesh, vertices, edges, triangles)
+    o = oracles.SubComplex.of(mesh, vertices, edges, triangles)
+    return (closure(a), oracles.closure(o)) if closed else (a, o)
+
+
+def assert_same(a, o):
+    assert (a.vertices, a.edges, a.triangles) == (
+        o.vertices, o.edges, o.triangles)
+    assert a.describe() == o.describe()
+    assert a.is_empty() == o.is_empty()
+
+
+RELATIONS = ("near", "far", "strongly_near", "visible", "invisible",
+             "strongly_visible", "strongly_invisible", "strongly_far")
+
+
+class TestMatchesFrozensetOracle:
+    """The mask algebra against the frozenset one it replaced, kept in
+    `tests/oracles.py`: equal simplices, text and full reports."""
+
+    @pytest.mark.parametrize("name", ["fan", "grid", "random-12", "random-40"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_operations_and_relations(self, name, data):
+        mesh = oracle_mesh(name)
+        (a, oa), (b, ob), (w, ow) = (
+            both(mesh, data.draw(operand(mesh))) for _ in range(3))
+        for x, ox in ((a, oa), (b, ob)):
+            assert_same(x, ox)
+            for op in ("closure", "boundary", "interior"):
+                assert_same(getattr(cx, op)(x), getattr(oracles, op)(ox))
+        for op in ("union", "intersection"):
+            ours, theirs = getattr(a, op)(b), getattr(oa, op)(ob)
+            assert_same(ours, theirs)
+            assert_same(closure(ours), oracles.closure(theirs))
+        assert a.issubset(b) == oa.issubset(ob)
+        assert b.issubset(a) == ob.issubset(oa)
+        for rel in RELATIONS:
+            assert getattr(cx, rel)(a, b) == getattr(oracles, rel)(oa, ob)
+        assert strongly_far(a, b, w) == oracles.strongly_far(oa, ob, ow)
+
+    def test_strongly_far_witnesses_match(self, grid5_mesh, buried_config):
+        # Configurations where strongly_far holds, found and explicit.
+        from proximesh.harness import sample_strongly_far_config
+
+        def frozen(x):
+            return oracles.SubComplex.of(grid5_mesh, x.vertices, x.edges,
+                                         x.triangles)
+
+        rng = random.Random(5)
+        a, b, c = buried_config
+        configs = [(a, c, b)] + [
+            config for config in (sample_strongly_far_config(grid5_mesh, rng)
+                                  for _ in range(20)) if config is not None]
+        hits = 0
+        for a, c, w in configs:
+            for witness in (None, w):
+                rep = strongly_far(a, c, witness)
+                hits += rep.verdict
+                assert rep == oracles.strongly_far(
+                    frozen(a), frozen(c),
+                    None if witness is None else frozen(witness))
+        assert hits
+
+
+class TestLemma31Exhaustive:
+    @pytest.mark.parametrize("count, seed", [(5, 2), (6, 2), (6, 145)])
+    def test_every_pair_of_triangle_subsets(self, count, seed):
+        # Generated meshes of 5, 6 and 7 triangles: near and visible give
+        # the reports of the frozenset algebra, and agree, on every pair.
+        mesh = triangulate(generate_sites(seed, count)[0])
+        n = len(mesh.triangles)
+        assert 5 <= n <= 7
+        subs = [
+            [t for t in range(n) if mask >> t & 1] for mask in range(2**n)
+        ]
+        ours = [closure(tri_sub(mesh, *ts)) for ts in subs]
+        theirs = [oracles.closure(oracles.SubComplex.of_triangles(mesh, ts))
+                  for ts in subs]
+        for a, oa in zip(ours, theirs):
+            for b, ob in zip(ours, theirs):
+                n_rep, v_rep = near(a, b), visible(a, b)
+                assert n_rep == oracles.near(oa, ob)
+                assert v_rep == oracles.visible(oa, ob)
+                assert n_rep.verdict == v_rep.verdict

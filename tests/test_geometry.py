@@ -19,6 +19,7 @@ from proximesh.geometry import (
     DegenerateInputError,
     Point2,
     Polygon,
+    Rect,
     circumcenter,
     clip_halfplane,
     convex_hull,
@@ -263,6 +264,37 @@ class TestPoint2:
         for bad in (float("nan"), float("inf"), "oops"):
             with pytest.raises(DegenerateInputError):
                 P(bad, 0)
+
+
+class TestRect:
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_place_matches_fraction_comparisons(self, data):
+        xs = sorted(data.draw(st.lists(coords, min_size=2, max_size=2,
+                                       unique=True)))
+        ys = sorted(data.draw(st.lists(coords, min_size=2, max_size=2,
+                                       unique=True)))
+        box = Rect(xs[0], ys[0], xs[1], ys[1])
+        # Coordinates on the box's own lines are drawn as often as others.
+        x = data.draw(st.one_of(coords, st.sampled_from(xs)))
+        y = data.draw(st.one_of(coords, st.sampled_from(ys)))
+        p = P(x, y)
+        expected = (1 if box.strictly_contains(p)
+                    else 0 if box.contains(p) else -1)
+        assert box.place(p) == expected
+
+    @pytest.mark.parametrize("point, placed", [
+        (P(Fraction(1, 3), Fraction(1, 2)), 1),
+        (P(0, Fraction(1, 2)), 0),
+        (P(Fraction(2, 3), Fraction(3, 4)), 0),
+        (P(Fraction(2, 3), Fraction(1, 5)), 0),
+        (P(Fraction(-1, 7), Fraction(1, 2)), -1),
+        (P(Fraction(1, 3), Fraction(4, 5)), -1),
+        (P(1, 1), -1),
+    ])
+    def test_place_on_own_denominators(self, point, placed):
+        box = Rect(Fraction(0), Fraction(1, 5), Fraction(2, 3), Fraction(3, 4))
+        assert box.place(point) == placed
 
 
 class TestIsConvexPolygon:

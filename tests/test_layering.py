@@ -107,3 +107,30 @@ def test_the_rule_finds_edges_calls():
               "c = mesh.triangles[t].edges()\nd = sorted(sub.edges)\n"
               "e = edges(t)\n")
     assert edges_calls(source) == [1, 3]
+
+
+MASKS = {"vmask", "emask", "tmask", "_masks"}
+
+
+def mask_reads(source: str) -> list[int]:
+    """Lines that read a subcomplex's bit masks or a mesh's mask tables."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr in MASKS
+            and isinstance(node.ctx, ast.Load)]
+
+
+@pytest.mark.parametrize(
+    "module",
+    sorted(p.name for p in SRC.glob("*.py") if p.name != "complexes.py"),
+)
+def test_only_complexes_reads_the_masks(module):
+    # `complexes` owns the bit-mask form of a subcomplex and the mesh
+    # tables behind it; every other module reads the frozenset views.
+    assert mask_reads((SRC / module).read_text()) == []
+
+
+def test_the_rule_finds_mask_reads():
+    source = ("a = sub.vmask & b\nself._masks = None\n"
+              "c = cx.SubComplex(m, tmask=k)\nd = mesh._masks.fan\n"
+              "e = getattr(sub, 'emask')\nf = sub.vertices\n")
+    assert mask_reads(source) == [1, 4]
