@@ -14,11 +14,12 @@ are read against (each triangle's vertex and edge masks, each edge's
 vertex and triangle masks, each site's fan mask and the hull-site mask)
 are built once per mesh, for its first subcomplex, and kept on the mesh.
 Closure is an OR of table rows over set bits, and each relation a test
-of `&`, `~` and `bit_count` on masks. A closure carries a closed flag
-(as do the empty subcomplex and unions and intersections of closed
-ones), and `closure` returns such an operand unchanged. Indices are
-checked once, where a subcomplex is made from them by `SubComplex.of`;
-closure, union and intersection results are not checked again. The
+of `&`, `~` and `bit_count` on masks. A closure carries a closed flag,
+which only this module sets (as it does on the empty subcomplex and on
+unions and intersections of closed ones), and `closure` returns such an
+operand unchanged. Indices are checked once, where a subcomplex is made
+from them by `SubComplex.of` or `SubComplex.of_triangle_set`; closure,
+union and intersection results are not checked again. The
 `vertices`, `edges` and `triangles` views are frozensets, so `describe`
 and the writers keep their sorted text.
 
@@ -87,15 +88,15 @@ def _tables(mesh: Mesh) -> _Tables:
 class SubComplex:
     """An immutable selection of mesh simplices, as bit masks.
 
-    Make one from indices with `of`, which checks them; the constructor
-    takes masks as they are.
+    Make one from indices with `of`, which checks them. `closed` is set
+    only by this module, on results it knows to be closed.
     """
 
     mesh: Mesh
     vmask: int = 0
     emask: int = 0
     tmask: int = 0
-    closed: bool = field(default=False, compare=False)
+    closed: bool = field(default=False, init=False, compare=False)
 
     @property
     def vertices(self) -> frozenset[int]:
@@ -112,7 +113,7 @@ class SubComplex:
 
     @classmethod
     def empty(cls, mesh: Mesh) -> "SubComplex":
-        return cls(mesh, closed=True)
+        return _subcomplex(mesh, 0, 0, 0, closed=True)
 
     @classmethod
     def of(
@@ -144,12 +145,20 @@ class SubComplex:
     def of_triangles(cls, mesh: Mesh, triangles: Iterable[int]) -> "SubComplex":
         return cls.of(mesh, triangles=triangles)
 
+    @classmethod
+    def of_triangle_set(cls, mesh: Mesh, k: int) -> "SubComplex":
+        """The triangles numbered by the set bits of k: triangle i is in
+        when bit i is, so k = 0 .. 2**T - 1 runs over every subset."""
+        if type(k) is not int or not 0 <= k < 1 << len(mesh.triangles):
+            raise ValueError(f"not a triangle set of the mesh: {k!r}")
+        return cls(mesh, tmask=k)
+
     def is_empty(self) -> bool:
         return not (self.vmask or self.emask or self.tmask)
 
     def union(self, other: "SubComplex") -> "SubComplex":
         _require_same_mesh(self, other)
-        return SubComplex(
+        return _subcomplex(
             self.mesh,
             self.vmask | other.vmask,
             self.emask | other.emask,
@@ -159,7 +168,7 @@ class SubComplex:
 
     def intersection(self, other: "SubComplex") -> "SubComplex":
         _require_same_mesh(self, other)
-        return SubComplex(
+        return _subcomplex(
             self.mesh,
             self.vmask & other.vmask,
             self.emask & other.emask,
@@ -209,7 +218,7 @@ def closure(a: SubComplex) -> SubComplex:
     verts = reduce(or_, map(tables.edge_v.__getitem__, _bits(a.emask)),
                    reduce(or_, map(tables.tri_v.__getitem__, tris), a.vmask))
     edges = reduce(or_, map(tables.tri_e.__getitem__, tris), a.emask)
-    return SubComplex(a.mesh, verts, edges, a.tmask, True)
+    return _subcomplex(a.mesh, verts, edges, a.tmask, closed=True)
 
 
 def boundary(a: SubComplex) -> SubComplex:
@@ -447,18 +456,20 @@ def _require_same_mesh(a: SubComplex, b: SubComplex) -> None:
         raise MeshMismatchError("operands belong to different meshes")
 
 
+def _subcomplex(
+    mesh: Mesh, vmask: int, emask: int, tmask: int, closed: bool
+) -> SubComplex:
+    """A subcomplex flagged closed when the caller knows it is."""
+    sub = SubComplex(mesh, vmask, emask, tmask)
+    if closed:
+        object.__setattr__(sub, "closed", True)
+    return sub
+
+
 def _bits(mask: int) -> list[int]:
-    """The positions of the set bits of a mask, lowest first."""
-    if mask.bit_count() * 8 < mask.bit_length():
-        # Sparse: one step per set bit, each on the whole mask.
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return out
-    # Dense: the binary digits, lowest first, as 0/1 bytes that select
-    # their own positions.
+    """The positions of the set bits of a mask, lowest first: its
+    binary digits, lowest first, as 0/1 bytes that select their own
+    positions."""
     digits = bin(mask).encode().translate(_DIGIT_BYTES)[:1:-1]
     return list(compress(range(len(digits)), digits))
 

@@ -10,8 +10,9 @@ homogeneous integer triples (X, Y, W), takes its signs on those.
 its edge, by a line: each crossing is the cross product of two lines, so
 corners do not widen from clip to clip, and no Fraction is made. `Rect`,
 the Voronoi clip box, gives the first such ring.
-`Polygon.contains` and `circumcenter` work in integers; the latter makes
-a Fraction only of each of its two coordinates.
+`Polygon.contains`, `Rect.place` (behind the box's containment tests)
+and `circumcenter` work in integers; the last makes a Fraction only of
+each of its two coordinates.
 `orient2d` and `incircle` scale their points to integers per call and
 run `rational`'s integer kernels; they serve callers outside the
 library, which takes all its signs on lattices.
@@ -190,13 +191,13 @@ class Rect:
         ]
 
     def contains(self, p: Point2) -> bool:
-        return self.xmin <= p.x <= self.xmax and self.ymin <= p.y <= self.ymax
+        return self.place(p) >= 0
 
     def strictly_contains(self, p: Point2) -> bool:
-        return self.xmin < p.x < self.xmax and self.ymin < p.y < self.ymax
+        return self.place(p) > 0
 
     def on_boundary(self, p: Point2) -> bool:
-        return self.contains(p) and not self.strictly_contains(p)
+        return self.place(p) == 0
 
     def place(self, p: Point2) -> int:
         """+1 when p is strictly inside, 0 on the boundary, -1 outside;

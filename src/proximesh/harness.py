@@ -193,8 +193,9 @@ def suite_near_visible_agreement(
     m = _trial_mesh(mesh, seed, 0)
     t = len(m.triangles)
     if t <= 5:
-        # Triangle set k is the bit mask k, closed once.
-        subs = [cx.closure(cx.SubComplex(m, tmask=k)) for k in range(2**t)]
+        # Every triangle subset, each closed once.
+        subs = [cx.closure(cx.SubComplex.of_triangle_set(m, k))
+                for k in range(2**t)]
         for mask_a, a in enumerate(subs):
             for mask_b, b in enumerate(subs):
                 _record_agreement(result, a, b, f"pair=({mask_a},{mask_b})")

@@ -107,6 +107,23 @@ class TestOf:
         SubComplex.of(mesh, vertices=[0])
         assert mesh._masks is not None
 
+    def test_triangle_set_is_its_bits(self, fan_mesh):
+        assert [SubComplex.of_triangle_set(fan_mesh, k).triangles
+                for k in range(8)] == [
+            frozenset(t for t in range(3) if k >> t & 1) for k in range(8)]
+        assert SubComplex.of_triangle_set(fan_mesh, 5) == tri_sub(fan_mesh,
+                                                                  0, 2)
+
+    @pytest.mark.parametrize("k", [-1, 8, True, 1.0])
+    def test_triangle_set_not_of_the_mesh_rejected(self, fan_mesh, k):
+        with pytest.raises(ValueError, match="not a triangle set of the mesh"):
+            SubComplex.of_triangle_set(fan_mesh, k)
+
+    def test_closed_flag_not_a_constructor_argument(self, fan_mesh):
+        with pytest.raises(TypeError):
+            SubComplex(fan_mesh, closed=True)
+        assert not SubComplex.of_triangles(fan_mesh, [0]).closed
+
 
 class TestClosure:
     def test_closed_operand_returned_as_is(self, fan_mesh):

@@ -279,9 +279,12 @@ class TestRect:
         x = data.draw(st.one_of(coords, st.sampled_from(xs)))
         y = data.draw(st.one_of(coords, st.sampled_from(ys)))
         p = P(x, y)
-        expected = (1 if box.strictly_contains(p)
-                    else 0 if box.contains(p) else -1)
-        assert box.place(p) == expected
+        inside = xs[0] < x < xs[1] and ys[0] < y < ys[1]
+        closed = xs[0] <= x <= xs[1] and ys[0] <= y <= ys[1]
+        assert box.place(p) == (1 if inside else 0 if closed else -1)
+        assert box.strictly_contains(p) == inside
+        assert box.contains(p) == closed
+        assert box.on_boundary(p) == (closed and not inside)
 
     @pytest.mark.parametrize("point, placed", [
         (P(Fraction(1, 3), Fraction(1, 2)), 1),

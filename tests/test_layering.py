@@ -113,10 +113,14 @@ MASKS = {"vmask", "emask", "tmask", "_masks"}
 
 
 def mask_reads(source: str) -> list[int]:
-    """Lines that read a subcomplex's bit masks or a mesh's mask tables."""
-    return [node.lineno for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Attribute) and node.attr in MASKS
-            and isinstance(node.ctx, ast.Load)]
+    """Lines that read a subcomplex's bit masks or a mesh's mask tables,
+    or pass masks to the `SubComplex` constructor."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in MASKS
+                  and isinstance(node.ctx, ast.Load)
+                  or isinstance(node, ast.keyword) and node.arg in MASKS
+                  or isinstance(node, ast.Call) and len(node.args) > 1
+                  and ast.unparse(node.func).split(".")[-1] == "SubComplex")
 
 
 @pytest.mark.parametrize(
@@ -125,12 +129,15 @@ def mask_reads(source: str) -> list[int]:
 )
 def test_only_complexes_reads_the_masks(module):
     # `complexes` owns the bit-mask form of a subcomplex and the mesh
-    # tables behind it; every other module reads the frozenset views.
+    # tables behind it; every other module reads the frozenset views and
+    # makes subcomplexes with `SubComplex.of` and its siblings.
     assert mask_reads((SRC / module).read_text()) == []
 
 
 def test_the_rule_finds_mask_reads():
     source = ("a = sub.vmask & b\nself._masks = None\n"
               "c = cx.SubComplex(m, tmask=k)\nd = mesh._masks.fan\n"
-              "e = getattr(sub, 'emask')\nf = sub.vertices\n")
-    assert mask_reads(source) == [1, 4]
+              "e = getattr(sub, 'emask')\nf = sub.vertices\n"
+              "g = cx.SubComplex.of_triangle_set(m, k)\n"
+              "h = SubComplex(m, 0, 0, k)\ni = cx.SubComplex(m)\n")
+    assert mask_reads(source) == [1, 3, 4, 8]
