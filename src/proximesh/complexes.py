@@ -11,7 +11,7 @@ index, its edges by position in the sorted `Mesh.edge_triangles`, and
 its triangles by triangle index. The lowest set bit of a mask is its
 least simplex, the `min` that names a witness. The tables that masks
 are read against (each triangle's vertex and edge masks, each edge's
-vertex and triangle masks, each site's fan mask and the hull-site mask)
+vertex mask, each site's fan mask and the hull-site mask)
 are built once per mesh, for its first subcomplex, and kept on the mesh.
 Closure is an OR of table rows over set bits, and each relation a test
 of `&`, `~` and `bit_count` on masks. A closure carries a closed flag,
@@ -59,8 +59,8 @@ class MeshMismatchError(ValueError):
 class _Tables:
     """The masks of one mesh's simplices, read by the operations here."""
 
-    __slots__ = ("edges", "edge_index", "tri_v", "tri_e", "edge_v", "edge_t",
-                 "fan", "hull")
+    __slots__ = ("edges", "edge_index", "tri_v", "tri_e", "edge_v", "fan",
+                 "hull")
 
     def __init__(self, mesh: Mesh) -> None:
         self.edges = tuple(mesh.edge_triangles)
@@ -71,7 +71,6 @@ class _Tables:
         self.tri_e = tuple(1 << index[a] | 1 << index[b] | 1 << index[c]
                            for a, b, c in mesh.triangle_edges)
         self.edge_v = tuple(1 << i | 1 << j for i, j in self.edges)
-        self.edge_t = tuple(_mask_of(ts) for ts in mesh.edge_triangles.values())
         n = len(mesh.site_set)
         self.fan = tuple(_mask_of(mesh.vertex_triangles[v]) for v in range(n))
         self.hull = _mask_of(v for v in range(n) if mesh.is_hull_site(v))
@@ -350,10 +349,14 @@ def strongly_far(
 ) -> RelationReport:
     """a is far from some witness set whose closure's interior swallows c.
 
-    With an explicit witness the verdict is exact. Without one, candidate
-    witnesses are grown as triangle neighborhoods around c of adjacency
-    radius 1, 2, 3; the bounded search can miss witnesses, so a false
-    verdict without a witness is conservative.
+    With an explicit witness the verdict is exact. Without one, the one
+    candidate is c's radius-1 triangle neighborhood: every triangle at a
+    vertex of c. It holds the whole fan of each of c's vertices and both
+    triangles of each of c's edges, so c's closure lies in its interior
+    exactly when c has no hull vertex, and that holds at every larger
+    radius too; a larger candidate only meets a more often. No witness
+    is searched for beyond it, and a false verdict without a witness is
+    conservative.
     """
     _require_same_mesh(a, c)
     if a.is_empty() or c.is_empty():
@@ -371,23 +374,19 @@ def strongly_far(
             witness=("witness_set", witness_b.describe()) if ok else None,
             note="explicit witness",
         )
-    mesh = a.mesh
-    tables = _tables(mesh)
-    # The triangles at c's vertices, then those across their edges.
-    frontier = reduce(or_, map(tables.fan.__getitem__, _bits(cl_c.vmask)),
-                      cl_c.tmask)
-    for radius in (1, 2, 3):
-        candidate = SubComplex(mesh, tmask=frontier)
-        if _witnesses_strongly_far(cl_a, cl_c, candidate):
-            return RelationReport(
-                relation="strongly_far",
-                verdict=True,
-                witness=("witness_set", candidate.describe()),
-                note=f"witness found at adjacency radius {radius}",
-            )
-        edges = reduce(or_, map(tables.tri_e.__getitem__, _bits(frontier)), 0)
-        frontier = reduce(or_, map(tables.edge_t.__getitem__, _bits(edges)),
-                          frontier)
+    fan = _tables(a.mesh).fan
+    candidate = SubComplex(
+        a.mesh, tmask=reduce(or_, map(fan.__getitem__, _bits(cl_c.vmask)), 0)
+    )
+    if _witnesses_strongly_far(cl_a, cl_c, candidate):
+        return RelationReport(
+            relation="strongly_far",
+            verdict=True,
+            witness=("witness_set", candidate.describe()),
+            note="witness found at adjacency radius 1",
+        )
+    # `relate` prints this note and the benchmark's `query` digests pin
+    # it, so it keeps its text from when radii 2 and 3 were also tried.
     return RelationReport(
         relation="strongly_far",
         verdict=False,

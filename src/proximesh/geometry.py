@@ -10,9 +10,11 @@ homogeneous integer triples (X, Y, W), takes its signs on those.
 its edge, by a line: each crossing is the cross product of two lines, so
 corners do not widen from clip to clip, and no Fraction is made. `Rect`,
 the Voronoi clip box, gives the first such ring.
-`Polygon.contains`, `Rect.place` (behind the box's containment tests)
-and `circumcenter` work in integers; the last makes a Fraction only of
-each of its two coordinates.
+`Polygon.contains` tests a point against the integer line of each edge
+of the normalized ring, built once, on its first call, as `clip_halfplane`
+builds each line once. It, `Rect.place` (behind the box's containment
+tests) and `circumcenter` work in integers; the last makes a Fraction
+only of each of its two coordinates.
 `orient2d` and `incircle` scale their points to integers per call and
 run `rational`'s integer kernels; they serve callers outside the
 library, which takes all its signs on lattices.
@@ -26,7 +28,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 from .rational import (Lattice, _cross, _incircle, _on_scale, _orient,
-                       _orient_w, scaled_ints)
+                       scaled_ints)
 
 Coord = Union[Fraction, int, str]
 # The point (X/W, Y/W) as the integers (X, Y, W), W > 0.
@@ -69,6 +71,12 @@ class Point2:
                 and x.denominator == u.denominator
                 and y.denominator == v.denominator)
 
+    def __hash__(self) -> int:
+        # The parts `__eq__` compares, without `Fraction.__hash__`'s
+        # modular inverse.
+        x, y = self.x, self.y
+        return hash((x.numerator, x.denominator, y.numerator, y.denominator))
+
     def __repr__(self) -> str:
         return f"Point2({self.x}, {self.y})"
 
@@ -88,7 +96,7 @@ class Polygon(Lattice):
     lattice holds each vertex on its own W, and no lcm is taken.
     """
 
-    __slots__ = ("vertices", "_convex")
+    __slots__ = ("vertices", "_convex", "_lines")
 
     def __init__(
         self,
@@ -119,6 +127,7 @@ class Polygon(Lattice):
         self.vertices = self.points = tuple(self.points[i] for i in ring)
         self.scales = tuple(self.scales[i] for i in ring)
         self.lattice = tuple(self.lattice[i] for i in ring)
+        self._lines: Optional[tuple[Line, ...]] = None
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Polygon) and self.vertices == other.vertices
@@ -133,13 +142,19 @@ class Polygon(Lattice):
         return self.area2(range(len(self.vertices))) / 2
 
     def contains(self, p: Point2) -> bool:
-        """Closed-region membership; requires a convex polygon. Each edge
-        takes `_orient_w` on its ends' (X, Y, scale) and p's own (X, Y, W)."""
+        """Closed-region membership; requires a convex polygon. p's own
+        (X, Y, W) is on the positive side of, or on, each edge's line,
+        the `_cross` of its ends' (X, Y, scale): that is the determinant
+        `_orient_w` takes on the ends and p. The lines are built on the
+        first call."""
+        lines = self._lines
+        if lines is None:
+            ends = [(*v, s) for v, s in zip(self.lattice, self.scales)]
+            lines = self._lines = tuple(map(_cross, ends,
+                                            ends[1:] + ends[:1]))
         w = math.lcm(p.x.denominator, p.y.denominator)
         px, py = _on_scale(p, w)
-        ends = [(*v, s) for v, s in zip(self.lattice, self.scales)]
-        return all(_orient_w(*u, *v, px, py, w) >= 0
-                   for u, v in zip(ends, ends[1:] + ends[:1]))
+        return all(a * px + b * py + c * w >= 0 for a, b, c in lines)
 
     def _dedupe_cyclic(self) -> list[int]:
         """The vertex indices without consecutive repeats, the last not

@@ -165,7 +165,8 @@ class Mesh:
     Adjacency queries and the relation algebra in `complexes` work off
     the index maps built here; nothing mutates a Mesh after construction
     except the caches of its circumcenters, derived clip box, Voronoi
-    cells and `complexes`' bit-mask tables, filled on first access.
+    cells, their vertex sets and `complexes`' bit-mask tables, filled on
+    first access.
     """
 
     __slots__ = (
@@ -180,6 +181,7 @@ class Mesh:
         "_corners",
         "_clip_box",
         "_voronoi",
+        "_vertex_sets",
         "_masks",
     )
 
@@ -212,6 +214,7 @@ class Mesh:
         self._corners: tuple[Corner, ...] = ()
         self._clip_box = clip_box
         self._voronoi: Optional[tuple[VoronoiRegion, ...]] = None
+        self._vertex_sets: Optional[tuple[frozenset[Point2], ...]] = None
         self._masks = None
 
     @property
@@ -451,22 +454,25 @@ def is_delaunay_edge(p: int, q: int, mesh: Mesh) -> bool:
     side of L, so a wall is one edge of both, with the same two exact
     `Point2` ends. A shared corner lies on L, and a normalized convex ring
     has at most two corners on one line: one shared corner means the cells
-    meet at a point (the cocircular case), and two span a wall. Each
-    corner of cell p is looked up in the set of cell q's corners, keyed by
-    the numerators and denominators of their coordinates in lowest terms.
+    meet at a point (the cocircular case), and two span a wall. The two
+    cells' sets of corners are intersected: `Point2` hashes and compares
+    the numerators and denominators of its coordinates in lowest terms.
+    A mesh's first wall test builds the set of every cell, once.
     """
+    for i in (p, q):
+        if type(i) is not int:
+            raise MeshError(f"site index is not an int: {i!r}")
     if p == q:
         raise MeshError("edge endpoints must differ")
     n = len(mesh.site_set)
     if not (0 <= p < n and 0 <= q < n):
         raise MeshError(f"site index out of range: {(p, q)}")
-    ring = set(map(_key, mesh.voronoi[q].cell.vertices))
-    return sum(_key(v) in ring for v in mesh.voronoi[p].cell.vertices) >= 2
-
-
-def _key(v: Point2) -> tuple[int, int, int, int]:
-    x, y = v.x, v.y
-    return (x.numerator, x.denominator, y.numerator, y.denominator)
+    vertex_sets = mesh._vertex_sets
+    if vertex_sets is None:
+        vertex_sets = mesh._vertex_sets = tuple(
+            frozenset(region.cell.vertices) for region in mesh.voronoi
+        )
+    return len(vertex_sets[p] & vertex_sets[q]) >= 2
 
 
 def _edge(i: int, j: int) -> Edge:

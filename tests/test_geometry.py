@@ -236,6 +236,27 @@ class TestPolygon:
         with pytest.raises(DegenerateInputError):
             Polygon([P(0, 0), P(1, 0), P(2, 0)])
 
+    @pytest.mark.parametrize("ring", [
+        [P(0, 0), P(2, 0), P(2, 2), P(0, 2)],
+        [P(2, 2), P(2, 0), P(0, 0), P(0, 2)],
+        [P(0, 2), P(1, 2), P(2, 2), P(2, 0), P(0, 0), P(0, 0)],
+    ])
+    def test_contains_is_closed_on_the_normalized_ring(self, ring):
+        # Clockwise, rotated and redundant input: the edge lines are
+        # those of the ring left after normalization.
+        poly = Polygon(ring)
+        for p in (P(1, 1), P(0, 1), P(1, 2), P(2, 2), P(0, 0)):
+            assert poly.contains(p), p
+        for p in (P(3, 1), P(1, -1), P(-1, 1), P(1, 3), P(Fraction(5, 2), 2)):
+            assert not poly.contains(p), p
+
+    def test_cached_lines_leave_equality_alone(self):
+        ring = [P(0, 0), P(Fraction(1, 3), 0), P(0, Fraction(1, 5))]
+        used, fresh = Polygon(ring), Polygon(ring)
+        assert used.contains(P(Fraction(1, 9), Fraction(1, 20)))
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+
 
 class TestPoint2:
     def test_exact_decimal_strings(self):
@@ -254,6 +275,14 @@ class TestPoint2:
         assert (p != q) is not same
         if same:
             assert hash(p) == hash(q)
+
+    def test_hash_of_unreduced_and_typed_input(self):
+        # Equal points hash equal however their coordinates were written.
+        points = [P(Fraction(2, 4), 1), P("1/2", "1"), P("0.5", Fraction(3, 3)),
+                  P(Fraction(1, 2), 1)]
+        assert len({hash(p) for p in points}) == 1
+        assert len(set(points)) == 1
+        assert P(Fraction(-2, 4), 1) not in set(points)
 
     def test_not_equal_to_a_tuple(self):
         assert (P(1, 2) == (1, 2)) is False
@@ -517,8 +546,9 @@ _PROBE_MESHES = {
 
 @pytest.mark.parametrize("name", list(_PROBE_MESHES))
 def test_cell_contains_matches_fraction_sides(name):
-    # Cells are built on their corners, so `contains` takes `_orient_w`
-    # on the corners' own W; the Fraction side of each edge decides it
+    # Cells are built on their corners, so `contains` tests the probe's
+    # own (X, Y, W) against each edge's line, the `_cross` of its ends'
+    # corners on their own W; the Fraction side of each edge decides it
     # here. Probes: every site, circumcenter, cell vertex and cell-edge
     # midpoint.
     mesh = _PROBE_MESHES[name]()

@@ -611,6 +611,21 @@ class TestIsDelaunayEdge:
         with pytest.raises(MeshError):
             is_delaunay_edge(2, 2, fan_mesh)
 
+    @pytest.mark.parametrize("bad", [True, 0.0, 1.0])
+    def test_index_not_an_int_rejected(self, fan_mesh, bad):
+        # True would read as site 1, and 1.0 fail as a tuple index.
+        for p, q in ((bad, 2), (2, bad)):
+            with pytest.raises(MeshError, match=f"not an int: {bad!r}"):
+                is_delaunay_edge(p, q, fan_mesh)
+
+    def test_vertex_sets_built_on_first_wall_test(self):
+        mesh = triangulate(SiteSet([P(0, 0), P(4, 0), P(2, 3), P(2, 1)]))
+        mesh.voronoi
+        assert mesh._vertex_sets is None
+        assert is_delaunay_edge(0, 1, mesh)
+        assert mesh._vertex_sets == tuple(
+            frozenset(region.cell.vertices) for region in mesh.voronoi)
+
     def test_index_out_of_range_rejected(self, fan_mesh):
         # Python would read cell -1 as the last site's.
         for bad in (-1, len(fan_mesh.sites)):
