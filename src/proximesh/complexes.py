@@ -536,7 +536,12 @@ def _shared_edge(cl_a: SubComplex, cl_b: SubComplex) -> Optional[tuple]:
 
 
 def _shared_simplex(cl_a: SubComplex, cl_b: SubComplex) -> Optional[tuple]:
-    """Lowest-dimensional simplex common to both closures."""
+    """A simplex common to both closures, or None: on closures, always
+    the lowest shared vertex, since a shared edge or triangle brings its
+    vertices. The edge and triangle branches never answer; they keep
+    `near` written as "any shared simplex", apart from `visible`'s
+    shared vertex, so that `lemma31`'s agreement of the two is checked
+    rather than true by construction."""
     shared = cl_a.vmask & cl_b.vmask
     if shared:
         return ("vertex", _lowest(shared))

@@ -2,22 +2,23 @@
 
 Points carry arbitrary-precision rational coordinates, every predicate
 in this module decides its sign exactly, and no function here returns a
-float. A `Polygon`, and the points of one `convex_hull` call, are scaled
-once to a `rational.Lattice`, which takes every sign on them by point
-index, segment tests included. A polygon given its vertices as corners,
-homogeneous integer triples (X, Y, W), takes its signs on those.
+float. The points of one `convex_hull` call are scaled once to a
+`rational.Lattice`, which takes every sign on them by point index. A
+`Polygon` is the lattice of its vertices too, or of their corners,
+homogeneous integer triples (X, Y, W), when given; it builds the integer
+line of each edge once and takes every sign of its normalization, and
+of `contains`, from those lines.
 `clip_halfplane` cuts a ring of corners, each with the integer line of
 its edge, by a line: each crossing is the cross product of two lines, so
 corners do not widen from clip to clip, and no Fraction is made. `Rect`,
-the Voronoi clip box, gives the first such ring.
-`Polygon.contains` tests a point against the integer line of each edge
-of the normalized ring, built once, on its first call, as `clip_halfplane`
-builds each line once. It, `Rect.place` (behind the box's containment
-tests) and `circumcenter` work in integers; the last makes a Fraction
-only of each of its two coordinates.
+the Voronoi clip box, gives the first such ring, each corner in lowest
+terms and each side's line built from its bound.
+`Polygon.contains`, `Rect.place` (behind the box's containment tests)
+and `circumcenter` work in integers; the last makes a Fraction only of
+each of its two coordinates.
 `orient2d` and `incircle` scale their points to integers per call and
 run `rational`'s integer kernels; they serve callers outside the
-library, which takes all its signs on lattices.
+library, which takes all its signs on lattices and lines.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence, Union
 
 from .rational import (Lattice, _cross, _incircle, _on_scale, _orient,
@@ -90,10 +92,26 @@ class Polygon(Lattice):
     sets compare equal.
 
     The polygon is the `rational.Lattice` of its vertices, kept in ring
-    order, and decides every sign and order by vertex index with the
-    lattice's `orient`, `compare`, `crossings` and `area2`. Given
-    `corners`, vertex i's integer triple (X, Y, W) as corner i, the
-    lattice holds each vertex on its own W, and no lcm is taken.
+    order; given `corners`, vertex i's integer triple (X, Y, W) as
+    corner i, the lattice holds each vertex on its own W, and no lcm is
+    taken. Each vertex is the row (X, Y, scale) and each edge its integer
+    line (a, b, c), the `_cross` of its ends' rows, built once in
+    `__init__` and kept for the normalized ring. Every sign comes from
+    those lines:
+
+    - an edge between two equal points is a line with a = b = 0;
+    - the turn at a vertex is the line into it at the next vertex, the
+      determinant of the three rows (`_orient_w`, regrouped);
+    - an edge points right when (b or -a) > 0, b and -a having the
+      signs of its dx and dy. A ring that turns one way is convex when
+      its edges change between right and left twice (Fenchel), and then
+      its least vertex is the one whose edge out points right and whose
+      edge in does not;
+    - `contains` tests a point's own (X, Y, W) against each line.
+
+    Deleting a collinear vertex rebuilds only the line across it and the
+    turns at its two neighbors. A ring that is not convex takes its
+    area and its least vertex from the lattice's `area2` and `key`.
     """
 
     __slots__ = ("vertices", "_convex", "_lines")
@@ -104,30 +122,68 @@ class Polygon(Lattice):
         corners: Optional[Sequence[Corner]] = None,
     ) -> None:
         super().__init__(vertices, corners)
-        ring = self._dedupe_cyclic()
-        turns = self._drop_collinear(ring)
+        if corners is None:
+            rows = [(x, y, w) for (x, y), w in zip(self.lattice, self.scales)]
+        else:
+            rows = list(corners)
+        lines = list(map(_cross, rows, rows[1:] + rows[:1]))
+        # A line with a = b = 0 joins two equal points. The later one
+        # goes, and the earlier keeps the next nonzero line, a positive
+        # multiple of the line of its own edge. Of a run of repeats that
+        # closes the ring onto vertex 0, vertex 0 stays, first, with the
+        # line of the run's first vertex.
+        ring = [k for k in range(len(rows))
+                if lines[k - 1][0] or lines[k - 1][1]]
+        if len(ring) < len(rows):
+            lines = [l for l in lines if l[0] or l[1]]
+            if ring and ring[0]:
+                ring = [0] + ring[:-1]
+            rows = [rows[k] for k in ring]
+        turns = [a * x + b * y + c * w for (a, b, c), (x, y, w)
+                 in zip(lines[-1:] + lines[:-1], rows[1:] + rows[:1])]
+        # Drop the first collinear vertex until none is left.
+        while len(ring) >= 3 and 0 in turns:
+            i = turns.index(0)
+            del ring[i], rows[i], lines[i], turns[i]
+            m = len(ring)
+            h, j = (i - 1) % m, i % m
+            a, b, c = lines[h] = _cross(rows[h], rows[j])
+            x, y, w = rows[(j + 1) % m]
+            turns[j] = a * x + b * y + c * w
+            a, b, c = lines[h - 1]
+            x, y, w = rows[j]
+            turns[h] = a * x + b * y + c * w
         if len(ring) < 3:
             raise DegenerateInputError("polygon needs >= 3 effective vertices")
         # A ring that turns one way and once around bounds a convex
-        # polygon, whose area has the sign of the turns. Any other ring,
+        # polygon, whose area has the sign of the turns: its edges cross
+        # between rightward and leftward twice (Fenchel). Any other ring,
         # a star among them, is not convex and sums its area.
-        self._convex = (abs(sum(turns)) == len(ring)
-                        and self.crossings(ring) == 2)
+        left = sum(t > 0 for t in turns)
+        right = [(b or -a) > 0 for a, b, _ in lines]
+        crossings = sum(u != v
+                        for u, v in zip(right, right[-1:] + right[:-1]))
+        self._convex = left in (0, len(ring)) and crossings == 2
         area2 = turns[0] if self._convex else self.area2(ring)
         if area2 == 0:
             raise DegenerateInputError("polygon has zero area")
         if area2 < 0:
             ring.reverse()
-        start = 0
-        for k, v in enumerate(ring):
-            u = ring[start]
-            if (self.compare(v, u, 0) or self.compare(v, u, 1)) > 0:
-                start = k
+            lines = [(-a, -b, -c) for a, b, c in lines[-2::-1] + lines[-1:]]
+            right = [(b or -a) > 0 for a, b, _ in lines]
+        if self._convex:
+            # The least vertex: its edge out points right, its edge in
+            # does not.
+            start = next(k for k, r in enumerate(right)
+                         if r and not right[k - 1])
+        else:
+            start = min(range(len(ring)), key=lambda k: self.key(ring[k]))
         ring = ring[start:] + ring[:start]
-        self.vertices = self.points = tuple(self.points[i] for i in ring)
-        self.scales = tuple(self.scales[i] for i in ring)
-        self.lattice = tuple(self.lattice[i] for i in ring)
-        self._lines: Optional[tuple[Line, ...]] = None
+        self._lines = tuple(lines[start:] + lines[:start])
+        reorder = itemgetter(*ring)
+        self.vertices = self.points = reorder(self.points)
+        self.scales = reorder(self.scales)
+        self.lattice = reorder(self.lattice)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Polygon) and self.vertices == other.vertices
@@ -142,50 +198,14 @@ class Polygon(Lattice):
         return self.area2(range(len(self.vertices))) / 2
 
     def contains(self, p: Point2) -> bool:
-        """Closed-region membership; requires a convex polygon. p's own
-        (X, Y, W) is on the positive side of, or on, each edge's line,
-        the `_cross` of its ends' (X, Y, scale): that is the determinant
-        `_orient_w` takes on the ends and p. The lines are built on the
-        first call."""
-        lines = self._lines
-        if lines is None:
-            ends = [(*v, s) for v, s in zip(self.lattice, self.scales)]
-            lines = self._lines = tuple(map(_cross, ends,
-                                            ends[1:] + ends[:1]))
+        """Closed-region membership of a convex polygon: p's own
+        (X, Y, W) is on the positive side of, or on, each edge's line.
+        A polygon that is not convex raises DegenerateInputError."""
+        if not self._convex:
+            raise DegenerateInputError("contains needs a convex polygon")
         w = math.lcm(p.x.denominator, p.y.denominator)
         px, py = _on_scale(p, w)
-        return all(a * px + b * py + c * w >= 0 for a, b, c in lines)
-
-    def _dedupe_cyclic(self) -> list[int]:
-        """The vertex indices without consecutive repeats, the last not
-        repeating the first."""
-        def same(i: int, j: int) -> bool:
-            return not (self.compare(i, j, 0) or self.compare(i, j, 1))
-
-        ring: list[int] = []
-        for i in range(len(self.points)):
-            if not ring or not same(ring[-1], i):
-                ring.append(i)
-        while len(ring) > 1 and same(ring[0], ring[-1]):
-            ring.pop()
-        return ring
-
-    def _drop_collinear(self, ring: list[int]) -> list[int]:
-        """Delete from the ring of vertex indices the first vertex whose
-        neighbors are collinear with it, until none is; return the turns
-        of the ring left."""
-        while len(ring) >= 3:
-            turns = []
-            for i, v in enumerate(ring):
-                nxt = ring[(i + 1) % len(ring)]
-                turn = self.orient(ring[i - 1], v, nxt)
-                if turn == 0:
-                    del ring[i]
-                    break
-                turns.append(turn)
-            else:
-                return turns
-        return []
+        return all(a * px + b * py + c * w >= 0 for a, b, c in self._lines)
 
 
 @dataclass(frozen=True, slots=True)
@@ -231,14 +251,23 @@ class Rect:
         return inside
 
     def ring(self) -> list[tuple[Corner, Line]]:
-        """The corners counterclockwise from (xmin, ymin), on one scale,
-        each with the line of its edge to the next: the ring that
-        `clip_halfplane` cuts."""
-        box = self.xmin, self.ymin, self.xmax, self.ymax
-        s = math.lcm(*(v.denominator for v in box))
-        x0, y0, x1, y1 = (v.numerator * (s // v.denominator) for v in box)
-        c = [(x0, y0, s), (x1, y0, s), (x1, y1, s), (x0, y1, s)]
-        return [(u, _cross(u, v)) for u, v in zip(c, c[1:] + c[:1])]
+        """The corners counterclockwise from (xmin, ymin), each in lowest
+        terms, over the lcm of its own two denominators, with the line of
+        its edge to the next: the ring that `clip_halfplane` cuts. A side
+        along the bound n/d is the line (0, d, -n) of y = n/d, or
+        (d, 0, -n) of x = n/d, signed positive inside the box."""
+        corners = []
+        for p in self.corners():
+            w = math.lcm(p.x.denominator, p.y.denominator)
+            corners.append((*_on_scale(p, w), w))
+        xmin, ymin, xmax, ymax = self.xmin, self.ymin, self.xmax, self.ymax
+        lines = [
+            (0, ymin.denominator, -ymin.numerator),
+            (-xmax.denominator, 0, xmax.numerator),
+            (0, -ymax.denominator, ymax.numerator),
+            (xmin.denominator, 0, -xmin.numerator),
+        ]
+        return list(zip(corners, lines))
 
 
 def orient2d(a: Point2, b: Point2, c: Point2) -> int:

@@ -30,15 +30,16 @@ Voronoi cells are the Delaunay dual, built on corners, the integer
 triples (X, Y, W) of `geometry.Corner`. Each triangle's circumcenter is
 computed once per mesh as a corner, and as a `Point2` from it, for the
 clip box and the cells alike. An interior site's cell is the ring of its
-fan's circumcenters when they all lie strictly inside the clip box;
-hull sites, and sites whose fan reaches the box, get the clip box cut
-by the integer bisector lines toward their Delaunay neighbors, each
-line built once per edge. A `Point2` is made only for a corner that a
-clipped cell keeps. The circumcenters, the derived clip box and the
-cells are built on first access, since only the `voronoi` output,
-rendering and the Delaunay-characterization audit read them. The tests
-keep an all-sites bisector construction as an independent oracle for
-these cells.
+fan's circumcenters when they all lie strictly inside the clip box, on
+the positive side of each of the four side lines of its ring; hull
+sites, and sites whose fan reaches the box, get that ring, its corners
+in lowest terms, cut by the integer bisector lines toward their
+Delaunay neighbors, each line built once per edge. A `Point2` is made
+only for a corner that a clipped cell keeps. The circumcenters, the
+derived clip box and the cells are built on first access, since only
+the `voronoi` output, rendering and the Delaunay-characterization audit
+read them. The tests keep an all-sites bisector construction as an
+independent oracle for these cells.
 """
 
 from __future__ import annotations
@@ -371,22 +372,25 @@ def voronoi(mesh: Mesh) -> list[VoronoiRegion]:
     """Voronoi cells of all mesh sites, clipped to the mesh clip box.
 
     An interior site whose fan circumcenters all lie strictly inside the
-    clip box has the ring of those circumcenters, in fan order, as its
-    cell: the mesh's own `Point2`s, with their corners; `Polygon` drops
-    the coincident ones of cocircular fans. Every other cell is the clip
-    box cut by the closed bisector half-planes toward the site's
-    Delaunay neighbors, in integers, and a `Point2` is made for each
-    corner left. On a Delaunay triangulation both are the cell that all
-    other sites cut.
+    clip box, on the positive side of the four side lines of
+    `Rect.ring`, has the ring of those circumcenters, in fan order, as
+    its cell: the mesh's own `Point2`s, with their corners; `Polygon`
+    drops the coincident ones of cocircular fans. Every other cell is
+    that ring, each corner in lowest terms, cut by the closed bisector
+    half-planes toward the site's Delaunay neighbors, in integers, and a
+    `Point2` is made for each corner left. On a Delaunay triangulation
+    both are the cell that all other sites cut.
     """
     sites = mesh.sites
     box = mesh.clip_box
     centers = mesh.circumcenters
     corners = mesh._corners
     box_ring = box.ring()
-    (x0, y0, s), _ = box_ring[0]
-    (x1, y1, _), _ = box_ring[2]
-    inside = [x0 * w < x * s < x1 * w and y0 * w < y * s < y1 * w
+    # Each side's line has one zero coefficient.
+    (_, b0, c0), (a1, _, c1), (_, b2, c2), (a3, _, c3) = (
+        line for _, line in box_ring)
+    inside = [b0 * y + c0 * w > 0 and a1 * x + c1 * w > 0
+              and b2 * y + c2 * w > 0 and a3 * x + c3 * w > 0
               for x, y, w in corners]
     neighbors: list[list[int]] = [[] for _ in sites]
     for i, j in mesh.edges:

@@ -20,16 +20,21 @@ Fraction squared distance for every site. The subcomplex algebra is
 kept here in the frozenset form that the library's bit masks replaced:
 sets of vertex indices, edge pairs and triangle indices, checked on
 construction, with closure and every relation rebuilt from them.
+Polygon normalization is kept here in the form that the library's edge
+lines replaced: by point index, with the lattice's `orient`, `compare`
+and `crossings`, restarting its collinear pass after each deletion.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional
 
 from proximesh.complexes import MeshMismatchError, RelationReport
-from proximesh.geometry import Point2, Polygon
+from proximesh.geometry import DegenerateInputError, Point2, Polygon
 from proximesh.mesh import Edge, Mesh, VoronoiRegion
+from proximesh.rational import Lattice, _orient_w
 
 
 def _sub(p, q):
@@ -262,6 +267,67 @@ def fraction_polygon(verts):
                 for a, b in edges for v in ring)
     )
     return tuple(ring), abs(area2) / 2, convex
+
+
+def lattice_polygon(vertices, corners=None):
+    """The normalization `Polygon` made by point index on the `Lattice`
+    of its vertices before it read its edge lines, kept as their
+    reference. Consecutive repeats are dropped by `compare`, and repeats
+    of the first vertex popped off the end. The first vertex collinear
+    with its neighbors by `orient` is deleted and the pass restarted,
+    until none is. The ring is convex when its turns have one sign and
+    the directions of its edges cross between the upper and lower
+    half-planes twice (`crossings`). It is reversed when its area is
+    negative and started at its first lexicographically least vertex by
+    `compare`. Returns the lattice, the ring of point indices, its
+    convexity and its area, or raises DegenerateInputError where
+    `Polygon` raises."""
+    lattice = Lattice(vertices, corners)
+
+    def same(i, j):
+        return not (lattice.compare(i, j, 0) or lattice.compare(i, j, 1))
+
+    ring = []
+    for i in range(len(lattice.points)):
+        if not ring or not same(ring[-1], i):
+            ring.append(i)
+    while len(ring) > 1 and same(ring[0], ring[-1]):
+        ring.pop()
+    turns = []
+    while len(ring) >= 3:
+        turns = [lattice.orient(ring[i - 1], v, ring[(i + 1) % len(ring)])
+                 for i, v in enumerate(ring)]
+        if 0 not in turns:
+            break
+        del ring[turns.index(0)]
+    if len(ring) < 3:
+        raise DegenerateInputError("polygon needs >= 3 effective vertices")
+    convex = (abs(sum(turns)) == len(ring)
+              and lattice.crossings(ring) == 2)
+    area2 = turns[0] if convex else lattice.area2(ring)
+    if area2 == 0:
+        raise DegenerateInputError("polygon has zero area")
+    if area2 < 0:
+        ring.reverse()
+    start = 0
+    for k, v in enumerate(ring):
+        u = ring[start]
+        if (lattice.compare(v, u, 0) or lattice.compare(v, u, 1)) > 0:
+            start = k
+    ring = ring[start:] + ring[:start]
+    return lattice, ring, convex, lattice.area2(ring) / 2
+
+
+def lattice_contains(lattice, ring, p):
+    """p on the closed left side of every edge of the convex ring of
+    point indices: `_orient_w` of each edge's ends, on their own
+    (X, Y, scale), and p on the lcm of its denominators."""
+    w = math.lcm(p.x.denominator, p.y.denominator)
+    q = (p.x.numerator * (w // p.x.denominator),
+         p.y.numerator * (w // p.y.denominator), w)
+    ends = [(*lattice.lattice[i], lattice.scales[i]) for i in ring]
+    return all(_orient_w(*u, *v, *q) >= 0
+               for u, v in zip(ends, ends[1:] + ends[:1]))
 
 
 def squared_distance(p, q):
@@ -737,7 +803,12 @@ def _shared_edge(cl_a: SubComplex, cl_b: SubComplex) -> Optional[tuple]:
 
 
 def _shared_simplex(cl_a: SubComplex, cl_b: SubComplex) -> Optional[tuple]:
-    """Lowest-dimensional simplex common to both closures."""
+    """A simplex common to both closures, or None: on closures, always
+    the lowest shared vertex, since a shared edge or triangle brings its
+    vertices. The edge and triangle branches never answer; they keep
+    `near` written as "any shared simplex", apart from `visible`'s
+    shared vertex, so that `lemma31`'s agreement of the two is checked
+    rather than true by construction."""
     shared_v = cl_a.vertices & cl_b.vertices
     if shared_v:
         return ("vertex", min(shared_v))

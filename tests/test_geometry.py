@@ -10,6 +10,8 @@ from oracles import (
     circumcenter_by_equations,
     fraction_clip_halfplane,
     fraction_polygon,
+    lattice_contains,
+    lattice_polygon,
     segment_contains,
     segments_overlap,
     squared_distance,
@@ -27,7 +29,7 @@ from proximesh.geometry import (
     is_convex_polygon,
     orient2d,
 )
-from proximesh.harness import mesh_for_trial
+from proximesh.harness import generate_sites, mesh_for_trial
 from proximesh.mesh import SiteSet, triangulate
 from proximesh.rational import Lattice, _cross
 
@@ -256,6 +258,33 @@ class TestPolygon:
         assert used.contains(P(Fraction(1, 9), Fraction(1, 20)))
         assert used == fresh and hash(used) == hash(fresh)
         assert repr(used) == repr(fresh)
+
+    def test_contains_refuses_a_polygon_that_is_not_convex(self):
+        # The lines of the two edges at the L's notch each cut off one of
+        # its interior points (1/2, 3/2) and (3/2, 1/2), so a test against
+        # every edge line would put them outside.
+        ell = Polygon([P(0, 0), P(2, 0), P(2, 1), P(1, 1), P(1, 2), P(0, 2)])
+        assert not is_convex_polygon(ell)
+        for p in (P(Fraction(1, 2), Fraction(3, 2)),
+                  P(Fraction(3, 2), Fraction(1, 2)), P(5, 5)):
+            with pytest.raises(DegenerateInputError):
+                ell.contains(p)
+
+    @pytest.mark.parametrize("ring", [
+        [P(0, 0), P(1, 0), P(1, 0), P(2, 0), P(1, 1), P(0, 0)],
+        [P(0, 0), P(2, 0), P(1, "0.25"), P(1, 1)],
+        [P(0, 5), P(-3, -4), P(5, 2), P(-5, 2), P(3, -4)],
+    ], ids=["convex", "arrowhead", "pentagram"])
+    def test_normalization_takes_no_lattice_sign(self, ring, monkeypatch):
+        # Every sign comes from the edge lines; none from the lattice's
+        # point-index predicates.
+        def refuse(*args):
+            raise AssertionError("lattice predicate called")
+
+        for name in ("orient", "compare", "crossings"):
+            monkeypatch.setattr(Lattice, name, refuse)
+        corners = [_corner(p) for p in ring]
+        assert Polygon(ring).vertices == Polygon(ring, corners).vertices
 
 
 class TestPoint2:
@@ -521,16 +550,19 @@ def _assert_matches_fractions(ring, own_scales):
     inner = P(sum(v.x for v in vertices) / len(vertices),
               sum(v.y for v in vertices) / len(vertices))
     probes = [*vertices, *mids, inner, P(inner.x + 100, inner.y)]
+    if not convex:
+        with pytest.raises(DegenerateInputError):
+            poly.contains(inner)
+        return
     for p in probes:
         assert poly.contains(p) == all(_side(a, b, p) >= 0 for a, b in edges)
-    if convex:
-        lines = [(vertices[0], mids[len(mids) // 2]), (inner, vertices[1]),
-                 (mids[1], inner), (vertices[-1], vertices[1])]
-        for a, b in lines:
-            if a != b:
-                assert _clip(vertices, a, b) == (
-                    fraction_clip_halfplane(list(vertices), a, b)
-                )
+    lines = [(vertices[0], mids[len(mids) // 2]), (inner, vertices[1]),
+             (mids[1], inner), (vertices[-1], vertices[1])]
+    for a, b in lines:
+        if a != b:
+            assert _clip(vertices, a, b) == (
+                fraction_clip_halfplane(list(vertices), a, b)
+            )
 
 
 # Generated meshes of 4-30 dyadic sites, one over unrelated 20-digit
@@ -628,3 +660,188 @@ class TestLatticeMatchesFractions:
     )
     def test_rings_not_convex(self, ring):
         _assert_matches_fractions([P(x, y) for x, y in ring], own_scales=False)
+
+
+def _lowest(p: Point2) -> tuple[int, int, int]:
+    """p's corner over the lcm of its two denominators."""
+    w = math.lcm(p.x.denominator, p.y.denominator)
+    return (p.x.numerator * (w // p.x.denominator),
+            p.y.numerator * (w // p.y.denominator), w)
+
+
+def _mid(a: Point2, b: Point2) -> Point2:
+    return P((a.x + b.x) / 2, (a.y + b.y) / 2)
+
+
+@st.composite
+def degenerate_rings(draw):
+    """A ring of `shared_rings` or `own_rings` with repeats, collinear
+    middles, spikes out along an edge and back, and backtracks behind a
+    vertex inserted; maybe reversed; rotated; maybe closed by repeats of
+    its first point. With it, maybe, its corners: each point's own
+    lowest-terms triple times its own positive factor."""
+    ring = list(draw(st.one_of(shared_rings, own_rings)))
+    for _ in range(draw(st.integers(0, 6))):
+        k = draw(st.integers(0, len(ring) - 1))
+        a, b = ring[k], ring[(k + 1) % len(ring)]
+        ring[k + 1:k + 1] = draw(st.sampled_from([
+            [a],
+            [_mid(a, b)],
+            [b, _mid(a, b)],
+            [P(2 * a.x - b.x, 2 * a.y - b.y), a],
+        ]))
+    if draw(st.booleans()):
+        ring.reverse()
+    shift = draw(st.integers(0, len(ring) - 1))
+    ring = ring[shift:] + ring[:shift]
+    ring += [ring[0]] * draw(st.integers(0, 2))
+    corners = None
+    if draw(st.booleans()):
+        factors = draw(st.lists(st.integers(1, 2**64), min_size=len(ring),
+                                max_size=len(ring)))
+        corners = [tuple(f * c for c in _lowest(p))
+                   for p, f in zip(ring, factors)]
+    return ring, corners
+
+
+class TestNormalizationMatchesReference:
+    """`Polygon` normalizes on its edge lines; `oracles.lattice_polygon`
+    keeps the point-index normalization, with the lattice's `orient`,
+    `compare` and `crossings`, that it replaced."""
+
+    @staticmethod
+    def _assert_matches(ring, corners):
+        try:
+            lattice, order, convex, area = lattice_polygon(ring, corners)
+        except DegenerateInputError as exc:
+            with pytest.raises(DegenerateInputError) as raised:
+                Polygon(ring, corners)
+            assert str(raised.value) == str(exc)
+            return
+        poly = Polygon(ring, corners)
+        assert poly.vertices == tuple(lattice.points[i] for i in order)
+        assert is_convex_polygon(poly) == convex
+        assert poly.area() == area
+        vertices = poly.vertices
+        inner = P(sum(v.x for v in vertices) / len(vertices),
+                  sum(v.y for v in vertices) / len(vertices))
+        if not convex:
+            with pytest.raises(DegenerateInputError):
+                poly.contains(inner)
+            return
+        probes = [*ring, inner, P(inner.x + 100, inner.y),
+                  *(_mid(a, b) for a, b in zip(vertices, vertices[1:])),
+                  *(P(2 * v.x - inner.x, 2 * v.y - inner.y) for v in vertices)]
+        for p in probes:
+            assert poly.contains(p) == lattice_contains(lattice, order, p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(degenerate_rings())
+    def test_matches_lattice_normalization(self, case):
+        self._assert_matches(*case)
+
+    @pytest.mark.parametrize("corners", [False, True])
+    @pytest.mark.parametrize("ring", [
+        # Twice through its least point, closed by a repeat of it: the
+        # start is the first of the two, so the repeat that goes must be
+        # the closing one.
+        [(0, 0), (2, -1), (2, 1), (0, 0), (1, 2), (1, 4), (0, 0)],
+        [(0, 0), (0, 0), (1, 0), (1, 1), (0, 0), (0, 0)],
+        [(1, 1), (1, 1), (1, 1)],
+        [(0, 0), (1, 0), (0, 0), (1, 0)],
+        # Spikes out and back along an edge and through a corner.
+        [(0, 0), (2, 0), (3, 0), (1, 0), (1, 1), (0, 2), (0, -1), (0, 1)],
+    ], ids=["figure-eight", "repeats", "one-point", "back-and-forth",
+            "spikes"])
+    def test_examples(self, ring, corners):
+        ring = [P(x, y) for x, y in ring]
+        triples = ([tuple(k * c for c in _lowest(p))
+                    for k, p in enumerate(ring, 1)] if corners else None)
+        self._assert_matches(ring, triples)
+
+
+def _box(data, values) -> Rect:
+    xs = sorted(data.draw(st.lists(values, min_size=2, max_size=2,
+                                   unique=True)))
+    ys = sorted(data.draw(st.lists(values, min_size=2, max_size=2,
+                                   unique=True)))
+    return Rect(xs[0], ys[0], xs[1], ys[1])
+
+
+def _shared_scale_ring(box: Rect) -> list:
+    """The ring `Rect.ring` made before its corners were in lowest
+    terms: every corner over the lcm of all four bounds' denominators,
+    each side the `_cross` of its ends."""
+    bounds = box.xmin, box.ymin, box.xmax, box.ymax
+    s = math.lcm(*(v.denominator for v in bounds))
+    x0, y0, x1, y1 = (v.numerator * (s // v.denominator) for v in bounds)
+    c = [(x0, y0, s), (x1, y0, s), (x1, y1, s), (x0, y1, s)]
+    return [(u, _cross(u, v)) for u, v in zip(c, c[1:] + c[:1])]
+
+
+# Bounds over unrelated denominators, so that the corners' own lcms
+# differ from the four bounds' lcm.
+_bounds = st.fractions(min_value=Fraction(-20), max_value=Fraction(20),
+                       max_denominator=10**6)
+
+
+class TestRectRing:
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_corners_in_lowest_terms(self, data):
+        box = _box(data, _bounds)
+        ring = box.ring()
+        assert [c for c, _ in ring] == [_lowest(p) for p in box.corners()]
+        assert _points(ring) == box.corners()
+
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_lines_are_positive_inside_their_side(self, data):
+        box = _box(data, _bounds)
+        bounds = [box.xmin, box.ymin, box.xmax, box.ymax]
+        # Coordinates on the bounds are drawn as often as others.
+        x, y = (data.draw(st.one_of(_bounds, st.sampled_from(bounds)))
+                for _ in range(2))
+        corner = _lowest(P(x, y))
+        # Bottom, right, top and left: the side each edge's line bounds.
+        sides = [y - box.ymin, box.xmax - x, box.ymax - y, x - box.xmin]
+        for (_, line), side in zip(box.ring(), sides):
+            value = sum(u * v for u, v in zip(line, corner))
+            assert (value > 0) == (side > 0) and (value == 0) == (side == 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_clips_match_the_shared_scale_ring(self, data):
+        # Lines at random, and lines through two of the box's corners
+        # and the points between, which cut through corners exactly.
+        box = _box(data, _bounds)
+        corners = box.corners()
+        on_box = corners + [_mid(a, b) for a, b in zip(corners, corners[1:])]
+        through = st.tuples(st.sampled_from(on_box), points).map(
+            lambda ab: _cross(_corner(ab[0]), _corner(ab[1])))
+        small = st.integers(-30, 30)
+        lines = data.draw(st.lists(st.one_of(
+            st.tuples(small, small, st.integers(-600, 600)), through),
+            max_size=6))
+        ring, shared = box.ring(), _shared_scale_ring(box)
+        for line in lines:
+            ring = clip_halfplane(ring, line)
+            shared = clip_halfplane(shared, line)
+            assert _points(ring) == _points(shared)
+
+
+def test_clipped_cell_corners_stay_narrow():
+    # A clipped corner is the cross product of a box side and a bisector
+    # or of two bisectors. With the sides in lowest terms it stays under
+    # twice the widest circumcenter corner and a word more (263 bits
+    # against 157 for these sites); the shared-scale ring's sides made
+    # it about 980.
+    mesh = triangulate(generate_sites(10000, 100)[0])
+    mesh.circumcenters
+    widest = max(abs(v).bit_length() for c in mesh._corners for v in c)
+    cells = [region.cell for region in mesh.voronoi if region.clipped]
+    assert cells
+    bits = max(abs(v).bit_length() for cell in cells
+               for (x, y), w in zip(cell.lattice, cell.scales)
+               for v in (x, y, w))
+    assert bits < 2 * widest + 64
