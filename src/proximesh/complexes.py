@@ -11,8 +11,9 @@ index, its edges by position in the sorted `Mesh.edge_triangles`, and
 its triangles by triangle index. The lowest set bit of a mask is its
 least simplex, the `min` that names a witness. The tables that masks
 are read against (each triangle's vertex and edge masks, each edge's
-vertex mask, each site's fan mask and the hull-site mask)
-are built once per mesh, for its first subcomplex, and kept on the mesh.
+vertex mask, each site's fan mask and the hull-site mask) are built
+once per mesh, for its first subcomplex, and kept in the mesh's
+`_masks` attribute, which only this module reads or sets.
 Closure is an OR of table rows over set bits, and each relation a test
 of `&`, `~` and `bit_count` on masks. A closure carries a closed flag,
 which only this module sets (as it does on the empty subcomplex and on

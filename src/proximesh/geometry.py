@@ -4,10 +4,10 @@ Points carry arbitrary-precision rational coordinates, every predicate
 in this module decides its sign exactly, and no function here returns a
 float. The points of one `convex_hull` call are scaled once to a
 `rational.Lattice`, which takes every sign on them by point index. A
-`Polygon` is the lattice of its vertices too, or of their corners,
-homogeneous integer triples (X, Y, W), when given; it builds the integer
-line of each edge once and takes every sign of its normalization, and
-of `contains`, from those lines.
+`Polygon` keeps each vertex as a corner, a homogeneous integer triple
+(X, Y, W): the one given, else the vertex in lowest terms. It builds the
+integer line of each edge once and takes every sign of its
+normalization, and of `contains`, from those lines.
 `clip_halfplane` cuts a ring of corners, each with the integer line of
 its edge, by a line: each crossing is the cross product of two lines, so
 corners do not widen from clip to clip, and no Fraction is made. `Rect`,
@@ -26,10 +26,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 from typing import Iterable, Optional, Sequence, Union
 
-from .rational import (Lattice, _cross, _incircle, _on_scale, _orient,
+from .rational import (Lattice, _corner, _cross, _incircle, _orient,
                        scaled_ints)
 
 Coord = Union[Fraction, int, str]
@@ -83,7 +82,7 @@ class Point2:
         return f"Point2({self.x}, {self.y})"
 
 
-class Polygon(Lattice):
+class Polygon:
     """A simple polygon, normalized on construction.
 
     Normalization removes consecutive duplicates and collinear middle
@@ -91,13 +90,12 @@ class Polygon(Lattice):
     lexicographically smallest vertex to the front so that equal point
     sets compare equal.
 
-    The polygon is the `rational.Lattice` of its vertices, kept in ring
-    order; given `corners`, vertex i's integer triple (X, Y, W) as
-    corner i, the lattice holds each vertex on its own W, and no lcm is
-    taken. Each vertex is the row (X, Y, scale) and each edge its integer
-    line (a, b, c), the `_cross` of its ends' rows, built once in
-    `__init__` and kept for the normalized ring. Every sign comes from
-    those lines:
+    Each vertex is a row, the integer triple (X, Y, W), W > 0, of the
+    point (X/W, Y/W): vertex i's `corners[i]` when given, else its own
+    coordinates in lowest terms. Each edge is its integer line (a, b, c),
+    the `_cross` of its ends' rows, built once in `__init__` and kept for
+    the normalized ring with the rows of its vertices. Every sign comes
+    from those lines:
 
     - an edge between two equal points is a line with a = b = 0;
     - the turn at a vertex is the line into it at the next vertex, the
@@ -110,22 +108,19 @@ class Polygon(Lattice):
     - `contains` tests a point's own (X, Y, W) against each line.
 
     Deleting a collinear vertex rebuilds only the line across it and the
-    turns at its two neighbors. A ring that is not convex takes its
-    area and its least vertex from the lattice's `area2` and `key`.
+    turns at its two neighbors. A ring that is not convex takes the sign
+    of its area from its rows and starts at its least (x, y) vertex.
     """
 
-    __slots__ = ("vertices", "_convex", "_lines")
+    __slots__ = ("vertices", "_rows", "_lines", "_convex")
 
     def __init__(
         self,
         vertices: Sequence[Point2],
         corners: Optional[Sequence[Corner]] = None,
     ) -> None:
-        super().__init__(vertices, corners)
-        if corners is None:
-            rows = [(x, y, w) for (x, y), w in zip(self.lattice, self.scales)]
-        else:
-            rows = list(corners)
+        points = tuple(vertices)
+        rows = list(map(_corner, points) if corners is None else corners)
         lines = list(map(_cross, rows, rows[1:] + rows[:1]))
         # A line with a = b = 0 joins two equal points. The later one
         # goes, and the earlier keeps the next nonzero line, a positive
@@ -164,11 +159,12 @@ class Polygon(Lattice):
         crossings = sum(u != v
                         for u, v in zip(right, right[-1:] + right[:-1]))
         self._convex = left in (0, len(ring)) and crossings == 2
-        area2 = turns[0] if self._convex else self.area2(ring)
+        area2 = turns[0] if self._convex else _area2(rows)
         if area2 == 0:
             raise DegenerateInputError("polygon has zero area")
         if area2 < 0:
             ring.reverse()
+            rows.reverse()
             lines = [(-a, -b, -c) for a, b, c in lines[-2::-1] + lines[-1:]]
             right = [(b or -a) > 0 for a, b, _ in lines]
         if self._convex:
@@ -177,13 +173,11 @@ class Polygon(Lattice):
             start = next(k for k, r in enumerate(right)
                          if r and not right[k - 1])
         else:
-            start = min(range(len(ring)), key=lambda k: self.key(ring[k]))
-        ring = ring[start:] + ring[:start]
+            start = min(range(len(ring)),
+                        key=lambda k: (points[ring[k]].x, points[ring[k]].y))
+        self.vertices = tuple(points[k] for k in ring[start:] + ring[:start])
+        self._rows = tuple(rows[start:] + rows[:start])
         self._lines = tuple(lines[start:] + lines[:start])
-        reorder = itemgetter(*ring)
-        self.vertices = self.points = reorder(self.points)
-        self.scales = reorder(self.scales)
-        self.lattice = reorder(self.lattice)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Polygon) and self.vertices == other.vertices
@@ -195,7 +189,7 @@ class Polygon(Lattice):
         return f"Polygon({list(self.vertices)!r})"
 
     def area(self) -> Fraction:
-        return self.area2(range(len(self.vertices))) / 2
+        return _area2(self._rows) / 2
 
     def contains(self, p: Point2) -> bool:
         """Closed-region membership of a convex polygon: p's own
@@ -203,9 +197,15 @@ class Polygon(Lattice):
         A polygon that is not convex raises DegenerateInputError."""
         if not self._convex:
             raise DegenerateInputError("contains needs a convex polygon")
-        w = math.lcm(p.x.denominator, p.y.denominator)
-        px, py = _on_scale(p, w)
+        px, py, w = _corner(p)
         return all(a * px + b * py + c * w >= 0 for a, b, c in self._lines)
+
+
+def _area2(rows: Sequence[Corner]) -> Fraction:
+    """Twice the signed area of the ring of rows (X, Y, W): the sum over
+    its edges of the cross product of their ends' points (X/W, Y/W)."""
+    return sum((Fraction(x * v - u * y, w * z) for (x, y, w), (u, v, z)
+                in zip(rows, rows[1:] + rows[:1])), Fraction(0))
 
 
 @dataclass(frozen=True, slots=True)
@@ -256,10 +256,7 @@ class Rect:
         its edge to the next: the ring that `clip_halfplane` cuts. A side
         along the bound n/d is the line (0, d, -n) of y = n/d, or
         (d, 0, -n) of x = n/d, signed positive inside the box."""
-        corners = []
-        for p in self.corners():
-            w = math.lcm(p.x.denominator, p.y.denominator)
-            corners.append((*_on_scale(p, w), w))
+        corners = map(_corner, self.corners())
         xmin, ymin, xmax, ymax = self.xmin, self.ymin, self.xmax, self.ymax
         lines = [
             (0, ymin.denominator, -ymin.numerator),

@@ -424,7 +424,8 @@ def suite_segment_visibility(
     constraints: Optional[vis.ConstraintSet] = None,
 ) -> SuiteResult:
     """Visible site pairs must have site-free open segments and
-    interior-disjoint constraints."""
+    interior-disjoint constraints; blocked pairs must have a site or a
+    constraint that blocks them."""
     result = SuiteResult("thm37", seed, trials)
     m = _trial_mesh(mesh, seed, 0)
     sites = m.site_set
@@ -435,7 +436,8 @@ def suite_segment_visibility(
         constraints = vis.ConstraintSet.of(picked)
     reports = vis.audit_segment_visibility(sites, constraints, trials, seed)
     for rep in reports:
-        label = f"visible pair {rep.operands[0]},{rep.operands[1]}"
+        kind = "visible" if rep.relation == "segment_visibility" else "blocked"
+        label = f"{kind} pair {rep.operands[0]},{rep.operands[1]}"
         if not rep.verdict:
             result.records.append(
                 CheckRecord(label, FAIL, f"{rep.counterexample} seed={seed}")

@@ -17,9 +17,10 @@ conflict test alone decides cocircular ties, by a symbolic perturbation
 of the lifted sites: each cocircular Delaunay polygon is fanned from its
 least site index; the triangles do not depend on insertion order.
 
-A `Mesh` derives each table from its triangles once (each triangle's
-edges, the triangles on each edge and at each site, each triangle's
-neighbors) for every module to read. One walk along a site-to-site map
+A `Mesh` derives each table from its triangles once, for every module
+to read: the ones validation needs (each triangle's edges, the triangles
+on each edge and at each site) on construction, every other one as a
+cached property on first access. One walk along a site-to-site map
 traces the hull cycle, each interior site's fan and a region's frontier.
 
 Validation is linear: triangles whose one-triangle edges form one
@@ -35,17 +36,18 @@ the positive side of each of the four side lines of its ring; hull
 sites, and sites whose fan reaches the box, get that ring, its corners
 in lowest terms, cut by the integer bisector lines toward their
 Delaunay neighbors, each line built once per edge. A `Point2` is made
-only for a corner that a clipped cell keeps. The circumcenters, the
-derived clip box and the cells are built on first access, since only
-the `voronoi` output, rendering and the Delaunay-characterization audit
-read them. The tests keep an all-sites bisector construction as an
-independent oracle for these cells.
+only for a corner that a clipped cell keeps. Only the `voronoi` output,
+rendering and the Delaunay-characterization audit read the
+circumcenters, the derived clip box and the cells. The tests keep an
+all-sites bisector construction as an independent oracle for these
+cells.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .geometry import (Corner, Line, Point2, Polygon, Rect, clip_halfplane,
@@ -164,27 +166,13 @@ class Mesh:
     """Immutable triangulation of a site set plus its Voronoi dual.
 
     Adjacency queries and the relation algebra in `complexes` work off
-    the index maps built here; nothing mutates a Mesh after construction
-    except the caches of its circumcenters, derived clip box, Voronoi
-    cells, their vertex sets and `complexes`' bit-mask tables, filled on
-    first access.
+    the index maps built here. Validation needs each triangle's edges,
+    the triangles on each edge and at each site, so `__init__` builds
+    those; every other table is a cached property, built on first access
+    and kept: each triangle's neighbors, its circumcenter (as a corner and
+    as a `Point2`), the derived clip box, the Voronoi cells and their
+    vertex sets. `complexes` keeps its bit-mask tables in `_masks`.
     """
-
-    __slots__ = (
-        "site_set",
-        "triangles",
-        "triangle_edges",
-        "edge_triangles",
-        "vertex_triangles",
-        "triangle_neighbors",
-        "_hull_sites",
-        "_circumcenters",
-        "_corners",
-        "_clip_box",
-        "_voronoi",
-        "_vertex_sets",
-        "_masks",
-    )
 
     def __init__(
         self,
@@ -205,44 +193,46 @@ class Mesh:
         self.edge_triangles = {e: tuple(ts) for e, ts in sorted(edge_map.items())}
         self.vertex_triangles = {v: tuple(ts) for v, ts in vertex_map.items()}
         self._hull_sites = frozenset(self._validate())
-        # Edge-neighbors of each triangle, in the order of its edges; hull
-        # edges add none, so positions do not map to edges.
-        self.triangle_neighbors = tuple(
-            tuple(u for e in edges for u in edge_map[e] if u != t)
-            for t, edges in enumerate(self.triangle_edges)
-        )
-        self._circumcenters: Optional[tuple[Point2, ...]] = None
-        self._corners: tuple[Corner, ...] = ()
-        self._clip_box = clip_box
-        self._voronoi: Optional[tuple[VoronoiRegion, ...]] = None
-        self._vertex_sets: Optional[tuple[frozenset[Point2], ...]] = None
+        if clip_box is not None:
+            self.clip_box = clip_box  # Shadows the derived box.
         self._masks = None
 
-    @property
+    @cached_property
+    def triangle_neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Edge-neighbors of each triangle, in the order of its edges;
+        hull edges add none, so positions do not map to edges."""
+        return tuple(
+            tuple(u for e in edges for u in self.edge_triangles[e] if u != t)
+            for t, edges in enumerate(self.triangle_edges)
+        )
+
+    @cached_property
+    def _corners(self) -> tuple[Corner, ...]:
+        """Circumcenter of each triangle as a corner, by triangle index."""
+        return tuple(self.site_set.center(*t.indices) for t in self.triangles)
+
+    @cached_property
     def circumcenters(self) -> tuple[Point2, ...]:
-        """Circumcenter of each triangle, by triangle index, computed on
-        first access from its corner, kept in `_corners`; the derived
-        clip box and the cells share them."""
-        if self._circumcenters is None:
-            self._corners = tuple(
-                self.site_set.center(*t.indices) for t in self.triangles
-            )
-            self._circumcenters = tuple(map(_point, self._corners))
-        return self._circumcenters
+        """Circumcenter of each triangle, by triangle index, made from its
+        corner; the derived clip box and the cells share them."""
+        return tuple(map(_point, self._corners))
 
-    @property
+    @cached_property
     def voronoi(self) -> tuple[VoronoiRegion, ...]:
-        """Voronoi cells indexed by site, built on first access."""
-        if self._voronoi is None:
-            # The module-level `voronoi` function, not this property.
-            self._voronoi = tuple(voronoi(self))
-        return self._voronoi
+        """Voronoi cells indexed by site."""
+        # The module-level `voronoi` function, not this property.
+        return tuple(voronoi(self))
 
-    @property
+    @cached_property
+    def _vertex_sets(self) -> tuple[frozenset[Point2], ...]:
+        """The set of corners of each Voronoi cell, by site."""
+        return tuple(frozenset(region.cell.vertices) for region in self.voronoi)
+
+    @cached_property
     def clip_box(self) -> Rect:
-        """The clip box given to the mesh, else the one derived on first
-        access: the sites' extent widened to cover every triangle
-        circumcenter, plus the margin on each side.
+        """The clip box given to the mesh, else the one derived from the
+        sites' extent widened to cover every triangle circumcenter, plus
+        the margin on each side.
 
         Covering the circumcenters keeps all Voronoi vertices strictly
         inside the box, so every true shared cell boundary, including the
@@ -250,17 +240,15 @@ class Mesh:
         clipping. Without this, shared-segment edge detection would
         depend on how far the fixed-margin box happens to reach.
         """
-        if self._clip_box is None:
-            sites = self.site_set
-            centers = Lattice(self.circumcenters, self._corners)
-            ends = []
-            for axis in (0, 1):
-                (a, b), (c, d) = sites.extremes(axis), centers.extremes(axis)
-                pad = (b - a) * sites.clip_margin
-                ends += [min(a, c) - pad, max(b, d) + pad]
-            x0, x1, y0, y1 = ends
-            self._clip_box = Rect(x0, y0, x1, y1)
-        return self._clip_box
+        sites = self.site_set
+        centers = Lattice(self.circumcenters, self._corners)
+        ends = []
+        for axis in (0, 1):
+            (a, b), (c, d) = sites.extremes(axis), centers.extremes(axis)
+            pad = (b - a) * sites.clip_margin
+            ends += [min(a, c) - pad, max(b, d) + pad]
+        x0, x1, y0, y1 = ends
+        return Rect(x0, y0, x1, y1)
 
     @property
     def sites(self) -> tuple[Point2, ...]:
@@ -461,7 +449,8 @@ def is_delaunay_edge(p: int, q: int, mesh: Mesh) -> bool:
     meet at a point (the cocircular case), and two span a wall. The two
     cells' sets of corners are intersected: `Point2` hashes and compares
     the numerators and denominators of its coordinates in lowest terms.
-    A mesh's first wall test builds the set of every cell, once.
+    A mesh's first wall test builds the set of every cell, once, as
+    `Mesh._vertex_sets`.
     """
     for i in (p, q):
         if type(i) is not int:
@@ -472,10 +461,6 @@ def is_delaunay_edge(p: int, q: int, mesh: Mesh) -> bool:
     if not (0 <= p < n and 0 <= q < n):
         raise MeshError(f"site index out of range: {(p, q)}")
     vertex_sets = mesh._vertex_sets
-    if vertex_sets is None:
-        vertex_sets = mesh._vertex_sets = tuple(
-            frozenset(region.cell.vertices) for region in mesh.voronoi
-        )
     return len(vertex_sets[p] & vertex_sets[q]) >= 2
 
 

@@ -6,22 +6,23 @@ canonically, and rescale points to plain integers, on which every
 sign-of-determinant predicate runs. The integer kernels live here:
 `_orient` and `_incircle` on points over one scale, `_orient_w` on
 homogeneous points (X, Y, W), and `_cross`, the line through two such
-points or the point where two lines meet.
+points or the point where two lines meet; `_corner` puts one point in
+lowest terms as such a triple.
 `geometry.orient2d` and `geometry.incircle` rescale their points on every
 call (`scaled_ints`); no library module calls them. A `Lattice` rescales
 a whole point set once, to one shared scale where that stays narrow, and
 is the one place that knows which: its `orient`, `incircle`, `key`,
-`between`, `overlap`, `crossings` and `area2` decide by point index,
-and `center` and `bisector` build a circumcenter and a bisector in
-integers.
+`between`, `overlap` and `crossings` decide by point index, and `center`
+and `bisector` build a circumcenter and a bisector in integers.
 On own scales, `orient` takes the homogeneous determinant over each
 point's (X, Y, W), which needs no common scale.
 On a shared scale, `slab` finds the points within a circle's x-range
 on an x-order of the lattice, built on first use, and `nearer` compares
 squared distances to a rational center as integers; on own scales they
 fall back to every point and to Fraction distances.
-`mesh.SiteSet` is a lattice of its sites, `geometry.Polygon` of its
-vertices, and `geometry.convex_hull` builds one for its points.
+`mesh.SiteSet` is a lattice of its sites, `geometry.convex_hull` builds
+one for its points, and a mesh's derived clip box one for its
+circumcenters.
 """
 
 from __future__ import annotations
@@ -286,29 +287,19 @@ class Lattice:
         return order[bisect_left(xs, -((r - u) // q)):
                      bisect_right(xs, (u + r) // q)]
 
-    def area2(self, ring: Iterable[int]) -> Fraction:
-        """Twice the signed area of the ring of point indices."""
-        ring = list(ring)
-        lattice, scales = self.lattice, self.scales
-        pairs = list(zip(ring[-1:] + ring[:-1], ring))
-        cross = [
-            lattice[i][0] * lattice[j][1] - lattice[j][0] * lattice[i][1]
-            for i, j in pairs
-        ]
-        if self.scale is not None:
-            return Fraction(sum(cross), self.scale * self.scale)
-        return sum(
-            (Fraction(c, scales[i] * scales[j])
-             for c, (i, j) in zip(cross, pairs)),
-            Fraction(0),
-        )
-
 
 def _on_scale(p, w: int) -> tuple[int, int]:
     """The coordinates of p as integers over w, a multiple of their
     denominators."""
     return (p.x.numerator * (w // p.x.denominator),
             p.y.numerator * (w // p.y.denominator))
+
+
+def _corner(p) -> tuple[int, int, int]:
+    """The point p as the integers (X, Y, W), W > 0, in lowest terms: W is
+    the lcm of its two denominators."""
+    w = math.lcm(p.x.denominator, p.y.denominator)
+    return (*_on_scale(p, w), w)
 
 
 # The integer kernels behind every orientation and incircle sign. `_orient`

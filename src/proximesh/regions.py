@@ -85,6 +85,8 @@ def build_region(
     if not tris:
         raise RegionError("region needs at least one triangle")
     for t in tris:
+        if type(t) is not int:
+            raise RegionError(f"triangle index is not an int: {t!r}")
         if not 0 <= t < len(mesh.triangles):
             raise RegionError(f"triangle index out of range: {t}")
     if mode not in MODES:

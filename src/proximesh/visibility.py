@@ -7,16 +7,16 @@ constraint does not block visibility: the blocking test is
 interior-disjointness, not empty intersection, and the audit reports
 pairs where the two readings would differ. Sites and constraint ends
 are indices into the `SiteSet`, whose lattice `between` and `overlap`
-decide every segment test; the audit's sample points and its
-Fraction test of each constraint are the independent check.
+decide every segment test; the audit's Fraction tests of each site and
+each constraint are the independent check, on visible and blocked pairs
+alike.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .complexes import RelationReport
 from .geometry import Point2
@@ -40,6 +40,9 @@ class ConstraintSet:
     def validate(self, sites: SiteSet) -> None:
         n = len(sites)
         for p, q in self.pairs:
+            if type(p) is not int or type(q) is not int:
+                raise ValueError(
+                    f"constraint index is not an int: {(p, q)!r}")
             if p == q:
                 raise ValueError(f"constraint endpoints coincide: {p}")
             if not (0 <= p < n and 0 <= q < n):
@@ -51,6 +54,9 @@ def segment_visible(
 ) -> bool:
     """True when the open segment between sites p and q avoids all other
     sites and shares no interior point with any other constraint."""
+    for i in (p, q):
+        if type(i) is not int:
+            raise ValueError(f"site index is not an int: {i!r}")
     n = len(sites)
     if not (0 <= p < n and 0 <= q < n):
         raise ValueError(f"site index out of range: {(p, q)}")
@@ -71,12 +77,14 @@ def audit_segment_visibility(
 ) -> list[RelationReport]:
     """Check the visibility conclusions on sampled (or all) site pairs.
 
-    For every pair the blocking test declares visible, interior sample
-    points of the segment must keep positive distance to the other sites
-    on its line, and no other constraint may share an interior point.
-    Pairs where endpoint contact with a constraint is the only contact
-    are flagged as a reading divergence, not a failure: a literal
-    empty-intersection condition would have excluded them.
+    Each pair's blocking witness is sought in Fractions, apart from the
+    lattice that `segment_visible` decides on: a site strictly inside
+    the open segment, or another constraint sharing an interior point
+    with it. A pair declared visible must have none, and is reported; a
+    pair declared blocked must have one, and is reported only when it
+    has none. Visible pairs where endpoint contact with a constraint is
+    the only contact are flagged as a reading divergence, not a failure:
+    a literal empty-intersection condition would have excluded them.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -90,9 +98,14 @@ def audit_segment_visibility(
         pairs = sorted(rng.sample(all_pairs, trials))
     reports = []
     for p, q in pairs:
+        witness = _blocking_witness(p, q, sites, constraints)
+        operands = (f"site {p}", f"site {q}")
         if not segment_visible(p, q, sites, constraints):
+            if witness is None:
+                reports.append(RelationReport(
+                    relation="segment_blocking", operands=operands,
+                    verdict=False, counterexample=("no_blocking_witness",)))
             continue
-        violation = _visible_pair_violation(p, q, sites, constraints)
         divergence = _endpoint_contact_pairs(p, q, sites, constraints)
         note = ""
         if divergence:
@@ -104,33 +117,36 @@ def audit_segment_visibility(
         reports.append(
             RelationReport(
                 relation="segment_visibility",
-                operands=(f"site {p}", f"site {q}"),
-                verdict=violation is None,
-                counterexample=violation,
+                operands=operands,
+                verdict=witness is None,
+                counterexample=witness,
                 note=note,
             )
         )
     return reports
 
 
-def _visible_pair_violation(
+def _blocking_witness(
     p: int, q: int, sites: SiteSet, constraints: ConstraintSet
 ) -> Optional[tuple]:
+    """The first other constraint whose interior meets the open segment
+    pq, else the first site strictly inside it, else None. Constraints
+    come first: they block most pairs of sites in general position.
+
+    In Fractions, site c is strictly inside segment ab when it is on its
+    line, a zero cross product, with 0 < (c - a)·(b - a) < |b - a|².
+    """
     a, b = sites[p], sites[q]
-    online = [
-        s
-        for s in range(len(sites))
-        if s != p and s != q and sites.orient(p, q, s) == 0
-    ]
-    for t in _sample_parameters(p, q, sites, online):
-        x = Point2(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t)
-        for s in online:
-            if x == sites[s]:
-                return ("site_in_open_segment", s)
     key = (p, q) if p < q else (q, p)
     for pair in sorted(constraints.pairs):
         if pair != key and _interiors_meet(a, b, *(sites[v] for v in pair)):
             return ("constraint_interior_contact", pair)
+    rx, ry = b.x - a.x, b.y - a.y
+    rr = rx * rx + ry * ry
+    for s, c in enumerate(sites.sites):
+        wx, wy = c.x - a.x, c.y - a.y
+        if rx * wy == ry * wx and 0 < wx * rx + wy * ry < rr:
+            return ("site_in_open_segment", s)
     return None
 
 
@@ -146,30 +162,14 @@ def _interiors_meet(a: Point2, b: Point2, c: Point2, d: Point2) -> bool:
     wx, wy = c.x - a.x, c.y - a.y
     den = rx * sy - ry * sx
     if den:
-        t, u = (wx * sy - wy * sx) / den, (wx * ry - wy * rx) / den
-        return 0 < t < 1 and 0 < u < 1
+        t = (wx * sy - wy * sx) / den
+        return 0 < t < 1 and 0 < (wx * ry - wy * rx) / den < 1
     if wx * ry - wy * rx:
         return False  # parallel lines
     rr = rx * rx + ry * ry
     tc = (wx * rx + wy * ry) / rr
     td = ((d.x - a.x) * rx + (d.y - a.y) * ry) / rr
     return max(0, min(tc, td)) < min(1, max(tc, td))
-
-
-def _sample_parameters(
-    p: int, q: int, sites: SiteSet, online: Sequence[int]
-) -> list[Fraction]:
-    """Exact interior parameters: fixed quarters plus the projection of
-    every collinear site that falls inside the open segment."""
-    a, b = sites[p], sites[q]
-    params = {Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)}
-    dx, dy = b.x - a.x, b.y - a.y
-    denom = dx * dx + dy * dy
-    for s in online:
-        t = ((sites[s].x - a.x) * dx + (sites[s].y - a.y) * dy) / denom
-        if 0 < t < 1:
-            params.add(t)
-    return sorted(params)
 
 
 def _endpoint_contact_pairs(

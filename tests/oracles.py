@@ -287,6 +287,12 @@ def lattice_polygon(vertices, corners=None):
     def same(i, j):
         return not (lattice.compare(i, j, 0) or lattice.compare(i, j, 1))
 
+    def shoelace(ring):
+        # Twice the signed area, on the points' Fraction coordinates.
+        pts = [lattice.points[i] for i in ring]
+        return sum(a.x * b.y - b.x * a.y
+                   for a, b in zip(pts, pts[1:] + pts[:1]))
+
     ring = []
     for i in range(len(lattice.points)):
         if not ring or not same(ring[-1], i):
@@ -304,7 +310,7 @@ def lattice_polygon(vertices, corners=None):
         raise DegenerateInputError("polygon needs >= 3 effective vertices")
     convex = (abs(sum(turns)) == len(ring)
               and lattice.crossings(ring) == 2)
-    area2 = turns[0] if convex else lattice.area2(ring)
+    area2 = turns[0] if convex else shoelace(ring)
     if area2 == 0:
         raise DegenerateInputError("polygon has zero area")
     if area2 < 0:
@@ -315,7 +321,7 @@ def lattice_polygon(vertices, corners=None):
         if (lattice.compare(v, u, 0) or lattice.compare(v, u, 1)) > 0:
             start = k
     ring = ring[start:] + ring[:start]
-    return lattice, ring, convex, lattice.area2(ring) / 2
+    return lattice, ring, convex, Fraction(shoelace(ring)) / 2
 
 
 def lattice_contains(lattice, ring, p):

@@ -532,8 +532,9 @@ def _side(a, b, p):
 
 
 def _assert_matches_fractions(ring, own_scales):
-    """Polygon, its predicates and clip_halfplane on the lattice equal
-    the Fraction arithmetic of the oracles."""
+    """Polygon, its predicates and clip_halfplane equal the Fraction
+    arithmetic of the oracles; `own_scales` says which side of the
+    lattice's width rule the ring's points fall on."""
     try:
         vertices, area, convex = fraction_polygon(ring)
     except ValueError:
@@ -541,7 +542,7 @@ def _assert_matches_fractions(ring, own_scales):
             Polygon(ring)
         return
     poly = Polygon(ring)
-    assert (poly.scale is None) == own_scales
+    assert (Lattice(ring).scale is None) == own_scales
     assert poly.vertices == vertices
     assert poly.area() == area
     assert is_convex_polygon(poly) == convex
@@ -602,9 +603,9 @@ def test_cell_contains_matches_fraction_sides(name):
 
 
 class TestLatticeMatchesFractions:
-    """`Polygon`, `clip_halfplane` and the segment tests scale their
-    points once to an integer lattice; on both sides of its width rule
-    they decide what Fraction arithmetic decides."""
+    """`Polygon` and `clip_halfplane` on integer corners, and the segment
+    tests on a lattice, decide what Fraction arithmetic decides, for
+    point sets on both sides of the lattice's width rule."""
 
     @settings(max_examples=80, deadline=None)
     @given(shared_rings)
@@ -842,6 +843,5 @@ def test_clipped_cell_corners_stay_narrow():
     cells = [region.cell for region in mesh.voronoi if region.clipped]
     assert cells
     bits = max(abs(v).bit_length() for cell in cells
-               for (x, y), w in zip(cell.lattice, cell.scales)
-               for v in (x, y, w))
+               for row in cell._rows for v in row)
     assert bits < 2 * widest + 64

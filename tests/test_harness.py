@@ -78,6 +78,15 @@ class TestSuites:
         assert result.failed == 0
         assert result.records
 
+    def test_thm37_fails_when_no_pair_is_visible(self, monkeypatch):
+        # A blocked pair needs a blocking site or constraint, so a
+        # visibility test that blocks everything cannot pass empty.
+        monkeypatch.setattr(vis, "segment_visible", lambda *args: False)
+        (result,) = run_suite("thm37", 200, seed=3)
+        assert result.failed > 0
+        assert all(r.label.startswith("blocked pair ")
+                   for r in result.records)
+
     def test_all_runs_every_suite(self):
         results = run_suite("all", 3, seed=4)
         names = [r.suite for r in results]

@@ -141,3 +141,27 @@ def test_the_rule_finds_mask_reads():
               "g = cx.SubComplex.of_triangle_set(m, k)\n"
               "h = SubComplex(m, 0, 0, k)\ni = cx.SubComplex(m)\n")
     assert mask_reads(source) == [1, 3, 4, 8]
+
+
+def lattice_subclasses(source: str) -> list[str]:
+    """Classes that name `Lattice` among their bases."""
+    return [node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef)
+            and any(ast.unparse(b).split(".")[-1] == "Lattice"
+                    for b in node.bases)]
+
+
+def test_only_the_site_set_is_a_lattice():
+    # A `rational.Lattice` takes signs by point index on a point set that
+    # predicates query again and again: the sites. A polygon keeps its
+    # own corners and edge lines, and the clip box and `convex_hull`
+    # build a lattice rather than being one.
+    found = {module.name: lattice_subclasses(module.read_text())
+             for module in sorted(SRC.glob("*.py"))}
+    assert {m: c for m, c in found.items() if c} == {"mesh.py": ["SiteSet"]}
+
+
+def test_the_rule_finds_lattice_subclasses():
+    source = ("class A(Lattice): pass\nclass B(r.Lattice, C): pass\n"
+              "class D(C): pass\nclass E(LatticeView): pass\n")
+    assert lattice_subclasses(source) == ["A", "B"]

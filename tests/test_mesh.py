@@ -209,11 +209,22 @@ class TestSiteSet:
     @pytest.mark.parametrize("read", ["clip_box", "circumcenters", "voronoi"])
     def test_circumcenters_wait_for_a_reader(self, read):
         mesh = triangulate(random_sites(2, 12))
-        assert mesh.triangle_neighbors and mesh.edge_triangles
-        assert mesh._circumcenters is None
+        assert mesh.edge_triangles
+        assert not {"_corners", "circumcenters"} & vars(mesh).keys()
         getattr(mesh, read)
-        assert mesh._circumcenters is not None
+        assert {"_corners", "circumcenters"} <= vars(mesh).keys()
         assert mesh.clip_box is mesh.clip_box
+
+    def test_triangulate_builds_no_derived_table(self):
+        # A triangulation alone reads none of these; each is built on
+        # first access and kept.
+        mesh = triangulate(random_sites(2, 12))
+        lazy = {"triangle_neighbors", "_corners", "circumcenters",
+                "clip_box", "voronoi", "_vertex_sets"}
+        assert not lazy & vars(mesh).keys()
+        for name in sorted(lazy):
+            assert getattr(mesh, name) is getattr(mesh, name)
+        assert lazy <= vars(mesh).keys()
 
     @pytest.mark.parametrize("name, box", [
         ("fan", (Fraction(-2, 5), Fraction(-9, 5), Fraction(22, 5),
@@ -621,9 +632,9 @@ class TestIsDelaunayEdge:
     def test_vertex_sets_built_on_first_wall_test(self):
         mesh = triangulate(SiteSet([P(0, 0), P(4, 0), P(2, 3), P(2, 1)]))
         mesh.voronoi
-        assert mesh._vertex_sets is None
+        assert "_vertex_sets" not in vars(mesh)
         assert is_delaunay_edge(0, 1, mesh)
-        assert mesh._vertex_sets == tuple(
+        assert vars(mesh)["_vertex_sets"] == tuple(
             frozenset(region.cell.vertices) for region in mesh.voronoi)
 
     def test_index_out_of_range_rejected(self, fan_mesh):

@@ -99,6 +99,13 @@ class TestBuildRegion:
         with pytest.raises(RegionError):
             build_region(fan_mesh, [99])
 
+    @pytest.mark.parametrize("bad", [True, 0.0, 1.0])
+    def test_index_not_an_int_rejected(self, fan_mesh, bad):
+        # True and 1.0 would pass the range test as triangle 1, and fail
+        # only later, in `Region.subcomplex()`.
+        with pytest.raises(RegionError, match=f"not an int: {bad!r}"):
+            build_region(fan_mesh, [bad])
+
     def test_bad_mode(self, fan_mesh):
         with pytest.raises(RegionError, match="mode"):
             build_region(fan_mesh, [0], mode="loose")

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import proximesh.visibility as vis
 from oracles import collinear_visible
 from proximesh.geometry import Point2
 from proximesh.mesh import SiteSet, triangulate
@@ -49,6 +50,20 @@ class TestCollinearVisible:
     def test_non_site_rejected(self, collinear_row_sites):
         with pytest.raises(ValueError, match="out of range"):
             _unconstrained(9, 0, collinear_row_sites)
+
+    @pytest.mark.parametrize("bad", [True, 0.0, 1.0])
+    def test_index_not_an_int_rejected(self, collinear_row_sites, bad):
+        # True would read as site 1, and 1.0 fail as a tuple index.
+        for p, q in ((bad, 2), (2, bad)):
+            with pytest.raises(ValueError, match=f"not an int: {bad!r}"):
+                _unconstrained(p, q, collinear_row_sites)
+
+    @pytest.mark.parametrize("bad", [True, 0.0, 1.0])
+    def test_constraint_index_not_an_int_rejected(self, collinear_row_sites,
+                                                  bad):
+        for pair in ((bad, 2), (2, bad)):
+            with pytest.raises(ValueError, match="not an int"):
+                ConstraintSet.of([pair]).validate(collinear_row_sites)
 
 
 class TestSegmentVisible:
@@ -190,6 +205,38 @@ class TestAuditSegmentVisibility:
         assert report.counterexample == (
             "constraint_interior_contact", (2, 3)
         )
+
+    def test_site_in_segment_checked_on_its_own_route(self, monkeypatch):
+        # With the lattice's `between` blind, segment 01 passes as visible
+        # past site 2 on it; the audit's own test must still see it.
+        ss = SiteSet([P(0, 0), P(4, 0), P(1, 0), P(2, 3)])
+        monkeypatch.setattr(SiteSet, "between", lambda self, *idx: False)
+        reports = audit_segment_visibility(ss, ConstraintSet.empty(), 50, 3)
+        report = {r.operands: r for r in reports}[("site 0", "site 1")]
+        assert not report.verdict
+        assert report.counterexample == ("site_in_open_segment", 2)
+
+    @pytest.mark.parametrize("verdict", [False, True])
+    def test_a_constant_verdict_fails(self, verdict, monkeypatch):
+        # Every pair is audited: a visible one must have no blocking
+        # witness, a blocked one must have one.
+        ss = SiteSet([P(0, 0), P(1, 0), P(2, 0), P(1, 5), P(3, 3)])
+        constraints = ConstraintSet.of([(1, 4)])
+        honest = audit_segment_visibility(ss, constraints, 50, seed=1)
+        assert all(r.verdict for r in honest)
+        monkeypatch.setattr(vis, "segment_visible", lambda *args: verdict)
+        failed = [r for r in audit_segment_visibility(
+            ss, constraints, 50, seed=1) if not r.verdict]
+        assert failed
+        if verdict:
+            assert {r.counterexample for r in failed} == {
+                ("site_in_open_segment", 1),
+                ("constraint_interior_contact", (1, 4))}
+        else:
+            assert {r.relation for r in failed} == {"segment_blocking"}
+            assert {r.counterexample for r in failed} == {
+                ("no_blocking_witness",)}
+            assert ("site 0", "site 1") in {r.operands for r in failed}
 
     def test_constraint_validation(self):
         ss = SiteSet([P(0, 0), P(4, 0), P(2, 3)])
