@@ -13,7 +13,7 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import complexes as cx
 from . import harness, io, render
@@ -187,35 +187,36 @@ def _cmd_check(args: argparse.Namespace) -> int:
         args.suite, args.trials, args.seed, mesh,
         region_mode=region_mode, constraints=constraints,
     )
-    text = (
+    # The report is written as it is formatted, so that it is never held
+    # twice beside the records it comes from.
+    chunks = (
         _format_structured(results)
         if args.format == "structured"
         else _format_text(results)
     )
     if args.out:
-        Path(args.out).write_text(text)
+        with open(args.out, "w") as out:
+            out.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     return 0 if all(r.ok() for r in results) else 1
 
 
-def _format_text(results) -> str:
-    lines = []
+def _format_text(results) -> Iterator[str]:
+    """The text report, one line at a time."""
     for r in results:
-        lines.append(f"suite {r.suite} seed={r.seed} trials={r.trials}")
+        yield f"suite {r.suite} seed={r.seed} trials={r.trials}\n"
         for rec in r.records:
-            line = f"check {rec.label} status={rec.status}"
-            if rec.detail:
-                line += f" detail={rec.detail}"
-            lines.append(line)
-        lines.append(
+            detail = f" detail={rec.detail}" if rec.detail else ""
+            yield f"check {rec.label} status={rec.status}{detail}\n"
+        yield (
             f"summary suite={r.suite} pass={r.passed} fail={r.failed} "
-            f"expected_divergence={r.divergences}"
+            f"expected_divergence={r.divergences}\n"
         )
-    return "\n".join(lines) + "\n"
 
 
-def _format_structured(results) -> str:
+def _format_structured(results) -> Iterator[str]:
+    """The structured report as JSON text, in pieces."""
     docs = [
         {
             "suite": r.suite,
@@ -233,7 +234,8 @@ def _format_structured(results) -> str:
         }
         for r in results
     ]
-    return json.dumps(docs, sort_keys=True, indent=1) + "\n"
+    yield from json.JSONEncoder(sort_keys=True, indent=1).iterencode(docs)
+    yield "\n"
 
 
 def _cmd_render(args: argparse.Namespace) -> int:

@@ -1,22 +1,23 @@
 """Seeded generation and the runnable claim suites.
 
 Each suite checks one family of claims about the relation algebra on
-meshes (generated or supplied) and returns a structured result with one
-record per check. Two claims are knowingly reported as expected
-divergences rather than failures: visibility without a shared edge
-refutes the converse of the strong-visibility claim, and edge-adjacent
-triangle pairs are routinely non-convex, refuting the unqualified
-region-convexity claim. The suites surface both with reproduction data
-instead of asserting them away.
+meshes (generated or supplied) and records one check per claim
+instance in a structured result. `run_suite` runs them all: it
+builds each trial mesh once and feeds it to every suite that still
+needs one, so a run holds only a few meshes at a time. Two claims are
+knowingly reported as expected divergences rather than failures:
+visibility without a shared edge refutes the converse of the
+strong-visibility claim, and edge-adjacent triangle pairs are routinely
+non-convex, refuting the unqualified region-convexity claim. The suites
+surface both with reproduction data instead of asserting them away.
 """
 
 from __future__ import annotations
 
 import random
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Generator, Optional
 
 from . import complexes as cx
 from . import regions as rg
@@ -35,6 +36,10 @@ MAX_RESAMPLES = 64
 MAX_SITES = 100_000
 # The most trials `run_suite` runs; checked before any mesh is built.
 MAX_TRIALS = 100_000
+
+# A suite: a generator that records its checks on the `SuiteResult` it
+# was started with and takes the next trial mesh with `m = yield`.
+Suite = Generator[None, Mesh, None]
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,10 +113,6 @@ def generate_sites(
     )
 
 
-# The trial meshes of the `run_suite` call in progress, by (seed, trial).
-_TRIAL_MEMO: ContextVar[dict[tuple[int, int], Mesh]] = ContextVar("trial_memo")
-
-
 def mesh_for_trial(seed: int, trial: int, max_sites: int = 30) -> Mesh:
     """Deterministic per-trial mesh with 4..max_sites sites, built anew
     on every call."""
@@ -132,65 +133,66 @@ def run_suite(
     """Run one named suite (or all of them) and return its results.
 
     `region_mode` reaches the regions suite and `constraints` the thm37
-    suite. The suites share each trial mesh, built once for the duration
-    of the call.
+    suite. Each suite is a generator that takes one mesh per `yield`
+    and returns when it has checked enough. Trial mesh t is built once,
+    by `mesh_for_trial(seed, t)` (or is the given `mesh`), handed to
+    every suite still running, in report order, and then dropped, so
+    memory does not grow with `trials`.
     """
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(
             f"trials must be between 1 and {MAX_TRIALS}, got {trials}"
         )
-    names = list(SUITES) if name == "all" else [name]
-    token = _TRIAL_MEMO.set({})
+    if name == "all":
+        chosen = {**SUITES, "relations": _relation_coverage}
+    elif name in SUITES:
+        chosen = {name: SUITES[name]}
+    else:
+        raise ValueError(f"unknown suite: {name!r}")
+    results = [SuiteResult(n, seed, trials) for n in chosen]
+    running = [
+        suite(result, given=mesh, mode=region_mode, constraints=constraints)
+        for suite, result in zip(chosen.values(), results)
+    ]
+    running = [s for s in running if _advance(s, None)]
+    trial = 0
+    while running:
+        m = mesh if mesh is not None else mesh_for_trial(seed, trial)
+        running = [s for s in running if _advance(s, m)]
+        trial += 1
+    return results
+
+
+def _advance(suite: Suite, m: Optional[Mesh]) -> bool:
+    """Send m to the suite (None starts it); False once it has returned."""
     try:
-        if name != "all" and name not in SUITES:
-            raise ValueError(f"unknown suite: {name!r}")
-        results = [
-            SUITES[n](trials, seed, mesh, region_mode, constraints)
-            for n in names
-        ]
-        if name == "all":
-            results.append(suite_relation_coverage(trials, seed, mesh))
-        return results
-    finally:
-        _TRIAL_MEMO.reset(token)
+        suite.send(m)
+    except StopIteration:
+        return False
+    return True
 
 
-def _trial_mesh(mesh: Optional[Mesh], seed: int, trial: int) -> Mesh:
-    if mesh is not None:
-        return mesh
-    memo = _TRIAL_MEMO.get({})  # outside run_suite: a throwaway memo
-    if (seed, trial) not in memo:
-        memo[seed, trial] = mesh_for_trial(seed, trial)
-    return memo[seed, trial]
-
-
-def suite_axioms(
-    trials: int, seed: int, mesh: Optional[Mesh] = None
-) -> SuiteResult:
+def _axioms(result: SuiteResult, **_) -> Suite:
     """Four proximity axioms for both the nearness and the visibility
-    relation on random subcomplex triples."""
-    result = SuiteResult("axioms", seed, trials)
-    per_relation = max(1, trials // 2)
+    relation on random subcomplex triples of trial mesh 0."""
+    m = yield
+    seed = result.seed
     for relation in ("near", "visible"):
-        m = _trial_mesh(mesh, seed, 0)
-        reports = cx.check_cech_axioms(m, relation, per_relation, seed)
+        reports = cx.check_cech_axioms(
+            m, relation, max(1, result.trials // 2), seed)
         for i, rep in enumerate(reports):
             result.check(
                 f"axioms[{relation}] trial={i}",
                 rep.verdict,
                 f"violated={rep.counterexample} seed={seed}",
             )
-    return result
 
 
-def suite_near_visible_agreement(
-    trials: int, seed: int, mesh: Optional[Mesh] = None
-) -> SuiteResult:
-    """Nearness and visibility must give identical verdicts everywhere:
-    exhaustive over triangle-set pairs on small meshes, sampled on
-    larger ones."""
-    result = SuiteResult("lemma31", seed, trials)
-    m = _trial_mesh(mesh, seed, 0)
+def _near_visible_agreement(result: SuiteResult, **_) -> Suite:
+    """Nearness and visibility must give identical verdicts everywhere on
+    trial mesh 0: exhaustive over triangle-set pairs on small meshes,
+    sampled on larger ones."""
+    m = yield
     t = len(m.triangles)
     if t <= 5:
         # Every triangle subset, each closed once.
@@ -200,12 +202,11 @@ def suite_near_visible_agreement(
             for mask_b, b in enumerate(subs):
                 _record_agreement(result, a, b, f"pair=({mask_a},{mask_b})")
     else:
-        for trial in range(trials):
-            rng = random.Random(seed * 65_537 + trial)
+        for trial in range(result.trials):
+            rng = random.Random(result.seed * 65_537 + trial)
             a = cx.random_triangle_subcomplex(m, rng)
             b = cx.random_triangle_subcomplex(m, rng)
             _record_agreement(result, a, b, f"trial={trial}")
-    return result
 
 
 def _record_agreement(
@@ -221,15 +222,13 @@ def _record_agreement(
     )
 
 
-def suite_strong_visibility(
-    trials: int, seed: int, mesh: Optional[Mesh] = None
-) -> SuiteResult:
+def _strong_visibility(result: SuiteResult, **_) -> Suite:
     """Strong visibility must imply visibility on every pair; pairs that
     are visible through a lone shared vertex refute the converse and are
     recorded as expected divergences."""
-    result = SuiteResult("lemma33", seed, trials)
-    for trial in range(trials):
-        m = _trial_mesh(mesh, seed, trial)
+    seed = result.seed
+    for trial in range(result.trials):
+        m = yield
         rng = random.Random(seed * 104_729 + trial)
         a = cx.random_triangle_subcomplex(m, rng)
         b = cx.random_triangle_subcomplex(m, rng)
@@ -254,29 +253,27 @@ def suite_strong_visibility(
             )
         else:
             result.check(f"strongly_visible=>visible trial={trial}", True)
-    return result
 
 
-def suite_strongly_far(
-    trials: int, seed: int, mesh: Optional[Mesh] = None
-) -> SuiteResult:
+def _strongly_far(result: SuiteResult, given: Optional[Mesh],
+                  **_) -> Suite:
     """Configurations where the strongly-far relation holds must also be
     invisible pairs, and the relation's two facades (proximity flavor
     and visibility flavor) must agree with an independent re-evaluation
-    from the public closure operations. A supplied mesh that offers no
+    from the public closure operations. A given mesh that offers no
     such configuration is skipped."""
-    result = SuiteResult("thm35", seed, trials)
-    if mesh is not None and not any(
-        _witness_and_free(mesh, t)[1] for t in _off_hull_triangles(mesh)
+    if given is not None and not any(
+        _witness_and_free(given, t)[1] for t in _off_hull_triangles(given)
     ):
         result.skip("strongly_far generation",
                     "no strongly-far configuration in the mesh; skipped")
-        return result
+        return
+    seed, trials = result.seed, result.trials
     produced = 0
     trial = 0
     attempts_limit = trials * 40
     while produced < trials and trial < attempts_limit:
-        m = _trial_mesh(mesh, seed, trial)
+        m = yield
         rng = random.Random(seed * 15_485_863 + trial)
         trial += 1
         config = sample_strongly_far_config(m, rng)
@@ -306,7 +303,6 @@ def suite_strongly_far(
             False,
             f"only {produced}/{trials} configurations found",
         )
-    return result
 
 
 def sample_strongly_far_config(
@@ -358,19 +354,19 @@ def _witness_and_free(mesh: Mesh, t: int) -> tuple[set[int], list[int]]:
     return witness_tris, free
 
 
-def suite_delaunay_characterizations(
-    trials: int, seed: int, mesh: Optional[Mesh] = None
-) -> SuiteResult:
+def _delaunay_characterizations(result: SuiteResult, given: Optional[Mesh],
+                                **_) -> Suite:
     """Per-triangle agreement of the circumcircle, dual-vertex, and
-    shared-wall characterizations, plus triangle convexity. A triangle
-    that fails only because a wall has no length, each such wall across
-    an edge whose opposite site is cocircular with the triangle, is an
-    expected divergence: the shared-wall characterization holds only in
-    general position."""
-    result = SuiteResult("thm36", seed, trials)
-    count = 1 if mesh is not None else max(1, trials // 10)
-    meshes = [_trial_mesh(mesh, seed, t) for t in range(count)]
-    for m_idx, m in enumerate(meshes):
+    shared-wall characterizations, plus triangle convexity, on a tenth
+    of the trial meshes (or the given one). A triangle that fails only
+    because a wall has no length, each such wall across an edge whose
+    opposite site is cocircular with the triangle, is an expected
+    divergence: the shared-wall characterization holds only in general
+    position."""
+    seed = result.seed
+    count = 1 if given is not None else max(1, result.trials // 10)
+    for m_idx in range(count):
+        m = yield
         for t_idx, rep in enumerate(rg.audit_delaunay_characterizations(m)):
             label = f"mesh={m_idx} {rep.operands[0]}"
             if rep.verdict:
@@ -389,7 +385,6 @@ def suite_delaunay_characterizations(
                 ))
             else:
                 result.check(label, False, f"verdicts={verdicts} seed={seed}")
-    return result
 
 
 def _cocircular_walls(
@@ -417,24 +412,24 @@ def _cocircular_walls(
     return walls
 
 
-def suite_segment_visibility(
-    trials: int,
-    seed: int,
-    mesh: Optional[Mesh] = None,
-    constraints: Optional[vis.ConstraintSet] = None,
-) -> SuiteResult:
-    """Visible site pairs must have site-free open segments and
-    interior-disjoint constraints; blocked pairs must have a site or a
-    constraint that blocks them."""
-    result = SuiteResult("thm37", seed, trials)
-    m = _trial_mesh(mesh, seed, 0)
+def _segment_visibility(
+    result: SuiteResult,
+    constraints: Optional[vis.ConstraintSet],
+    **_,
+) -> Suite:
+    """Visible site pairs of trial mesh 0 must have site-free open
+    segments and interior-disjoint constraints; blocked pairs must have
+    a site or a constraint that blocks them."""
+    m = yield
+    seed = result.seed
     sites = m.site_set
     if constraints is None:
         rng = random.Random(seed * 31 + 7)
         edges = sorted(m.edges)
         picked = [e for e in edges if rng.random() < 0.25]
         constraints = vis.ConstraintSet.of(picked)
-    reports = vis.audit_segment_visibility(sites, constraints, trials, seed)
+    reports = vis.audit_segment_visibility(
+        sites, constraints, result.trials, seed)
     for rep in reports:
         kind = "visible" if rep.relation == "segment_visibility" else "blocked"
         label = f"{kind} pair {rep.operands[0]},{rep.operands[1]}"
@@ -446,26 +441,20 @@ def suite_segment_visibility(
             # A reading-divergence note (endpoint-only constraint contact)
             # flags the pair without failing it.
             result.records.append(CheckRecord(label, PASS, rep.note))
-    return result
 
 
-def suite_regions(
-    trials: int,
-    seed: int,
-    mesh: Optional[Mesh] = None,
-    mode: str = rg.PAIRWISE_STRONG,
-) -> SuiteResult:
+def _regions(result: SuiteResult, mode: str, **_) -> Suite:
     """Random regions in the requested mode: traceable unions, exact
     convexity verdicts (non-convex ones are expected divergences from
     the convex-region claim), and proximality between sampled region
     pairs."""
-    result = SuiteResult("regions", seed, trials)
+    seed = result.seed
     sampler = (
         sample_strong_region if mode == rg.PAIRWISE_STRONG else
         sample_chain_region
     )
-    for trial in range(trials):
-        m = _trial_mesh(mesh, seed, trial)
+    for trial in range(result.trials):
+        m = yield
         rng = random.Random(seed * 22_695_477 + trial)
         region = sampler(m, rng)
         if region is None:
@@ -493,7 +482,6 @@ def suite_regions(
             result.check(
                 f"regions_proximal trial={trial}", rel.verdict == expected
             )
-    return result
 
 
 def sample_strong_region(
@@ -534,14 +522,12 @@ def sample_chain_region(
     return region
 
 
-def suite_leader(
-    trials: int, seed: int, mesh: Optional[Mesh] = None
-) -> SuiteResult:
+def _leader(result: SuiteResult, **_) -> Suite:
     """Neighborhood maps of random families must validate (symmetry,
     reflexivity) and agree between the visibility and nearness routes."""
-    result = SuiteResult("leader", seed, trials)
-    for trial in range(trials):
-        m = _trial_mesh(mesh, seed, trial)
+    seed = result.seed
+    for trial in range(result.trials):
+        m = yield
         rng = random.Random(seed * 67_867_967 + trial)
         region = sample_chain_region(m, rng, max_size=8)
         if region is None:
@@ -557,7 +543,6 @@ def suite_leader(
             nm_visible.near_sets == nm_near.near_sets,
             f"visible/near neighborhood maps differ seed={seed}",
         )
-    return result
 
 
 def _random_region_member(
@@ -567,14 +552,12 @@ def _random_region_member(
     return cx.closure(cx.SubComplex.of_triangles(region.mesh, picked))
 
 
-def suite_relation_coverage(
-    trials: int, seed: int, mesh: Optional[Mesh] = None
-) -> SuiteResult:
+def _relation_coverage(result: SuiteResult, **_) -> Suite:
     """One evaluation of every relation operation per trial, so a run of
     the full suite exercises the complete algebra."""
-    result = SuiteResult("relations", seed, trials)
-    for trial in range(trials):
-        m = _trial_mesh(mesh, seed, trial)
+    seed = result.seed
+    for trial in range(result.trials):
+        m = yield
         rng = random.Random(seed * 179_424_673 + trial)
         a = cx.random_triangle_subcomplex(m, rng)
         b = cx.random_triangle_subcomplex(m, rng)
@@ -602,19 +585,17 @@ def suite_relation_coverage(
             consistent,
             f"verdicts={verdicts} seed={seed}",
         )
-    return result
 
 
-# Suite name -> runner(trials, seed, mesh, region_mode, constraints). The
-# runners look the suite functions up when called, so a wrapper put on a
-# module attribute, as by a tracer, sees every suite run.
+# Suite name -> generator, in report order. `run_suite("all")` runs
+# them and then the relation coverage suite.
 SUITES = {
-    "axioms": lambda t, s, m, rm, c: suite_axioms(t, s, m),
-    "lemma31": lambda t, s, m, rm, c: suite_near_visible_agreement(t, s, m),
-    "lemma33": lambda t, s, m, rm, c: suite_strong_visibility(t, s, m),
-    "thm35": lambda t, s, m, rm, c: suite_strongly_far(t, s, m),
-    "thm36": lambda t, s, m, rm, c: suite_delaunay_characterizations(t, s, m),
-    "thm37": lambda t, s, m, rm, c: suite_segment_visibility(t, s, m, c),
-    "regions": lambda t, s, m, rm, c: suite_regions(t, s, m, mode=rm),
-    "leader": lambda t, s, m, rm, c: suite_leader(t, s, m),
+    "axioms": _axioms,
+    "lemma31": _near_visible_agreement,
+    "lemma33": _strong_visibility,
+    "thm35": _strongly_far,
+    "thm36": _delaunay_characterizations,
+    "thm37": _segment_visibility,
+    "regions": _regions,
+    "leader": _leader,
 }

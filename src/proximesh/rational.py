@@ -16,10 +16,11 @@ is the one place that knows which: its `orient`, `incircle`, `key`,
 and `bisector` build a circumcenter and a bisector in integers.
 On own scales, `orient` takes the homogeneous determinant over each
 point's (X, Y, W), which needs no common scale.
-On a shared scale, `slab` finds the points within a circle's x-range
-on an x-order of the lattice, built on first use, and `nearer` compares
-squared distances to a rational center as integers; on own scales they
-fall back to every point and to Fraction distances.
+`nearer` compares squared distances to a rational center as integers,
+each point's over its own scale where the points keep their own. On a
+shared scale, `slab` finds the points within a circle's x-range on an
+x-order of the lattice, built on first use, and `nearer` looks only at
+those; on own scales both take every point.
 `mesh.SiteSet` is a lattice of its sites, `geometry.convex_hull` builds
 one for its points, and a mesh's derived clip box one for its
 circumcenters.
@@ -249,14 +250,20 @@ class Lattice:
         return self._x_range(q, u, r2)
 
     def nearer(self, center, i: int) -> list[int]:
-        """The points strictly nearer to `center` than point i. A shared
-        scale compares the squared distances of the `slab`'s points as
-        integers; own scales compare every point's as Fractions."""
+        """The points strictly nearer to `center` than point i, by their
+        squared distances as integers. A shared scale compares those of
+        the `slab`'s points. On own scales, with the center over q, the
+        lcm of its denominators, as (u, v), point k over its own W_k is
+        n_k / (W_k·q)² away, n_k = (X_k·q - u·W_k)² + (Y_k·q - v·W_k)²;
+        so every point k with n_k·W_i² < n_i·W_k² is nearer."""
         if self.scale is None:
-            def d2(p):
-                return (p.x - center.x) ** 2 + (p.y - center.y) ** 2
-            r2 = d2(self.points[i])
-            return [k for k, p in enumerate(self.points) if d2(p) < r2]
+            q = math.lcm(center.x.denominator, center.y.denominator)
+            u, v = _on_scale(center, q)
+            n = [(x * q - u * w) ** 2 + (y * q - v * w) ** 2
+                 for (x, y), w in zip(self.lattice, self.scales)]
+            ni, wi2 = n[i], self.scales[i] ** 2
+            return [k for k, (nk, w) in enumerate(zip(n, self.scales))
+                    if nk * wi2 < ni * w * w]
         q, u, v, r2 = self._circle(center, i)
         lattice = self.lattice
         return [

@@ -36,9 +36,9 @@ from proximesh.complexes import (
 from proximesh.geometry import Point2
 from proximesh.harness import (
     mesh_for_trial,
+    run_suite,
     sample_chain_region,
     sample_strongly_far_config,
-    suite_strong_visibility,
 )
 from proximesh.mesh import SiteSet, is_delaunay_edge, triangulate
 from proximesh.regions import (
@@ -213,7 +213,7 @@ def test_strong_visibility_forward_and_converse():
     a = SubComplex.of_triangles(wheel, [0])
     b = SubComplex.of_triangles(wheel, [2])
     assert visible(a, b).verdict and not strongly_visible(a, b).verdict
-    result = suite_strong_visibility(80, seed=6, mesh=wheel)
+    (result,) = run_suite("lemma33", 80, seed=6, mesh=wheel)
     assert result.failed == 0
     assert result.divergences > 0
     _report("strong-visibility-forward-and-converse")

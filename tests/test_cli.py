@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import os
 import subprocess
@@ -18,7 +19,7 @@ from oracles import brute_force_delaunay
 from test_mesh import own_denominator_wheel
 from proximesh import harness, io
 from proximesh import mesh as mesh_module
-from proximesh.cli import main
+from proximesh.cli import _format_structured, _format_text, main
 from proximesh.complexes import SubComplex
 from proximesh.mesh import triangulate
 from proximesh.rational import MAX_DIGITS, MAX_EXPONENT
@@ -710,6 +711,33 @@ class TestCheck:
             assert main(["check", "--suite", "all", "--trials", "2",
                          "--seed", "3", "--out", str(out)]) == 0
         assert r1.read_bytes() == r2.read_bytes()
+
+    # sha256 of the text and structured reports, pinned so that a change
+    # to how suites are run or recorded cannot alter a report unnoticed.
+    PINNED_REPORTS = {
+        ("all", 20, 1): (
+            "3aa87f18319010f4c803b918126050834734f60227efa92ccecf8cde0fb3b832",
+            "652eb2e1b7563fb555da525863ac9133ab8059e80bd0ba57b03f008bcd1180e3"),
+        ("all", 20, 7): (
+            "b0c9444216a8899d36531af62675b3639b9dab431cad6401ea13f1834ba05234",
+            "3ef09fa255014b0da7d2fb2a653c083e79c32b46f1d4a52cf0ce9935b55d2cc1"),
+        ("all", 20, 40000): (
+            "e99aabe091ad2c6e8ac54588a100fbf750ee9a5a887a999d91eeb78e0e1bc9c6",
+            "4d84dfe37d6c082af98ec113348120938954e5c118624f1b3bfb905b822e76b3"),
+        ("thm36", 1, 0): (
+            "56170d91e348f7aa5444ef00bb791dd4e00d0371a378db665fac65d4fd18e36f",
+            "588f6a7078cc7b7acacd135dbde61aef3a51a465867ad39bb75cb05dc2b36a66"),
+    }
+
+    @pytest.mark.parametrize("args", PINNED_REPORTS)
+    def test_report_bytes_pinned(self, args, grid_mesh):
+        # The thm36 report runs on the 4x4 grid, all others on trial meshes.
+        mesh = grid_mesh if args[0] == "thm36" else None
+        results = harness.run_suite(*args, mesh=mesh)
+        digests = tuple(
+            hashlib.sha256("".join(fmt(results)).encode()).hexdigest()
+            for fmt in (_format_text, _format_structured))
+        assert digests == self.PINNED_REPORTS[args]
 
     def test_constraints_flow(self, workspace, tmp_path):
         _, _, mesh_file, *_ = workspace

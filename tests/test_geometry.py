@@ -270,22 +270,6 @@ class TestPolygon:
             with pytest.raises(DegenerateInputError):
                 ell.contains(p)
 
-    @pytest.mark.parametrize("ring", [
-        [P(0, 0), P(1, 0), P(1, 0), P(2, 0), P(1, 1), P(0, 0)],
-        [P(0, 0), P(2, 0), P(1, "0.25"), P(1, 1)],
-        [P(0, 5), P(-3, -4), P(5, 2), P(-5, 2), P(3, -4)],
-    ], ids=["convex", "arrowhead", "pentagram"])
-    def test_normalization_takes_no_lattice_sign(self, ring, monkeypatch):
-        # Every sign comes from the edge lines; none from the lattice's
-        # point-index predicates.
-        def refuse(*args):
-            raise AssertionError("lattice predicate called")
-
-        for name in ("orient", "compare", "crossings"):
-            monkeypatch.setattr(Lattice, name, refuse)
-        corners = [_corner(p) for p in ring]
-        assert Polygon(ring).vertices == Polygon(ring, corners).vertices
-
 
 class TestPoint2:
     def test_exact_decimal_strings(self):
@@ -752,8 +736,13 @@ class TestNormalizationMatchesReference:
         [(0, 0), (1, 0), (0, 0), (1, 0)],
         # Spikes out and back along an edge and through a corner.
         [(0, 0), (2, 0), (3, 0), (1, 0), (1, 1), (0, 2), (0, -1), (0, 1)],
+        # A convex ring with a repeat and a collinear run, a non-convex
+        # arrowhead and a self-crossing pentagram.
+        [(0, 0), (1, 0), (1, 0), (2, 0), (1, 1), (0, 0)],
+        [(0, 0), (2, 0), (1, "0.25"), (1, 1)],
+        [(0, 5), (-3, -4), (5, 2), (-5, 2), (3, -4)],
     ], ids=["figure-eight", "repeats", "one-point", "back-and-forth",
-            "spikes"])
+            "spikes", "convex", "arrowhead", "pentagram"])
     def test_examples(self, ring, corners):
         ring = [P(x, y) for x, y in ring]
         triples = ([tuple(k * c for c in _lowest(p))

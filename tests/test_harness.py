@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -18,8 +20,6 @@ from proximesh.harness import (
     run_suite,
     sample_chain_region,
     sample_strongly_far_config,
-    suite_strong_visibility,
-    suite_strongly_far,
 )
 from proximesh.mesh import triangulate
 
@@ -116,15 +116,34 @@ class TestSuites:
         assert len(set(requested)) == len(requested) == n >= 20
         run_suite("all", 20, seed=4)
         assert len(built) == 2 * n
-        # No memo outside run_suite: direct calls and direct suite runs
-        # build every time, also after a pass that raised.
-        with pytest.raises(ValueError, match="unknown suite"):
-            run_suite("bogus", 1, seed=4)
+        # Direct calls build every time.
         a, b = hs.mesh_for_trial(4, 0), hs.mesh_for_trial(4, 0)
         assert a is not b and len(built) == 2 * n + 2
-        suite_strong_visibility(2, seed=4)
-        suite_strong_visibility(2, seed=4)
-        assert len(built) == 2 * n + 6
+
+    def test_trial_meshes_stay_bounded(self, monkeypatch):
+        # Each trial mesh is dropped once every suite has seen it; a
+        # suite's locals may still hold one of its last few meshes.
+        built, most_alive = [], 0
+        real_mesh_for_trial = hs.mesh_for_trial
+
+        def alive():
+            return sum(ref() is not None for ref in built)
+
+        def tracked(seed, trial):
+            nonlocal most_alive
+            # Collecting cycles cannot raise the count, so it is needed
+            # only when more than the bound is alive without it.
+            if alive() > 3:
+                gc.collect()
+            most_alive = max(most_alive, alive())
+            mesh = real_mesh_for_trial(seed, trial)
+            built.append(weakref.ref(mesh))
+            return mesh
+
+        monkeypatch.setattr(hs, "mesh_for_trial", tracked)
+        run_suite("all", 200, seed=7)
+        assert len(built) > 200
+        assert most_alive <= 3
 
     def test_consecutive_passes_identical(self):
         a = run_suite("all", 3, seed=6)
@@ -139,13 +158,13 @@ class TestSuites:
     def test_strongly_far_shortfall(self, wheel_mesh, monkeypatch):
         # The wheel's only off-hull site is its hub, so it offers no
         # configuration: skipped when supplied, a failure when generated.
-        result = suite_strongly_far(3, seed=1, mesh=wheel_mesh)
+        (result,) = run_suite("thm35", 3, seed=1, mesh=wheel_mesh)
         assert result.records == [CheckRecord(
             "strongly_far generation", PASS,
             "no strongly-far configuration in the mesh; skipped",
         )]
         monkeypatch.setattr(hs, "mesh_for_trial", lambda seed, trial: wheel_mesh)
-        result = suite_strongly_far(3, seed=1)
+        (result,) = run_suite("thm35", 3, seed=1)
         assert result.records == [CheckRecord(
             "strongly_far generation", FAIL, "only 0/3 configurations found"
         )]
@@ -153,7 +172,7 @@ class TestSuites:
     def test_lemma33_converse_divergence_on_wheel(self, wheel_mesh):
         # The wheel guarantees vertex-only visible pairs, so the
         # converse divergence must be observed and must not fail.
-        result = suite_strong_visibility(60, seed=2, mesh=wheel_mesh)
+        (result,) = run_suite("lemma33", 60, seed=2, mesh=wheel_mesh)
         assert result.failed == 0
         assert result.divergences > 0
 
