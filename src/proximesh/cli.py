@@ -216,26 +216,36 @@ def _format_text(results) -> Iterator[str]:
 
 
 def _format_structured(results) -> Iterator[str]:
-    """The structured report as JSON text, in pieces."""
-    docs = [
-        {
-            "suite": r.suite,
+    """The structured report as JSON text, one record at a time: the text
+    of `json.dumps(docs, sort_keys=True, indent=1)` over one doc per
+    result, in which "records" is the first key, with each piece encoded
+    alone and indented to its depth. JSON text holds no raw newline
+    inside a string, so every newline of a piece starts a line."""
+    encode = json.JSONEncoder(sort_keys=True, indent=1).encode
+
+    def at(depth: int, text: str) -> str:
+        return text.replace("\n", "\n" + " " * depth)
+
+    opening = "["
+    for r in results:
+        yield opening + '\n {\n  "records": ['
+        opening = ","
+        for k, rec in enumerate(r.records):
+            yield ("," if k else "") + "\n   " + at(3, encode(
+                {"label": rec.label, "status": rec.status,
+                 "detail": rec.detail}))
+        yield "\n  ]," if r.records else "],"
+        yield at(1, encode({
             "seed": r.seed,
+            "suite": r.suite,
             "trials": r.trials,
-            "records": [
-                {"label": rec.label, "status": rec.status, "detail": rec.detail}
-                for rec in r.records
-            ],
             "summary": {
                 "pass": r.passed,
                 "fail": r.failed,
                 "expected_divergence": r.divergences,
             },
-        }
-        for r in results
-    ]
-    yield from json.JSONEncoder(sort_keys=True, indent=1).iterencode(docs)
-    yield "\n"
+        })[1:])
+    yield "[]\n" if opening == "[" else "\n]\n"
 
 
 def _cmd_render(args: argparse.Namespace) -> int:

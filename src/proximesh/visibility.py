@@ -7,16 +7,17 @@ constraint does not block visibility: the blocking test is
 interior-disjointness, not empty intersection, and the audit reports
 pairs where the two readings would differ. Sites and constraint ends
 are indices into the `SiteSet`, whose lattice `between` and `overlap`
-decide every segment test; the audit's Fraction tests of each site and
-each constraint are the independent check, on visible and blocked pairs
-alike.
+decide every segment test; the audit's `_contact`, on integers of its
+own, tests each site and each constraint as the independent check, on
+visible and blocked pairs alike.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .complexes import RelationReport
 from .geometry import Point2
@@ -77,28 +78,47 @@ def audit_segment_visibility(
 ) -> list[RelationReport]:
     """Check the visibility conclusions on sampled (or all) site pairs.
 
-    Each pair's blocking witness is sought in Fractions, apart from the
-    lattice that `segment_visible` decides on: a site strictly inside
-    the open segment, or another constraint sharing an interior point
-    with it. A pair declared visible must have none, and is reported; a
-    pair declared blocked must have one, and is reported only when it
-    has none. Visible pairs where endpoint contact with a constraint is
-    the only contact are flagged as a reading divergence, not a failure:
-    a literal empty-intersection condition would have excluded them.
+    Each pair's blocking witness is sought by `_contact`, on integers of
+    its own, apart from the lattice that `segment_visible` decides on: a
+    site strictly inside the open segment, or another constraint sharing
+    an interior point with it. A pair declared visible must have none,
+    and is reported; a pair declared blocked must have one, and is
+    reported only when it has none. Visible pairs where endpoint contact
+    with a constraint is the only contact are flagged as a reading
+    divergence, not a failure: a literal empty-intersection condition
+    would have excluded them. Pairs are numbered in (p, q) order, and
+    `trials` numbers are drawn, so no list of all pairs is made.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     constraints.validate(sites)
     n = len(sites)
-    all_pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
-    if len(all_pairs) <= trials:
-        pairs = all_pairs
-    else:
-        rng = random.Random(seed)
-        pairs = sorted(rng.sample(all_pairs, trials))
+    count = n * (n - 1) // 2
+    picks = (range(count) if count <= trials
+             else sorted(random.Random(seed).sample(range(count), trials)))
+    ordered = sorted(constraints.pairs)
     reports = []
-    for p, q in pairs:
-        witness = _blocking_witness(p, q, sites, constraints)
+    for m in picks:
+        p = n - 2 - (math.isqrt(8 * (count - 1 - m) + 1) - 1) // 2
+        q = m - p * (2 * n - p - 3) // 2 + 1
+        a, b = sites[p], sites[q]
+        # Constraints first, as they block most pairs in general
+        # position; then sites, which touch pq only strictly inside it.
+        witness, touching = None, []
+        for pair in ordered:
+            if pair == (p, q):
+                continue
+            contact = _contact(a, b, sites[pair[0]], sites[pair[1]])
+            if contact == 2:
+                witness = ("constraint_interior_contact", pair)
+                break
+            if contact:
+                touching.append(pair)
+        else:
+            witness = next((("site_in_open_segment", s)
+                            for s, c in enumerate(sites.sites)
+                            if s != p and s != q and _contact(a, b, c, c)),
+                           None)
         operands = (f"site {p}", f"site {q}")
         if not segment_visible(p, q, sites, constraints):
             if witness is None:
@@ -106,12 +126,11 @@ def audit_segment_visibility(
                     relation="segment_blocking", operands=operands,
                     verdict=False, counterexample=("no_blocking_witness",)))
             continue
-        divergence = _endpoint_contact_pairs(p, q, sites, constraints)
         note = ""
-        if divergence:
+        if touching:
             note = (
                 "endpoint-only constraint contact at "
-                f"{divergence}; a literal empty-intersection reading "
+                f"{touching}; a literal empty-intersection reading "
                 "would block this pair"
             )
         reports.append(
@@ -126,67 +145,33 @@ def audit_segment_visibility(
     return reports
 
 
-def _blocking_witness(
-    p: int, q: int, sites: SiteSet, constraints: ConstraintSet
-) -> Optional[tuple]:
-    """The first other constraint whose interior meets the open segment
-    pq, else the first site strictly inside it, else None. Constraints
-    come first: they block most pairs of sites in general position.
+def _contact(a: Point2, b: Point2, c: Point2, d: Point2) -> int:
+    """2 when segments ab and cd share a point interior to both, 1 when
+    they meet only at an end of either, 0 when they do not meet.
 
-    In Fractions, site c is strictly inside segment ab when it is on its
-    line, a zero cross product, with 0 < (c - a)·(b - a) < |b - a|².
+    The points are put over the lcm of their denominators. Off one line,
+    Cramer's rule solves a + t(b - a) = c + u(d - c) as t = tn/den and
+    u = un/den with den > 0, so no division is needed. On one line, c
+    and d have parameters along ab, dot products with b - a, and their
+    span is cut to [0, |b - a|²]: a span of positive length is an
+    interior contact, a single point a touch.
     """
-    a, b = sites[p], sites[q]
-    key = (p, q) if p < q else (q, p)
-    for pair in sorted(constraints.pairs):
-        if pair != key and _interiors_meet(a, b, *(sites[v] for v in pair)):
-            return ("constraint_interior_contact", pair)
-    rx, ry = b.x - a.x, b.y - a.y
-    rr = rx * rx + ry * ry
-    for s, c in enumerate(sites.sites):
-        wx, wy = c.x - a.x, c.y - a.y
-        if rx * wy == ry * wx and 0 < wx * rx + wy * ry < rr:
-            return ("site_in_open_segment", s)
-    return None
-
-
-def _interiors_meet(a: Point2, b: Point2, c: Point2, d: Point2) -> bool:
-    """Segments ab and cd share a point interior to both, in Fractions.
-
-    Off one line, Cramer's rule solves a + t(b - a) = c + u(d - c) and
-    both parameters must lie in (0, 1). On one line, c and d have
-    parameters along ab, and their interval must overlap (0, 1) for a
-    positive length.
-    """
-    rx, ry, sx, sy = b.x - a.x, b.y - a.y, d.x - c.x, d.y - c.y
-    wx, wy = c.x - a.x, c.y - a.y
+    coords = a.x, a.y, b.x, b.y, c.x, c.y, d.x, d.y
+    s = math.lcm(*(v.denominator for v in coords))
+    ax, ay, bx, by, cx, cy, dx, dy = (v.numerator * (s // v.denominator)
+                                      for v in coords)
+    rx, ry, sx, sy = bx - ax, by - ay, dx - cx, dy - cy
+    wx, wy = cx - ax, cy - ay
     den = rx * sy - ry * sx
     if den:
-        t = (wx * sy - wy * sx) / den
-        return 0 < t < 1 and 0 < (wx * ry - wy * rx) / den < 1
+        tn, un = wx * sy - wy * sx, wx * ry - wy * rx
+        if den < 0:
+            den, tn, un = -den, -tn, -un
+        if not (0 <= tn <= den and 0 <= un <= den):
+            return 0
+        return 2 if 0 < tn < den and 0 < un < den else 1
     if wx * ry - wy * rx:
-        return False  # parallel lines
-    rr = rx * rx + ry * ry
-    tc = (wx * rx + wy * ry) / rr
-    td = ((d.x - a.x) * rx + (d.y - a.y) * ry) / rr
-    return max(0, min(tc, td)) < min(1, max(tc, td))
-
-
-def _endpoint_contact_pairs(
-    p: int, q: int, sites: SiteSet, constraints: ConstraintSet
-) -> list[tuple[int, int]]:
-    """Constraints that touch segment pq only at an endpoint of either."""
-    key = (p, q) if p < q else (q, p)
-    out = []
-    for pair in sorted(constraints.pairs):
-        if pair == key:
-            continue
-        # With no interior point shared, the closed segments meet exactly
-        # where an endpoint of one is an end or an interior point of the
-        # other. Sites are distinct, so an end is met by index.
-        if not sites.overlap(p, q, *pair) and any(
-            end in other or sites.between(*other, end)
-            for ends, other in ((key, pair), (pair, key)) for end in ends
-        ):
-            out.append(pair)
-    return out
+        return 0  # parallel lines
+    tc, td = wx * rx + wy * ry, (dx - ax) * rx + (dy - ay) * ry
+    lo, hi = max(0, min(tc, td)), min(rx * rx + ry * ry, max(tc, td))
+    return (lo <= hi) + (lo < hi)

@@ -23,6 +23,7 @@ from proximesh.cli import _format_structured, _format_text, main
 from proximesh.complexes import SubComplex
 from proximesh.mesh import triangulate
 from proximesh.rational import MAX_DIGITS, MAX_EXPONENT
+from proximesh.visibility import ConstraintSet
 
 
 @pytest.fixture()
@@ -738,6 +739,39 @@ class TestCheck:
             hashlib.sha256("".join(fmt(results)).encode()).hexdigest()
             for fmt in (_format_text, _format_structured))
         assert digests == self.PINNED_REPORTS[args]
+
+    def test_thm37_bytes_pinned_on_collinear_constraints(self, grid_mesh):
+        # Every pair of the 4x4 grid is audited against constraints that
+        # lie along grid lines and diagonals: 64 pairs are visible, 48 of
+        # them with endpoint-only contact notes, and collinear touches
+        # must not count as interior contacts.
+        constraints = ConstraintSet.of([(1, 3), (4, 12), (5, 10), (2, 7)])
+        results = harness.run_suite("thm37", 120, 1, mesh=grid_mesh,
+                                    constraints=constraints)
+        records = results[0].records
+        assert (len(records), results[0].passed) == (64, 64)
+        assert sum(1 for rec in records if rec.detail) == 48
+        digests = tuple(
+            hashlib.sha256("".join(fmt(results)).encode()).hexdigest()
+            for fmt in (_format_text, _format_structured))
+        assert digests == (
+            "f788f9a3e5658e64a6dff4ee83b99f0450adca3f94ed86d66c284dfbccb46752",
+            "676c744d029d74310496c407a69c25366d5479a1417316a76659c1d3a2debc18")
+
+    def test_structured_report_empty_and_streamed(self):
+        # The report is encoded one record at a time; its text is still
+        # that of one `json.dumps` over all docs, with none at all too.
+        assert "".join(_format_structured([])) == "[]\n"
+        results = harness.run_suite("all", 3, 5) + [
+            harness.SuiteResult("empty", 0, 1)]
+        docs = [{"suite": r.suite, "seed": r.seed, "trials": r.trials,
+                 "records": [{"label": rec.label, "status": rec.status,
+                              "detail": rec.detail} for rec in r.records],
+                 "summary": {"pass": r.passed, "fail": r.failed,
+                             "expected_divergence": r.divergences}}
+                for r in results]
+        assert "".join(_format_structured(results)) == json.dumps(
+            docs, sort_keys=True, indent=1) + "\n"
 
     def test_constraints_flow(self, workspace, tmp_path):
         _, _, mesh_file, *_ = workspace

@@ -165,3 +165,45 @@ def test_the_rule_finds_lattice_subclasses():
     source = ("class A(Lattice): pass\nclass B(r.Lattice, C): pass\n"
               "class D(C): pass\nclass E(LatticeView): pass\n")
     assert lattice_subclasses(source) == ["A", "B"]
+
+
+def lattice_methods() -> set[str]:
+    """The names of the methods `rational.Lattice` defines, dunders
+    aside, read from its source."""
+    tree = ast.parse((SRC / "rational.py").read_text())
+    return {f.name for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name == "Lattice"
+            for f in node.body
+            if isinstance(f, ast.FunctionDef) and not f.name.startswith("__")}
+
+
+def private_method_calls(source: str, methods: set[str]) -> list[int]:
+    """Lines where a module-level function whose name starts with `_`
+    calls a method named in `methods`."""
+    return sorted(node.lineno for fn in ast.parse(source).body
+                  if isinstance(fn, ast.FunctionDef)
+                  and fn.name.startswith("_")
+                  for node in ast.walk(fn)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in methods)
+
+
+def test_visibility_helpers_take_no_lattice_sign():
+    # `segment_visible` decides on the `SiteSet`'s lattice `between` and
+    # `overlap`; the thm37 audit checks it with `_contact`, on integers
+    # of its own, so no private helper of `visibility` may call a
+    # `Lattice` method.
+    assert private_method_calls((SRC / "visibility.py").read_text(),
+                                lattice_methods()) == []
+
+
+def test_the_rule_finds_private_lattice_calls():
+    assert {"between", "overlap", "orient", "scaled"} <= lattice_methods()
+    assert "__init__" not in lattice_methods()
+    source = ("def _f(s):\n    return s.overlap(0, 1, 2, 3)\n"
+              "def g(s):\n    return s.between(0, 1, 2)\n"
+              "def _h(s, x):\n    y = sorted(x, key=len)\n"
+              "    return s.orient(0, 1, y)\n"
+              "def _k(s):\n    return s.sites, math.lcm(2, 3)\n")
+    assert private_method_calls(source, lattice_methods()) == [2, 7]

@@ -1,11 +1,15 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import proximesh.visibility as vis
-from oracles import collinear_visible
+from oracles import collinear_visible, segment_contains, segments_overlap
+from test_geometry import own_lines, shared_lines
 from proximesh.geometry import Point2
 from proximesh.mesh import SiteSet, triangulate
 from proximesh.visibility import (
@@ -242,3 +246,120 @@ class TestAuditSegmentVisibility:
         ss = SiteSet([P(0, 0), P(4, 0), P(2, 3)])
         with pytest.raises(ValueError):
             audit_segment_visibility(ss, ConstraintSet.of([(0, 9)]), 10, 0)
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 12, 20])
+    def test_sampled_pairs_match_a_list_of_all_pairs(self, n, monkeypatch):
+        # Pairs are drawn by number and decoded in (p, q) order; they must
+        # be the pairs that sampling a list of all of them would give.
+        ss = SiteSet([P(i, i * i) for i in range(n)])
+        audited = []
+        honest = vis.segment_visible
+
+        def spy(p, q, *rest):
+            audited.append((p, q))
+            return honest(p, q, *rest)
+
+        monkeypatch.setattr(vis, "segment_visible", spy)
+        all_pairs = list(itertools.combinations(range(n), 2))
+        count = len(all_pairs)
+        for trials in sorted({1, 2, 5, count - 1, count, count + 1, 1000}):
+            for seed in (0, 1, 7, 40000):
+                audited.clear()
+                audit_segment_visibility(ss, ConstraintSet.empty(), trials,
+                                         seed)
+                assert audited == (
+                    all_pairs if count <= trials
+                    else sorted(random.Random(seed).sample(all_pairs, trials)))
+
+    def test_sampling_lists_no_pairs(self):
+        # 2000 sites have 1,999,000 pairs; a list of them all would take
+        # well over 100 MB while only ten are audited.
+        rng = random.Random(3)
+        ss = SiteSet([P(x, y) for x, y in rng.sample(
+            list(itertools.product(range(100), repeat=2)), 2000)])
+        tracemalloc.start()
+        try:
+            reports = audit_segment_visibility(ss, ConstraintSet.empty(), 10,
+                                               seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert reports and all(r.verdict for r in reports)
+        assert peak < 2 * 2**20
+
+
+# Segment ab against segment cd, with the expected `_contact`: 2 for a
+# point interior to both, 1 for contact only at an end of either.
+CONTACT_CASES = {
+    "crossing": ((0, 0), (4, 0), (2, -1), (2, 1), 2),
+    "crossing outside ab": ((0, 0), (4, 0), (5, -1), (5, 1), 0),
+    "T-junction on ab": ((0, 0), (4, 0), (2, 0), (2, 3), 1),
+    "T-junction on cd": ((0, 0), (4, 0), (4, -1), (4, 1), 1),
+    "shared end": ((0, 0), (4, 0), (4, 0), (5, 3), 1),
+    "collinear overlap": ((0, 0), (4, 0), (3, 0), (6, 0), 2),
+    "collinear cover": ((0, 0), (4, 0), (5, 0), (-1, 0), 2),
+    "same segment": ((0, 0), (4, 0), (4, 0), (0, 0), 2),
+    "collinear touch": ((0, 0), (4, 0), (6, 0), (4, 0), 1),
+    "collinear disjoint": ((0, 0), (4, 0), (5, 0), (6, 0), 0),
+    "parallel": ((0, 0), (4, 0), (0, 1), (4, 1), 0),
+    "zero-length cd inside": ((0, 0), (4, 0), (1, 0), (1, 0), 1),
+    "zero-length cd at an end": ((0, 0), (4, 0), (4, 0), (4, 0), 1),
+    "zero-length cd beyond": ((0, 0), (4, 0), (5, 0), (5, 0), 0),
+    "zero-length cd off": ((0, 0), (4, 0), (1, 1), (1, 1), 0),
+}
+
+
+def _contact_by_oracles(a, b, c, d):
+    """`_contact` from the oracles: 2 when the segments overlap, else 1
+    when the closed segments meet, at a shared end or at an end of one
+    strictly inside the other."""
+    if segments_overlap(a, b, c, d):
+        return 2
+    return int(a in (c, d) or b in (c, d)
+               or any(segment_contains(a, b, p) for p in (c, d))
+               or any(segment_contains(c, d, p) for p in (a, b)))
+
+
+# A rational affine map keeps every incidence of the integer cases, and
+# puts them over unrelated 20-digit denominators.
+_OWN_MAP = [Fraction(random.Random(k).randrange(10**19, 10**20),
+                     random.Random(-k).randrange(10**19, 10**20))
+            for k in range(1, 7)]
+
+
+def _on_scale(scale, x, y):
+    if scale == "shared":
+        return P(Fraction(x, 3), Fraction(y, 3))
+    m = _OWN_MAP
+    return P(m[0] * x + m[1] * y + m[4], m[2] * x - m[3] * y + m[5])
+
+
+class TestContact:
+    @pytest.mark.parametrize("scale", ["shared", "own"])
+    @pytest.mark.parametrize("case", CONTACT_CASES)
+    def test_named_cases(self, case, scale):
+        *points, expected = CONTACT_CASES[case]
+        a, b, c, d = (_on_scale(scale, *xy) for xy in points)
+        assert vis._contact(a, b, c, d) == expected
+        assert _contact_by_oracles(a, b, c, d) == expected
+        assert vis._contact(b, a, d, c) == expected
+        if c != d:
+            assert vis._contact(c, d, a, b) == expected
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.one_of(shared_lines, own_lines))
+    def test_matches_the_oracles_on_lines(self, lines):
+        # Each segment of a line of four points (2a - b, a, the midpoint
+        # and b) against every segment, of no length too, on it and on
+        # the vertical through a: crossings, T-junctions, shared ends and
+        # collinear overlaps, touches and gaps.
+        pts, lines = lines
+        for g, h in zip(lines, lines[1:] + lines[:1]):
+            for i, j in itertools.combinations(g, 2):
+                a, b = pts[i], pts[j]
+                if a == b:
+                    continue
+                for k, m in itertools.product(g + h, repeat=2):
+                    c, d = pts[k], pts[m]
+                    assert vis._contact(a, b, c, d) == _contact_by_oracles(
+                        a, b, c, d)
