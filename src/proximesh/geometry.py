@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Iterable, Optional, Sequence, Union
 
 from .rational import (Lattice, _corner, _cross, _incircle, _orient,
@@ -321,7 +322,8 @@ def convex_hull(points: Iterable[Point2]) -> Polygon:
             chain.append(p)
         return chain
 
-    order = sorted(range(len(pts)), key=lattice.key)
+    order = sorted(range(len(pts)),
+                   key=cmp_to_key(lambda i, j: lattice.order(j, i)))
     lower = half(order)
     upper = half(order[::-1])
     ring = lower[:-1] + upper[:-1]

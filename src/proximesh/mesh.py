@@ -3,8 +3,8 @@
 A `SiteSet` is the `rational.Lattice` of its sites: every orientation,
 incircle and circumcenter on sites runs on their integer coordinates, by
 site index. `is_delaunay_triangle` tests the empty circle only on the
-sites of the lattice's `slab` about the circumcenter, those whose x lies
-within the circle's x-range.
+sites of the lattice's `slab` about the circumcenter, taken as the
+corner `center` builds, those whose x lies within the circle's x-range.
 
 Triangulation is incremental Bowyer-Watson, inserting sites in input
 order. The hull edges carry ghost triangles through one vertex at
@@ -70,9 +70,9 @@ class SiteSet(Lattice):
     box adds on every side; the box bounds the otherwise unbounded hull
     cells of the Voronoi diagram.
 
-    A site set is the `rational.Lattice` of its sites, so its inherited
-    `orient`, `incircle` and `crossings` decide by site index, and
-    `center` and `bisector` build circumcenters and bisectors on it.
+    A site set is the `rational.Lattice` of its sites: its `orient`,
+    `incircle` and `crossings` decide by site index, `center` and
+    `bisector` build corners and lines, and `slab` and `nearer` take corners.
     """
 
     __slots__ = ("sites", "clip_margin")
@@ -106,17 +106,6 @@ class SiteSet(Lattice):
 
     def __getitem__(self, i: int) -> Point2:
         return self.sites[i]
-
-    def circumcenter(self, i: int, j: int, k: int) -> Point2:
-        """`geometry.circumcenter` of the non-collinear sites i, j, k.
-
-        `is_delaunay_triangle` takes its slab about this center. The
-        Delaunay-characterization audit's dual-vertex route keeps
-        `geometry.circumcenter`, which scales its three points itself and
-        calls no `Lattice` method, as a center independent of this one,
-        and takes its own slab about it.
-        """
-        return _point(self.center(i, j, k))
 
 
 @dataclass(frozen=True, slots=True)
@@ -335,13 +324,13 @@ def is_delaunay_triangle(t: Triangle, sites: SiteSet) -> bool:
     """True when no site lies strictly inside the triangle's circumcircle.
 
     Only a site in the circle's x-slab can, so the lattice `incircle`
-    tests the sites of `SiteSet.slab` about `SiteSet.circumcenter`, all
-    of them on own scales. No mesh adjacency is read.
+    tests the sites of `SiteSet.slab` about the corner from
+    `SiteSet.center`, all of them on own scales. No mesh adjacency is read.
     """
     i, j, k = t.indices
     return all(
         sites.incircle(i, j, k, s) <= 0
-        for s in sites.slab(sites.circumcenter(i, j, k), i)
+        for s in sites.slab(sites.center(i, j, k), i)
         if s not in t.indices
     )
 

@@ -11,16 +11,17 @@ lowest terms as such a triple.
 `geometry.orient2d` and `geometry.incircle` rescale their points on every
 call (`scaled_ints`); no library module calls them. A `Lattice` rescales
 a whole point set once, to one shared scale where that stays narrow, and
-is the one place that knows which: its `orient`, `incircle`, `key`,
-`between`, `overlap` and `crossings` decide by point index, and `center`
-and `bisector` build a circumcenter and a bisector in integers.
+is the one place that knows which: its `orient`, `incircle`, `compare`,
+`order`, `between`, `overlap` and `crossings` decide by point index, and
+`center` and `bisector` build a circumcenter and a bisector in integers.
 On own scales, `orient` takes the homogeneous determinant over each
-point's (X, Y, W), which needs no common scale.
-`nearer` compares squared distances to a rational center as integers,
-each point's over its own scale where the points keep their own. On a
-shared scale, `slab` finds the points within a circle's x-range on an
-x-order of the lattice, built on first use, and `nearer` looks only at
-those; on own scales both take every point.
+point's (X, Y, W), which needs no common scale, and `compare` weighs each
+coordinate by the other point's scale on either rule. The disk queries
+take their center as a corner (X, Y, W): `nearer` compares squared
+distances to it in integers by one formula, each point's over its own
+scale, among the points of `slab`. On a shared scale, `slab` finds the
+points within the circle's x-range on an x-order of the lattice, built
+on first use; on own scales it takes every point.
 `mesh.SiteSet` is a lattice of its sites, `geometry.convex_hull` builds
 one for its points, and a mesh's derived clip box one for its
 circumcenters.
@@ -182,12 +183,16 @@ class Lattice:
 
     def compare(self, i: int, j: int, axis: int) -> int:
         """The sign of coordinate `axis` (0 for x, 1 for y) of point j
-        less that of point i, in integers: on own scales, each point's
-        over the other's scale."""
-        a, b = self.lattice[i][axis], self.lattice[j][axis]
-        if self.scale is None:
-            a, b = a * self.scales[j], b * self.scales[i]
+        less that of point i, in integers: each point's over the other's
+        scale."""
+        a = self.lattice[i][axis] * self.scales[j]
+        b = self.lattice[j][axis] * self.scales[i]
         return (b > a) - (b < a)
+
+    def order(self, i: int, j: int) -> int:
+        """The sign of point j less point i in the (x, y) order: by
+        `compare` on x, then on y."""
+        return self.compare(i, j, 0) or self.compare(i, j, 1)
 
     def extremes(self, axis: int) -> tuple[Fraction, Fraction]:
         """The least and the greatest coordinate `axis` of the points,
@@ -201,21 +206,11 @@ class Lattice:
         lo, hi = self.points[lo], self.points[hi]
         return (lo.x, hi.x) if axis == 0 else (lo.y, hi.y)
 
-    def key(self, i: int) -> tuple:
-        """A key that orders the points by (x, y): their integers on a
-        shared scale, else their coordinates."""
-        if self.scale is not None:
-            return self.lattice[i]
-        p = self.points[i]
-        return p.x, p.y
-
     def between(self, i: int, j: int, k: int) -> bool:
         """Point k lies on segment ij strictly between its ends. On one
-        line, the (x, y) order of `key` is the order along it."""
-        if self.orient(i, j, k):
-            return False
-        ki, kj = self.key(i), self.key(j)
-        return min(ki, kj) < self.key(k) < max(ki, kj)
+        line, the (x, y) `order` is the order along it."""
+        return (not self.orient(i, j, k)
+                and self.order(i, k) * self.order(k, j) > 0)
 
     def overlap(self, i: int, j: int, k: int, l: int) -> bool:
         """Segments ij and kl share an interior point: they cross, or they
@@ -225,9 +220,12 @@ class Lattice:
         if o1 or o2:
             return (o1 * o2 < 0
                     and self.orient(k, l, i) * self.orient(k, l, j) < 0)
-        (a, b), (c, d) = (sorted((self.key(i), self.key(j))),
-                          sorted((self.key(k), self.key(l))))
-        return max(a, c) < min(b, d)
+        # On one line: both segments have positive length, and, with kl
+        # run the way ij runs, each starts before the other ends.
+        s, t = self.order(i, j), self.order(k, l)
+        if s != t:
+            k, l = l, k
+        return s * t != 0 and self.order(i, l) == self.order(k, j) == s
 
     def crossings(self, ring: Sequence[int]) -> int:
         """How often the directions of the closed ring's edges cross
@@ -241,59 +239,42 @@ class Lattice:
         ]
         return sum(u != upper[k - 1] for k, u in enumerate(upper))
 
-    def slab(self, center, i: int) -> Sequence[int]:
+    def slab(self, center: tuple[int, int, int], i: int) -> Sequence[int]:
         """The points whose x lies in the closed x-range of the circle
-        about `center` through point i; every point on own scales."""
+        about the corner `center`, (X, Y, W) with W > 0, through point i;
+        every point on own scales. On the shared scale s, a point's x_k·W
+        lies within r of X·s, r being the floor of the radius times s·W:
+        the offsets are integers, so `math.isqrt` gives r exactly. The
+        lattice's x-order is sorted on first use."""
         if self.scale is None:
             return range(len(self.points))
-        q, u, _, r2 = self._circle(center, i)
-        return self._x_range(q, u, r2)
-
-    def nearer(self, center, i: int) -> list[int]:
-        """The points strictly nearer to `center` than point i, by their
-        squared distances as integers. A shared scale compares those of
-        the `slab`'s points. On own scales, with the center over q, the
-        lcm of its denominators, as (u, v), point k over its own W_k is
-        n_k / (W_k·q)² away, n_k = (X_k·q - u·W_k)² + (Y_k·q - v·W_k)²;
-        so every point k with n_k·W_i² < n_i·W_k² is nearer."""
-        if self.scale is None:
-            q = math.lcm(center.x.denominator, center.y.denominator)
-            u, v = _on_scale(center, q)
-            n = [(x * q - u * w) ** 2 + (y * q - v * w) ** 2
-                 for (x, y), w in zip(self.lattice, self.scales)]
-            ni, wi2 = n[i], self.scales[i] ** 2
-            return [k for k, (nk, w) in enumerate(zip(n, self.scales))
-                    if nk * wi2 < ni * w * w]
-        q, u, v, r2 = self._circle(center, i)
-        lattice = self.lattice
-        return [
-            k for k in self._x_range(q, u, r2)
-            if (lattice[k][0] * q - u) ** 2 + (lattice[k][1] * q - v) ** 2 < r2
-        ]
-
-    def _circle(self, center, i: int) -> tuple[int, int, int, int]:
-        """q, the lcm of the center's denominators; the center's
-        coordinates as integers over the shared scale s times q; and the
-        squared distance of point i from it, over (s·q)²."""
-        q = math.lcm(center.x.denominator, center.y.denominator)
-        u, v = (c * self.scale for c in _on_scale(center, q))
-        x, y = self.lattice[i]
-        return q, u, v, (x * q - u) ** 2 + (y * q - v) ** 2
-
-    def _x_range(self, q: int, u: int, r2: int) -> list[int]:
-        """The points whose x, as an integer over s·q, lies within the
-        square root of r2 of u. Those offsets are integers, so that root's
-        floor, `math.isqrt`, bounds them exactly. The lattice's x-order is
-        sorted on first use."""
+        x, y, q = center
+        u, v = x * self.scale, y * self.scale
+        xi, yi = self.lattice[i]
+        r = math.isqrt((xi * q - u) ** 2 + (yi * q - v) ** 2)
         if self._by_x is None:
-            order = sorted(range(len(self.lattice)),
-                           key=lambda k: self.lattice[k][0])
-            self._by_x = [self.lattice[k][0] for k in order], order
-        xs, order = self._by_x
-        r = math.isqrt(r2)
-        return order[bisect_left(xs, -((r - u) // q)):
-                     bisect_right(xs, (u + r) // q)]
+            by_x = sorted(range(len(self.lattice)),
+                          key=lambda k: self.lattice[k][0])
+            self._by_x = [self.lattice[k][0] for k in by_x], by_x
+        xs, by_x = self._by_x
+        return by_x[bisect_left(xs, -((r - u) // q)):
+                    bisect_right(xs, (u + r) // q)]
 
+    def nearer(self, center: tuple[int, int, int], i: int) -> list[int]:
+        """The points of the `slab` strictly nearer to the corner
+        `center`, (X, Y, q), than point i, by squared distances in
+        integers. Point k over its own W_k is n_k / (W_k·q)² away,
+        n_k = (X_k·q - X·W_k)² + (Y_k·q - Y·W_k)²; so point k is nearer
+        when n_k·W_i² < n_i·W_k²."""
+        x, y, q = center
+        lattice, w = self.lattice, self.scales
+
+        def n(k: int) -> int:
+            return ((lattice[k][0] * q - x * w[k]) ** 2
+                    + (lattice[k][1] * q - y * w[k]) ** 2)
+
+        ni, wi2 = n(i), w[i] ** 2
+        return [k for k in self.slab(center, i) if n(k) * wi2 < ni * w[k] ** 2]
 
 def _on_scale(p, w: int) -> tuple[int, int]:
     """The coordinates of p as integers over w, a multiple of their

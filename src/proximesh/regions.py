@@ -26,6 +26,7 @@ from .geometry import (
     is_convex_polygon,
 )
 from .mesh import Mesh, _trace_cycle, is_delaunay_edge, is_delaunay_triangle
+from .rational import _corner
 
 PAIRWISE_STRONG = "pairwise-strong"
 EDGE_CHAIN = "edge-chain"
@@ -201,8 +202,8 @@ def audit_delaunay_characterizations(mesh: Mesh) -> list[RelationReport]:
     takes `geometry.circumcenter`, which scales the three points itself
     and calls no `Lattice` method, as its own center, and asks the site
     set which sites of that center's slab are `nearer` than the
-    triangle's first site: by integer distances where the sites share
-    one scale. The two share only the sites' x-order. Route 2's center
+    triangle's first site, by integer distances to its corner on either
+    scale rule. The two share only the sites' x-order. Route 2's center
     is placed against the clip box once, by `Rect.place`, in integers.
     """
     reports = []
@@ -212,7 +213,8 @@ def audit_delaunay_characterizations(mesh: Mesh) -> list[RelationReport]:
         empty_circle = is_delaunay_triangle(tri, sites)
         points = mesh.triangle_points(tri)
         center = circumcenter(*points)
-        dual_vertex = all(s in tri for s in sites.nearer(center, tri.v0))
+        dual_vertex = all(s in tri
+                          for s in sites.nearer(_corner(center), tri.v0))
         note = ""
         shared_walls: Optional[bool] = None
         place = mesh.clip_box.place(center)

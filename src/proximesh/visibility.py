@@ -65,9 +65,10 @@ def segment_visible(
         raise ValueError("visibility needs two distinct sites")
     constraints.validate(sites)
     key = (p, q) if p < q else (q, p)
-    return not any(sites.between(p, q, s) for s in range(n)) and not any(
+    # Constraints first: a pair one blocks skips the n sites.
+    return not any(
         sites.overlap(p, q, *pair) for pair in constraints.pairs if pair != key
-    )
+    ) and not any(sites.between(p, q, s) for s in range(n))
 
 
 def audit_segment_visibility(

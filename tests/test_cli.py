@@ -16,12 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_delaunay
-from test_mesh import own_denominator_wheel
+from test_mesh import own_denominator_sites, own_denominator_wheel
 from proximesh import harness, io
 from proximesh import mesh as mesh_module
 from proximesh.cli import _format_structured, _format_text, main
 from proximesh.complexes import SubComplex
-from proximesh.mesh import triangulate
+from proximesh.mesh import SiteSet, triangulate
 from proximesh.rational import MAX_DIGITS, MAX_EXPONENT
 from proximesh.visibility import ConstraintSet
 
@@ -757,6 +757,22 @@ class TestCheck:
         assert digests == (
             "f788f9a3e5658e64a6dff4ee83b99f0450adca3f94ed86d66c284dfbccb46752",
             "676c744d029d74310496c407a69c25366d5479a1417316a76659c1d3a2debc18")
+
+    def test_thm36_bytes_pinned_on_own_scales(self):
+        # Sites over unrelated 20-digit denominators keep their own
+        # scales, so both global routes of thm36 take every site and weigh
+        # each distance by the site's own scale; the pinned grid above
+        # shares one scale.
+        mesh = triangulate(SiteSet(own_denominator_sites(3, 40, 20)))
+        assert mesh.site_set.scale is None
+        results = harness.run_suite("thm36", 1, 0, mesh=mesh)
+        assert (len(results[0].records), results[0].passed) == (66, 66)
+        digests = tuple(
+            hashlib.sha256("".join(fmt(results)).encode()).hexdigest()
+            for fmt in (_format_text, _format_structured))
+        assert digests == (
+            "92cab6bccc589badeb5b1f10fc79143253b89df01c5bb41eda5cbc48edf6a0ed",
+            "820149a1ee2795e2bcc52bcbaeb3d7ca1ac0f561cfd823dbeeba76cd409c41a9")
 
     def test_structured_report_empty_and_streamed(self):
         # The report is encoded one record at a time; its text is still

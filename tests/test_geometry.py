@@ -177,6 +177,13 @@ class TestSegmentPredicates:
     def test_parallel_disjoint(self):
         assert not _lattice((0, 0), (2, 0), (0, 1), (2, 1)).overlap(0, 1, 2, 3)
 
+    def test_zero_length_segment_inside(self):
+        # A segment of zero length has no interior, even strictly inside
+        # the other segment.
+        lattice = _lattice((0, 0), (2, 0), (1, 0), (1, 0))
+        assert not lattice.overlap(0, 1, 2, 3)
+        assert not lattice.overlap(2, 3, 0, 1)
+
     @given(points, points, points, points)
     def test_symmetry(self, a, b, c, d):
         if a == b or c == d:

@@ -207,3 +207,61 @@ def test_the_rule_finds_private_lattice_calls():
               "    return s.orient(0, 1, y)\n"
               "def _k(s):\n    return s.sites, math.lcm(2, 3)\n")
     assert private_method_calls(source, lattice_methods()) == [2, 7]
+
+
+COORDINATES = {"x", "y", "numerator", "denominator"}
+
+
+def coordinate_reads(source: str) -> list[int]:
+    """Lines that read an `x`, `y`, `numerator` or `denominator`
+    attribute."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Attribute)
+                   and node.attr in COORDINATES})
+
+
+def functions_where(source: str, found) -> set[str]:
+    """The module's functions and its classes' methods, named `f` and
+    `Class.f`, in whose own source `found` finds a line."""
+    tree = ast.parse(source)
+    defs = [(f"{node.name}.{f.name}", f) for node in tree.body
+            if isinstance(node, ast.ClassDef)
+            for f in node.body if isinstance(f, ast.FunctionDef)]
+    defs += [(f.name, f) for f in tree.body if isinstance(f, ast.FunctionDef)]
+    return {name for name, f in defs if found(ast.unparse(f))}
+
+
+def test_the_lattice_reads_coordinates_only_to_build_and_bound():
+    # A `Lattice` reads its points' Fraction coordinates once, to scale
+    # them, and again only to return the clip box's bounds; every query
+    # after that runs on the integers. Of its methods, only the two hot
+    # predicates and `slab`'s own-scale branch, and `scaled` behind them,
+    # ask which scale rule holds.
+    source = (SRC / "rational.py").read_text()
+    reads = {name for name in functions_where(source, coordinate_reads)
+             if name.startswith("Lattice.")}
+    assert reads == {"Lattice.__init__", "Lattice.extremes"}
+    assert functions_where(source, scale_none_comparisons) == {
+        "Lattice.scaled", "Lattice.orient", "Lattice.incircle",
+        "Lattice.slab"}
+
+
+def test_the_rule_finds_coordinate_reads_and_scale_rules():
+    source = ("class Lattice:\n"
+              "    def __init__(self, p):\n        self.w = p.x.denominator\n"
+              "    def key(self, i):\n        return self.points[i].y\n"
+              "    def nearer(self, c, i):\n"
+              "        if self.scale is None:\n            return c.x\n"
+              "        def n(k):\n            return k.numerator\n"
+              "        return n(c)\n"
+              "    def compare(self, i, j):\n"
+              "        return None is not self.scale\n"
+              "    def center(self, i):\n        return self.lattice[i][0]\n"
+              "class Rect:\n    def place(self, p):\n        return p.x\n"
+              "def _on_scale(p, w):\n    return p.x.numerator, w.scale\n")
+    assert coordinate_reads(source) == [3, 5, 8, 10, 18, 20]
+    assert functions_where(source, coordinate_reads) == {
+        "Lattice.__init__", "Lattice.key", "Lattice.nearer", "Rect.place",
+        "_on_scale"}
+    assert functions_where(source, scale_none_comparisons) == {
+        "Lattice.nearer", "Lattice.compare"}

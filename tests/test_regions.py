@@ -17,6 +17,7 @@ from proximesh.geometry import (
     is_convex_polygon,
 )
 from proximesh.mesh import Mesh, Rect, SiteSet, triangulate
+from proximesh.rational import _corner
 from proximesh.regions import (
     EDGE_CHAIN,
     PAIRWISE_STRONG,
@@ -414,7 +415,7 @@ class TestDelaunayCharacterizationsAudit:
         ]
         assert calls["is_delaunay_edge"] == [(*e, mesh) for e in mesh.edges]
         assert len(compared) == len(centers) == len(mesh.triangles)
-        assert all(a is b for a, b in zip(compared, centers))
+        assert all(a == _corner(b) for a, b in zip(compared, centers))
 
     def test_cocircular_divergence_reported(self, square_mesh):
         # Degenerate quads break the shared-wall route: the tie-break
