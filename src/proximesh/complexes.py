@@ -44,7 +44,7 @@ from itertools import compress
 from operator import or_
 from typing import Iterable, Optional
 
-from .mesh import Edge, Mesh
+from .mesh import Edge, Mesh, check_indices
 
 # A float: rng.random() draws k / 2**53, which is below the double 1/3
 # exactly when k / 2**53 < 1/3, that is when k <= 3002399751580330.
@@ -134,12 +134,10 @@ class SubComplex:
             if e not in index:
                 raise ValueError(f"not a mesh edge: {e}")
             emask |= 1 << index[e]
-        return cls(
-            mesh,
-            _checked_mask(vertices, len(mesh.site_set), "vertex"),
-            emask,
-            _checked_mask(triangles, len(mesh.triangles), "triangle"),
-        )
+        vertices, triangles = list(vertices), list(triangles)
+        check_indices(vertices, len(mesh.site_set), "vertex")
+        check_indices(triangles, len(mesh.triangles), "triangle")
+        return cls(mesh, _mask_of(vertices), emask, _mask_of(triangles))
 
     @classmethod
     def of_triangles(cls, mesh: Mesh, triangles: Iterable[int]) -> "SubComplex":
@@ -476,17 +474,6 @@ def _bits(mask: int) -> list[int]:
 
 def _mask_of(indices: Iterable[int]) -> int:
     return reduce(or_, (1 << i for i in indices), 0)
-
-
-def _checked_mask(indices: Iterable[int], n: int, kind: str) -> int:
-    mask = 0
-    for i in indices:
-        if type(i) is not int:
-            raise ValueError(f"{kind} index is not an int: {i!r}")
-        if not 0 <= i < n:
-            raise ValueError(f"{kind} index out of range: {i}")
-        mask |= 1 << i
-    return mask
 
 
 def _edge_triangle_counts(cl: SubComplex) -> tuple[int, int]:

@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Iterable, Optional, Sequence, Union
 
 from .rational import (Lattice, _corner, _cross, _incircle, _orient,
@@ -307,7 +306,7 @@ def circumcenter(a: Point2, b: Point2, c: Point2) -> Point2:
 
 def convex_hull(points: Iterable[Point2]) -> Polygon:
     """Counterclockwise strict convex hull (collinear boundary points
-    excluded), by a monotone chain on the points' lattice."""
+    excluded), by a monotone chain along its lattice's (x, y) order."""
     pts = list(set(points))
     if len(pts) < 3:
         raise DegenerateInputError("convex hull needs >= 3 distinct points")
@@ -322,8 +321,7 @@ def convex_hull(points: Iterable[Point2]) -> Polygon:
             chain.append(p)
         return chain
 
-    order = sorted(range(len(pts)),
-                   key=cmp_to_key(lambda i, j: lattice.order(j, i)))
+    order = lattice.ordered()
     lower = half(order)
     upper = half(order[::-1])
     ring = lower[:-1] + upper[:-1]

@@ -14,7 +14,7 @@ import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .geometry import Point2
 from .mesh import Mesh, Rect, SiteSet, make_triangle
@@ -34,12 +34,7 @@ class FileFormatError(ValueError):
 def read_sites(path: PathLike) -> list[Point2]:
     """Read "x,y" coordinate lines; # starts a comment."""
     points = []
-    for lineno, raw in enumerate(_read_text(path, ParseError).splitlines(),
-                                 start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = [p.strip() for p in line.split(",")]
+    for lineno, raw, parts in _fields(path):
         if len(parts) != 2:
             raise ParseError(f"{path}:{lineno}: expected 'x,y', got {raw!r}")
         try:
@@ -63,12 +58,7 @@ def write_sites(
 def read_constraints(path: PathLike) -> ConstraintSet:
     """Read "p,q" site-index pairs; # starts a comment."""
     pairs = []
-    for lineno, raw in enumerate(_read_text(path, ParseError).splitlines(),
-                                 start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = [p.strip() for p in line.split(",")]
+    for lineno, raw, parts in _fields(path):
         try:
             p, q = (int(x) for x in parts)
         except ValueError as exc:
@@ -77,6 +67,16 @@ def read_constraints(path: PathLike) -> ConstraintSet:
             ) from exc
         pairs.append((p, q))
     return ConstraintSet.of(pairs)
+
+
+def _fields(path: PathLike) -> Iterator[tuple[int, str, list[str]]]:
+    """Number, text and stripped comma-separated fields of each line that
+    is not blank once its # comment is cut."""
+    for lineno, raw in enumerate(_read_text(path, ParseError).splitlines(),
+                                 start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, raw, [p.strip() for p in line.split(",")]
 
 
 def mesh_payload(mesh: Mesh, include_voronoi: bool = False) -> dict:

@@ -137,8 +137,19 @@ class VoronoiRegion:
     clipped: bool
 
 
+def check_indices(indices: Iterable, n: int, kind: str = "site") -> None:
+    """MeshError unless each index is a plain int in [0, n): True and 1.0
+    would read as index 1, and -1 as the last."""
+    for i in indices:
+        if type(i) is not int:
+            raise MeshError(f"{kind} index is not an int: {i!r}")
+        if not 0 <= i < n:
+            raise MeshError(f"{kind} index out of range: {i}")
+
+
 def make_triangle(i: int, j: int, k: int, sites: SiteSet) -> Triangle:
     """Normalize an index triple to a counterclockwise Triangle."""
+    check_indices((i, j, k), len(sites))
     if len({i, j, k}) != 3:
         raise MeshError(f"triangle indices not distinct: {(i, j, k)}")
     o = sites.orient(i, j, k)
@@ -171,6 +182,8 @@ class Mesh:
     ) -> None:
         self.site_set = site_set
         self.triangles = tuple(triangles)
+        check_indices([v for t in self.triangles for v in t.indices],
+                    len(site_set))
         self.triangle_edges = tuple(t.edges() for t in self.triangles)
         edge_map: dict[Edge, list[int]] = {}
         vertex_map: dict[int, list[int]] = {i: [] for i in range(len(site_set))}
@@ -273,11 +286,9 @@ class Mesh:
         if not self.triangles:
             raise MeshError("mesh has no triangles")
         sites = self.site_set
-        missing = set(range(len(sites))) - {
-            v for t in self.triangles for v in t.indices
-        }
+        missing = [v for v, ts in self.vertex_triangles.items() if not ts]
         if missing:
-            raise MeshError(f"sites missing from triangulation: {sorted(missing)}")
+            raise MeshError(f"sites missing from triangulation: {missing}")
         directed: set[Edge] = set()
         for tri in self.triangles:
             i, j, k = tri.indices
@@ -325,7 +336,7 @@ def is_delaunay_triangle(t: Triangle, sites: SiteSet) -> bool:
 
     Only a site in the circle's x-slab can, so the lattice `incircle`
     tests the sites of `SiteSet.slab` about the corner from
-    `SiteSet.center`, all of them on own scales. No mesh adjacency is read.
+    `SiteSet.center`, on either scale rule. No mesh adjacency is read.
     """
     i, j, k = t.indices
     return all(
@@ -441,14 +452,9 @@ def is_delaunay_edge(p: int, q: int, mesh: Mesh) -> bool:
     A mesh's first wall test builds the set of every cell, once, as
     `Mesh._vertex_sets`.
     """
-    for i in (p, q):
-        if type(i) is not int:
-            raise MeshError(f"site index is not an int: {i!r}")
+    check_indices((p, q), len(mesh.site_set))
     if p == q:
         raise MeshError("edge endpoints must differ")
-    n = len(mesh.site_set)
-    if not (0 <= p < n and 0 <= q < n):
-        raise MeshError(f"site index out of range: {(p, q)}")
     vertex_sets = mesh._vertex_sets
     return len(vertex_sets[p] & vertex_sets[q]) >= 2
 

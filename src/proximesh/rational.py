@@ -17,14 +17,13 @@ is the one place that knows which: its `orient`, `incircle`, `compare`,
 On own scales, `orient` takes the homogeneous determinant over each
 point's (X, Y, W), which needs no common scale, and `compare` weighs each
 coordinate by the other point's scale on either rule. The disk queries
-take their center as a corner (X, Y, W): `nearer` compares squared
-distances to it in integers by one formula, each point's over its own
-scale, among the points of `slab`. On a shared scale, `slab` finds the
-points within the circle's x-range on an x-order of the lattice, built
-on first use; on own scales it takes every point.
+take their center as a corner (X, Y, W) and weigh squared distances to
+it by the points' scales, by one integer formula on either rule: `slab`
+bisects the lattice's (x, y) order, sorted once, for the points in a
+circle's x-range, and `nearer` keeps those nearer than a given point.
 `mesh.SiteSet` is a lattice of its sites, `geometry.convex_hull` builds
-one for its points, and a mesh's derived clip box one for its
-circumcenters.
+one for its points and walks that order, and a mesh's derived clip box
+builds one for its circumcenters.
 """
 
 from __future__ import annotations
@@ -32,6 +31,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Iterable, Optional, Sequence
 
 
@@ -96,7 +96,7 @@ class Lattice:
     caller asks which of the two rules holds.
     """
 
-    __slots__ = ("points", "scale", "scales", "lattice", "_by_x")
+    __slots__ = ("points", "scale", "scales", "lattice", "_ordered")
 
     def __init__(
         self,
@@ -107,7 +107,7 @@ class Lattice:
         or, given `corners`, the points' integer triples in the same
         order, hold each point on its own W."""
         points = self.points = tuple(points)
-        self._by_x = None
+        self._ordered = None
         if corners is not None:
             self.scale = None
             self.lattice = tuple((x, y) for x, y, _ in corners)
@@ -239,42 +239,49 @@ class Lattice:
         ]
         return sum(u != upper[k - 1] for k, u in enumerate(upper))
 
-    def slab(self, center: tuple[int, int, int], i: int) -> Sequence[int]:
-        """The points whose x lies in the closed x-range of the circle
-        about the corner `center`, (X, Y, W) with W > 0, through point i;
-        every point on own scales. On the shared scale s, a point's x_k·W
-        lies within r of X·s, r being the floor of the radius times s·W:
-        the offsets are integers, so `math.isqrt` gives r exactly. The
-        lattice's x-order is sorted on first use."""
-        if self.scale is None:
-            return range(len(self.points))
-        x, y, q = center
-        u, v = x * self.scale, y * self.scale
-        xi, yi = self.lattice[i]
-        r = math.isqrt((xi * q - u) ** 2 + (yi * q - v) ** 2)
-        if self._by_x is None:
-            by_x = sorted(range(len(self.lattice)),
-                          key=lambda k: self.lattice[k][0])
-            self._by_x = [self.lattice[k][0] for k in by_x], by_x
-        xs, by_x = self._by_x
-        return by_x[bisect_left(xs, -((r - u) // q)):
-                    bisect_right(xs, (u + r) // q)]
+    def ordered(self) -> list[int]:
+        """The point indices in the (x, y) `order`, sorted once."""
+        if self._ordered is None:
+            self._ordered = sorted(range(len(self.lattice)), key=cmp_to_key(
+                lambda i, j: self.order(j, i)))
+        return self._ordered
+
+    def slab(self, center: tuple[int, int, int], i: int) -> list[int]:
+        """The points, in `ordered`, in the closed x-range of the circle
+        through point i about the corner `center`, (X, Y, q), q > 0. Point
+        k lies d_k = X_k·q - X·W_k over W_k·q right of the center, and
+        outside the range, left if d_k < 0 or else right, when
+        d_k²·W_i² > n_i·W_k² (`_distances`). Two bisections find it."""
+        x, _, q = center
+        lattice, w = self.lattice, self.scales
+        (ni,), a, b = self._distances(center, (i,)), q * w[i], x * w[i]
+
+        def side(k: int) -> int:
+            wk = w[k]
+            dw = lattice[k][0] * a - b * wk  # d_k·W_i
+            return (dw > 0) - (dw < 0) if dw * dw > ni * wk * wk else 0
+
+        order = self.ordered()
+        lo = bisect_left(order, 0, key=side)
+        return order[lo:bisect_right(order, 0, lo, key=side)]
 
     def nearer(self, center: tuple[int, int, int], i: int) -> list[int]:
         """The points of the `slab` strictly nearer to the corner
-        `center`, (X, Y, q), than point i, by squared distances in
-        integers. Point k over its own W_k is n_k / (W_k·q)² away,
-        n_k = (X_k·q - X·W_k)² + (Y_k·q - Y·W_k)²; so point k is nearer
-        when n_k·W_i² < n_i·W_k²."""
+        `center` than point i: those with n_k·W_i² < n_i·W_k²
+        (`_distances`)."""
+        w, slab = self.scales, self.slab(center, i)
+        (ni, *ns), wi2 = self._distances(center, [i, *slab]), w[i] * w[i]
+        return [k for k, nk in zip(slab, ns) if nk * wi2 < ni * w[k] * w[k]]
+
+    def _distances(self, center: tuple[int, int, int],
+                   points: Sequence[int]) -> list[int]:
+        """n_k for each point k: k lies √n_k / (W_k·q) from the corner
+        (X, Y, q), n_k = (X_k·q - X·W_k)² + (Y_k·q - Y·W_k)²."""
         x, y, q = center
         lattice, w = self.lattice, self.scales
+        return [(lattice[k][0] * q - x * w[k]) ** 2
+                + (lattice[k][1] * q - y * w[k]) ** 2 for k in points]
 
-        def n(k: int) -> int:
-            return ((lattice[k][0] * q - x * w[k]) ** 2
-                    + (lattice[k][1] * q - y * w[k]) ** 2)
-
-        ni, wi2 = n(i), w[i] ** 2
-        return [k for k in self.slab(center, i) if n(k) * wi2 < ni * w[k] ** 2]
 
 def _on_scale(p, w: int) -> tuple[int, int]:
     """The coordinates of p as integers over w, a multiple of their

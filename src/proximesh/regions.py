@@ -203,8 +203,8 @@ def audit_delaunay_characterizations(mesh: Mesh) -> list[RelationReport]:
     and calls no `Lattice` method, as its own center, and asks the site
     set which sites of that center's slab are `nearer` than the
     triangle's first site, by integer distances to its corner on either
-    scale rule. The two share only the sites' x-order. Route 2's center
-    is placed against the clip box once, by `Rect.place`, in integers.
+    scale rule. The two share only `slab`. Route 2's center is placed
+    against the clip box once, by `Rect.place`, in integers.
     """
     reports = []
     sites = mesh.site_set

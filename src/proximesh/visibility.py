@@ -21,7 +21,7 @@ from typing import Iterable
 
 from .complexes import RelationReport
 from .geometry import Point2
-from .mesh import SiteSet
+from .mesh import SiteSet, check_indices
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,12 +55,7 @@ def segment_visible(
 ) -> bool:
     """True when the open segment between sites p and q avoids all other
     sites and shares no interior point with any other constraint."""
-    for i in (p, q):
-        if type(i) is not int:
-            raise ValueError(f"site index is not an int: {i!r}")
-    n = len(sites)
-    if not (0 <= p < n and 0 <= q < n):
-        raise ValueError(f"site index out of range: {(p, q)}")
+    check_indices((p, q), len(sites))
     if p == q:
         raise ValueError("visibility needs two distinct sites")
     constraints.validate(sites)
@@ -68,7 +63,7 @@ def segment_visible(
     # Constraints first: a pair one blocks skips the n sites.
     return not any(
         sites.overlap(p, q, *pair) for pair in constraints.pairs if pair != key
-    ) and not any(sites.between(p, q, s) for s in range(n))
+    ) and not any(sites.between(p, q, s) for s in range(len(sites)))
 
 
 def audit_segment_visibility(

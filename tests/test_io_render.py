@@ -190,6 +190,25 @@ class TestConstraintsFile:
             io.read_constraints(path)
 
 
+@pytest.mark.parametrize("reader, text, message", [
+    (io.read_sites, "# c\n\n1,2\n1,2,3 # x\n",
+     "{path}:4: expected 'x,y', got '1,2,3 # x'"),
+    (io.read_sites, "1,2\n 1 , q \n", "{path}:2: not an exact rational: 'q'"),
+    (io.read_constraints, "# c\n0,1\n\n1\n",
+     "{path}:4: expected 'p,q' indices, got '1'"),
+    (io.read_constraints, "0 , 1, 2 # x\n",
+     "{path}:1: expected 'p,q' indices, got '0 , 1, 2 # x'"),
+])
+def test_line_errors_name_the_file_line_and_text(tmp_path, reader, text,
+                                                  message):
+    # Comments and blank lines are cut, yet count toward the line number.
+    path = tmp_path / "lines.txt"
+    path.write_text(text)
+    with pytest.raises(ParseError) as exc:
+        reader(path)
+    assert str(exc.value) == message.format(path=path)
+
+
 class TestRenderSvg:
     def test_deterministic(self, fan_mesh):
         a = render_svg(fan_mesh, include_voronoi=True)

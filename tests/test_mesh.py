@@ -512,18 +512,20 @@ def own_scale_slab_cases(draw):
     return sites, tuple(triple)
 
 
+_OWN_CIRCLE = [_on_unit_circle(6 * p.x - 3)
+               for p in own_denominator_sites(1, 8, 20)]
+
+
 def _assert_slab_routes_match_all_sites(sites, triple):
     assume(orient2d(*(sites[v] for v in triple)) != 0)
     site_set = SiteSet(sites)
     t = make_triangle(*triple, site_set)
     center = circumcenter(*(sites[v] for v in t.indices))
     r2 = squared_distance(center, sites[t.v0])
-    slab = set(site_set.slab(_corner(center), t.v0))
-    if site_set.scale is None:
-        assert slab == set(range(len(sites)))
-    else:
-        assert slab == {k for k, p in enumerate(sites)
-                        if (p.x - center.x) ** 2 <= r2}
+    # Exactly the closed x-range, on either scale rule, in (x, y) order.
+    assert site_set.slab(_corner(center), t.v0) == sorted(
+        (k for k, p in enumerate(sites) if (p.x - center.x) ** 2 <= r2),
+        key=lambda k: (sites[k].x, sites[k].y))
     nearer = site_set.nearer(_corner(center), t.v0)
     assert sorted(nearer) == [k for k, p in enumerate(sites)
                               if squared_distance(center, p) < r2]
@@ -555,12 +557,28 @@ class TestIsDelaunayTriangle:
     def test_shared_scale_slab_routes_match_all_sites(self, case):
         _assert_slab_routes_match_all_sites(*case)
 
+    # Own-scale sites on the unit circle, with its right or left
+    # x-extreme as site 0: the circle through sites 1, 2 and 3 is the
+    # unit circle, so site 0 lies on the slab's edge.
+    @example(([P(1, 0)] + _OWN_CIRCLE, (1, 2, 3)))
+    @example(([P(-1, 0)] + _OWN_CIRCLE, (1, 2, 3)))
     @settings(max_examples=40, deadline=None)
     @given(own_scale_slab_cases())
     def test_own_scale_slab_routes_match_all_sites(self, case):
         sites, triple = case
         assert SiteSet(sites).scale is None
         _assert_slab_routes_match_all_sites(sites, triple)
+
+    def test_own_scale_slabs_hold_the_x_range_only(self):
+        # On own scales too, a slab holds the sites of the circle's
+        # x-range: about a sixth of 120 sites here, where taking every
+        # site would sum to n·T.
+        sites = SiteSet(own_denominator_sites(11, 120, 20))
+        assert sites.scale is None
+        tris = triangulate(sites).triangles
+        total = sum(len(sites.slab(sites.center(*t.indices), t.v0))
+                    for t in tris)
+        assert total < len(sites) * len(tris) / 4
 
 
 @st.composite
@@ -863,6 +881,26 @@ class TestMeshValidation:
         tris = [t for t in fan_mesh.triangles if 3 not in t.indices]
         with pytest.raises(MeshError):
             Mesh(fan_mesh.site_set, tris)
+
+    def test_missing_site_named(self, fan_mesh):
+        ss = fan_mesh.site_set
+        with pytest.raises(MeshError, match=r"^sites missing from "
+                           r"triangulation: \[3\]$"):
+            Mesh(ss, [make_triangle(0, 1, 2, ss)])
+
+    @pytest.mark.parametrize("bad", [9, -1, True, 1.0])
+    def test_site_index_not_an_int_in_range_rejected(self, fan_mesh, bad):
+        # 9 is no site; -1 would read as the last site, and True and 1.0
+        # as site 1, which a mesh file then could not hold.
+        ss = fan_mesh.site_set
+        message = (f"site index is not an int: {bad!r}" if type(bad) is not int
+                   else f"site index out of range: {bad}")
+        with pytest.raises(MeshError, match=message):
+            Mesh(ss, [Triangle(0, bad, 2)])
+        with pytest.raises(MeshError, match=message):
+            Mesh(ss, list(fan_mesh.triangles) + [Triangle(0, bad, 2)])
+        with pytest.raises(MeshError, match=message):
+            make_triangle(0, bad, 2, ss)
 
     def test_non_delaunay_rejected(self, fan_mesh):
         ss = fan_mesh.site_set
