@@ -5,6 +5,13 @@ Sites and constraints are line-oriented text with # comments
 with exact coordinates rendered as canonical fraction strings. Every
 writer is deterministic, and meshes carry a content id that subcomplex
 files must match.
+
+A mesh document is written by its own layout, byte-identical to
+`json.dumps(mesh_payload(...), sort_keys=True, indent=1)` and a newline:
+with any indent, `json.dumps` leaves its C encoder for a generator that
+visits every value in Python, and a mesh with cells has hundreds of
+small rows. Subcomplex documents are few and small, and go through
+`json.dumps`.
 """
 
 from __future__ import annotations
@@ -97,18 +104,26 @@ def mesh_payload(mesh: Mesh, include_voronoi: bool = False) -> dict:
     }
     payload["mesh_id"] = _payload_id(payload)
     if include_voronoi:
-        # A circumcenter strictly inside the box is a corner of its cells:
-        # check it before the cells are built.
-        for u in mesh.circumcenters:
-            if mesh.clip_box.strictly_contains(u):
-                _coord(u.x), _coord(u.y)
+        # Cells that share a corner share its row. A circumcenter strictly
+        # inside the box is a corner of its cells: its row is made before
+        # the cells are built, so a coordinate past the digit limit fails
+        # first.
+        rows: dict[Point2, list[str]] = {}
+
+        def row(v: Point2) -> list[str]:
+            r = rows.get(v)
+            if r is None:
+                r = rows[v] = [_coord(v.x), _coord(v.y)]
+            return r
+
+        for u, inside in zip(mesh.circumcenters, mesh.centers_inside):
+            if inside:
+                row(u)
         payload["voronoi"] = [
             {
                 "site": region.site,
                 "clipped": region.clipped,
-                "cell": [
-                    [_coord(v.x), _coord(v.y)] for v in region.cell.vertices
-                ],
+                "cell": [row(v) for v in region.cell.vertices],
             }
             for region in mesh.voronoi
         ]
@@ -136,7 +151,61 @@ def write_mesh(path: PathLike, mesh: Mesh, include_voronoi: bool = False) -> Non
         payload = mesh_payload(mesh, include_voronoi)
     except FileFormatError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
-    _dump(path, payload)
+    Path(path).write_text(_mesh_text(payload))
+
+
+# `_SEP[d]` ends one entry of a list or object and starts the next at
+# indent depth d; without its comma it opens the first.
+_SEP = tuple(",\n" + " " * d for d in range(5))
+_str = json.encoder.encode_basestring_ascii
+
+
+def _mesh_text(payload: dict) -> str:
+    """`json.dumps(payload, sort_keys=True, indent=1) + "\n"` of a mesh
+    payload, written by its known layout (see the module docstring):
+    each row is one template, and a cell corner shared by several cells
+    is encoded once.
+    """
+    s = _str
+    sites = [f"[\n   {s(x)},\n   {s(y)}\n  ]" for x, y in payload["sites"]]
+    triangles = [f"[\n   {i},\n   {j},\n   {k}\n  ]"
+                 for i, j, k in payload["triangles"]]
+    parts = [
+        '{\n "clip_box": ', _list(map(s, payload["clip_box"]), 1),
+        ',\n "clip_margin": ', s(payload["clip_margin"]),
+        ',\n "format": ', s(payload["format"]),
+        ',\n "mesh_id": ', s(payload["mesh_id"]),
+        ',\n "sites": ', _list(sites, 1),
+        ',\n "triangles": ', _list(triangles, 1),
+    ]
+    if "voronoi" in payload:
+        corners: dict[tuple[str, str], str] = {}
+        cells = []
+        for region in payload["voronoi"]:
+            rows = []
+            for x, y in region["cell"]:
+                text = corners.get((x, y))
+                if text is None:
+                    text = corners[x, y] = (
+                        f"[\n     {s(x)},\n     {s(y)}\n    ]")
+                rows.append(text)
+            clipped = "true" if region["clipped"] else "false"
+            cells.append(
+                '{\n   "cell": ' + _list(rows, 3)
+                + f',\n   "clipped": {clipped},\n   "site": '
+                + str(region["site"]) + "\n  }"
+            )
+        parts += [',\n "voronoi": ', _list(cells, 1)]
+    parts.append("\n}\n")
+    return "".join(parts)
+
+
+def _list(entries, depth: int) -> str:
+    """A JSON list of encoded entries, its brackets at indent `depth`."""
+    body = _SEP[depth + 1].join(entries)
+    if not body:
+        return "[]"
+    return "[" + _SEP[depth + 1][1:] + body + _SEP[depth][1:] + "]"
 
 
 def read_mesh(path: PathLike) -> Mesh:
@@ -144,12 +213,14 @@ def read_mesh(path: PathLike) -> Mesh:
     try:
         sites = [
             Point2(*map(parse_rational, _row(row, 2)))
-            for row in doc["sites"]
+            for row in _array(doc, "sites")
         ]
         margin = parse_rational(doc["clip_margin"])
         box = Rect(*map(parse_rational, _row(doc["clip_box"], 4)))
         n = len(sites)
-        tri_rows = [_index(row, n, arity=3) for row in doc["triangles"]]
+        tri_rows = [
+            _index(row, n, arity=3) for row in _array(doc, "triangles")
+        ]
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: malformed mesh document: {exc}") from exc
     site_set = SiteSet(sites, clip_margin=margin)
@@ -159,6 +230,15 @@ def read_mesh(path: PathLike) -> Mesh:
             raise FileFormatError(f"{path}: clip_box does not contain site {i}")
     triangles = [make_triangle(i, j, k, site_set) for i, j, k in tri_rows]
     return Mesh(site_set, triangles, clip_box=box)
+
+
+def _array(doc: dict, field: str) -> list:
+    """The document's `field` if it is a JSON list, else an error: a
+    string or an object would iterate as its characters or keys."""
+    value = doc[field]
+    if not isinstance(value, list):
+        raise FileFormatError(f"field {field!r} is not a list")
+    return value
 
 
 def _row(value, size: int) -> list:
@@ -211,9 +291,11 @@ def read_subcomplex(path: PathLike, mesh: Mesh):
     try:
         return SubComplex.of(
             mesh,
-            vertices=[_index(v, n) for v in doc["vertices"]],
-            edges=[_index(e, n, arity=2) for e in doc["edges"]],
-            triangles=[_index(i, t, "triangle") for i in doc["triangles"]],
+            vertices=[_index(v, n) for v in _array(doc, "vertices")],
+            edges=[_index(e, n, arity=2) for e in _array(doc, "edges")],
+            triangles=[
+                _index(i, t, "triangle") for i in _array(doc, "triangles")
+            ],
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: malformed subcomplex: {exc}") from exc

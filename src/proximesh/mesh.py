@@ -220,6 +220,19 @@ class Mesh:
         return tuple(map(_point, self._corners))
 
     @cached_property
+    def centers_inside(self) -> tuple[bool, ...]:
+        """Whether each triangle's circumcenter lies strictly inside the
+        clip box, on the positive side of the four side lines of
+        `Rect.ring`, by triangle index; the cells and the mesh writer
+        share it."""
+        # Each side's line has one zero coefficient.
+        (_, b0, c0), (a1, _, c1), (_, b2, c2), (a3, _, c3) = (
+            line for _, line in self.clip_box.ring())
+        return tuple(b0 * y + c0 * w > 0 and a1 * x + c1 * w > 0
+                     and b2 * y + c2 * w > 0 and a3 * x + c3 * w > 0
+                     for x, y, w in self._corners)
+
+    @cached_property
     def voronoi(self) -> tuple[VoronoiRegion, ...]:
         """Voronoi cells indexed by site."""
         # The module-level `voronoi` function, not this property.
@@ -374,12 +387,7 @@ def voronoi(mesh: Mesh) -> list[VoronoiRegion]:
     centers = mesh.circumcenters
     corners = mesh._corners
     box_ring = box.ring()
-    # Each side's line has one zero coefficient.
-    (_, b0, c0), (a1, _, c1), (_, b2, c2), (a3, _, c3) = (
-        line for _, line in box_ring)
-    inside = [b0 * y + c0 * w > 0 and a1 * x + c1 * w > 0
-              and b2 * y + c2 * w > 0 and a3 * x + c3 * w > 0
-              for x, y, w in corners]
+    inside = mesh.centers_inside
     neighbors: list[list[int]] = [[] for _ in sites]
     for i, j in mesh.edges:
         neighbors[i].append(j)

@@ -414,6 +414,42 @@ class TestMalformedMeshRows:
         assert "is not a list of" in line
 
 
+class TestListFields:
+    """Each list field of a mesh or subcomplex document is a JSON list,
+    else a malformed document naming the file and the field: an empty
+    string or object would read as an empty list, and relate on an
+    operand the file never named."""
+
+    @pytest.mark.parametrize("value", ["", {}], ids=["string", "object"])
+    @pytest.mark.parametrize("field", ["sites", "triangles"])
+    def test_mesh_field(self, tmp_path, capsys, field, value):
+        doc = TestMalformedMeshRows._doc()
+        doc[field] = value
+        mesh_file = tmp_path / "mesh.json"
+        mesh_file.write_text(json.dumps(doc))
+        assert main(["check", "--suite", "thm36", "--mesh",
+                     str(mesh_file)]) == 2
+        assert _one_error_line(capsys.readouterr()) == (
+            f"error: {mesh_file}: malformed mesh document: "
+            f"field {field!r} is not a list"
+        )
+
+    @pytest.mark.parametrize("value", ["", {}], ids=["string", "object"])
+    @pytest.mark.parametrize("field", ["vertices", "edges", "triangles"])
+    def test_subcomplex_field(self, workspace, capsys, field, value):
+        tmp_path, _, mesh_file, a, b = workspace
+        doc = json.loads(a.read_text())
+        doc[field] = value
+        a.write_text(json.dumps(doc))
+        for argv in _relate_and_render(tmp_path, mesh_file, a, b):
+            assert main(argv) == 2
+            assert _one_error_line(capsys.readouterr()) == (
+                f"error: {a}: malformed subcomplex: "
+                f"field {field!r} is not a list"
+            )
+        assert not (tmp_path / "x.svg").exists()
+
+
 class TestDeeplyNestedJson:
     @pytest.mark.parametrize("target", ["mesh", "subcomplex"])
     def test_exit_two_with_one_error_line(self, workspace, capsys, target):

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from proximesh import io
+from test_mesh import own_denominator_sites, own_denominator_wheel
+from proximesh import harness, io
 from proximesh.complexes import SubComplex
 from proximesh.geometry import Point2
 from proximesh.mesh import SiteSet, triangulate
@@ -138,6 +139,92 @@ class TestMeshFile:
         path.write_text("{nope")
         with pytest.raises(io.FileFormatError):
             io.read_mesh(path)
+
+
+def _shuffled_grid(k):
+    """The k×k integer grid in a seeded random order: every unit square
+    is cocircular, so neighboring triangles share their circumcenter."""
+    points = [P(i, j) for j in range(k) for i in range(k)]
+    random.Random(k).shuffle(points)
+    return points
+
+
+def _tight_box_mesh(tmp_path, points):
+    """`points` triangulated, written, and loaded with the sites' own
+    extent as the clip box, so the box cuts cells through their
+    circumcenters and box corners are cell corners."""
+    path = tmp_path / "tight.json"
+    io.write_mesh(path, triangulate(SiteSet(points)))
+    doc = json.loads(path.read_text())
+    xs = [p.x for p in points]
+    ys = [p.y for p in points]
+    doc["clip_box"] = [format_rational(v)
+                       for v in (min(xs), min(ys), max(xs), max(ys))]
+    path.write_text(json.dumps(doc))
+    return io.read_mesh(path)
+
+
+_EXTREME = [P(Fraction(1, 10**1000), 0), P(10**1000, 0), P(0, 10**1000),
+            P(Fraction(1, 10**1000), Fraction(1, 10**1000))]
+
+LAYOUT_SETS = {
+    **{f"generated-{n}": (lambda n=n: harness.generate_sites(n, n)[0].sites)
+       for n in (3, 4, 9, 40, 120)},
+    **{f"grid-{k}x{k}": (lambda k=k: _shuffled_grid(k)) for k in range(2, 13)},
+    "own-scale-sites": lambda: own_denominator_sites(3, 12, 20),
+    "own-scale-wheel": lambda: own_denominator_wheel(5, 9, 20),
+    "ten-to-the-1000": lambda: _EXTREME,
+}
+
+
+class TestMeshLayout:
+    """`write_mesh` writes a mesh document by its own layout: the bytes
+    of `json.dumps(mesh_payload(...), sort_keys=True, indent=1)` and a
+    newline, as this interpreter writes them."""
+
+    @staticmethod
+    def _assert_layout(tmp_path, mesh):
+        path = tmp_path / "mesh.json"
+        for include_voronoi in (False, True):
+            io.write_mesh(path, mesh, include_voronoi=include_voronoi)
+            payload = io.mesh_payload(mesh, include_voronoi)
+            expected = json.dumps(payload, sort_keys=True, indent=1) + "\n"
+            assert path.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("points", LAYOUT_SETS.values(),
+                             ids=LAYOUT_SETS.keys())
+    def test_bytes_of_json_dumps(self, tmp_path, points):
+        self._assert_layout(tmp_path, triangulate(SiteSet(points())))
+
+    @pytest.mark.parametrize("points", [
+        lambda: harness.generate_sites(2, 30)[0].sites,
+        lambda: _shuffled_grid(5),
+    ], ids=["generated-30", "grid-5x5"])
+    def test_bytes_of_json_dumps_with_tight_box(self, tmp_path, points):
+        mesh = _tight_box_mesh(tmp_path, points())
+        assert any(region.clipped for region in mesh.voronoi)
+        corners = {v for r in mesh.voronoi for v in r.cell.vertices}
+        assert set(mesh.clip_box.corners()) <= corners
+        self._assert_layout(tmp_path, mesh)
+
+    @pytest.mark.parametrize("mesh", [
+        lambda tmp_path: triangulate(harness.generate_sites(8, 60)[0]),
+        lambda tmp_path: triangulate(SiteSet(_shuffled_grid(6))),
+        lambda tmp_path: _tight_box_mesh(tmp_path, _shuffled_grid(5)),
+    ], ids=["generated-60", "grid-6x6", "grid-5x5-tight-box"])
+    def test_each_cell_corner_formatted_once(self, tmp_path, monkeypatch,
+                                             mesh):
+        # Two values per site, the margin, the four box bounds, and two
+        # per distinct cell corner however many cells share it.
+        m = mesh(tmp_path)
+        formatted = []
+        coord = io._coord
+        monkeypatch.setattr(
+            io, "_coord", lambda v: formatted.append(v) or coord(v)
+        )
+        io.write_mesh(tmp_path / "mesh.json", m, include_voronoi=True)
+        corners = {v for r in m.voronoi for v in r.cell.vertices}
+        assert len(formatted) == 2 * len(m.sites) + 5 + 2 * len(corners)
 
 
 class TestSubComplexFile:
