@@ -183,6 +183,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
         constraints = io.read_constraints(args.constraints)
         if mesh is None:
             raise ValueError("--constraints requires --mesh")
+        try:
+            constraints.validate(mesh.site_set)
+        except ValueError as exc:
+            raise ValueError(f"{args.constraints}: {exc}") from exc
     results = harness.run_suite(
         args.suite, args.trials, args.seed, mesh,
         region_mode=region_mode, constraints=constraints,

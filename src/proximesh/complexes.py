@@ -248,52 +248,27 @@ def interior(a: SubComplex) -> SubComplex:
 
 def near(a: SubComplex, b: SubComplex) -> RelationReport:
     """Closures intersect in at least one simplex."""
-    shared = _shared_simplex(*_closures(a, b))
-    return RelationReport(
-        relation="near",
-        verdict=shared is not None,
-        witness=shared,
-    )
+    return _sharing("near", _shared_simplex(*_closures(a, b)), True)
 
 
 def far(a: SubComplex, b: SubComplex) -> RelationReport:
     """Closures are disjoint; the negation of near."""
-    shared = _shared_simplex(*_closures(a, b))
-    return RelationReport(
-        relation="far",
-        verdict=shared is None,
-        counterexample=shared,
-    )
+    return _sharing("far", _shared_simplex(*_closures(a, b)), False)
 
 
 def strongly_near(a: SubComplex, b: SubComplex) -> RelationReport:
     """Closures share at least one full edge."""
-    shared = _shared_edge(*_closures(a, b))
-    return RelationReport(
-        relation="strongly_near",
-        verdict=shared is not None,
-        witness=shared,
-    )
+    return _sharing("strongly_near", _shared_edge(*_closures(a, b)), True)
 
 
 def visible(a: SubComplex, b: SubComplex) -> RelationReport:
     """Closures share at least one vertex."""
-    shared = _shared_vertex(*_closures(a, b))
-    return RelationReport(
-        relation="visible",
-        verdict=shared is not None,
-        witness=shared,
-    )
+    return _sharing("visible", _shared_vertex(*_closures(a, b)), True)
 
 
 def invisible(a: SubComplex, b: SubComplex) -> RelationReport:
     """No shared vertex between the closures; the negation of visible."""
-    shared = _shared_vertex(*_closures(a, b))
-    return RelationReport(
-        relation="invisible",
-        verdict=shared is None,
-        counterexample=shared,
-    )
+    return _sharing("invisible", _shared_vertex(*_closures(a, b)), False)
 
 
 def strongly_visible(a: SubComplex, b: SubComplex) -> RelationReport:
@@ -507,6 +482,16 @@ def _closures(a: SubComplex, b: SubComplex) -> tuple[SubComplex, SubComplex]:
 
 def _lowest(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
+
+
+def _sharing(relation: str, shared: Optional[tuple],
+             holds: bool) -> RelationReport:
+    """The report of a relation decided by `shared`, a simplex of both
+    closures or None: a relation that `holds` on sharing one names it as
+    its witness, one that holds on sharing none as its counterexample."""
+    if holds:
+        return RelationReport(relation, shared is not None, witness=shared)
+    return RelationReport(relation, shared is None, counterexample=shared)
 
 
 def _shared_vertex(cl_a: SubComplex, cl_b: SubComplex) -> Optional[tuple]:

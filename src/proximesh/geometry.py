@@ -228,9 +228,6 @@ class Rect:
     def contains(self, p: Point2) -> bool:
         return self.place(p) >= 0
 
-    def strictly_contains(self, p: Point2) -> bool:
-        return self.place(p) > 0
-
     def on_boundary(self, p: Point2) -> bool:
         return self.place(p) == 0
 

@@ -2,7 +2,7 @@
 
 Each suite checks one family of claims about the relation algebra on
 meshes (generated or supplied) and records one check per claim
-instance in a structured result. `run_suite` runs them all: it
+instance with `SuiteResult.record`. `run_suite` runs them all: it
 builds each trial mesh once and feeds it to every suite that still
 needs one, so a run holds only a few meshes at a time. Two claims are
 knowingly reported as expected divergences rather than failures:
@@ -71,14 +71,13 @@ class SuiteResult:
     def ok(self) -> bool:
         return self.failed == 0
 
+    def record(self, label: str, status: str, detail: str = "") -> None:
+        """Record one check: the one place a `CheckRecord` is made."""
+        self.records.append(CheckRecord(label, status, detail))
+
     def check(self, label: str, ok: bool, detail: str = "") -> None:
         """Record a pass, or a failure that carries `detail`."""
-        record = CheckRecord(label, PASS if ok else FAIL, "" if ok else detail)
-        self.records.append(record)
-
-    def skip(self, label: str, detail: str) -> None:
-        """Record a check with nothing to test, as a pass with `detail`."""
-        self.records.append(CheckRecord(label, PASS, detail))
+        self.record(label, PASS if ok else FAIL, "" if ok else detail)
 
 
 def generate_sites(
@@ -234,25 +233,16 @@ def _strong_visibility(result: SuiteResult, **_) -> Suite:
         b = cx.random_triangle_subcomplex(m, rng)
         sv = cx.strongly_visible(a, b).verdict
         v = cx.visible(a, b).verdict
+        # The operands are described only in the branches that report them.
         if sv and not v:
-            result.records.append(
-                CheckRecord(
-                    f"strongly_visible=>visible trial={trial}",
-                    FAIL,
-                    f"A=({a.describe()}) B=({b.describe()}) seed={seed}",
-                )
-            )
+            result.record(f"strongly_visible=>visible trial={trial}", FAIL,
+                          f"A=({a.describe()}) B=({b.describe()}) seed={seed}")
         elif v and not sv:
-            result.records.append(
-                CheckRecord(
-                    f"visible-without-shared-edge trial={trial}",
-                    DIVERGENCE,
-                    "converse fails on this pair: "
-                    f"A=({a.describe()}) B=({b.describe()})",
-                )
-            )
+            result.record(f"visible-without-shared-edge trial={trial}",
+                          DIVERGENCE, "converse fails on this pair: "
+                          f"A=({a.describe()}) B=({b.describe()})")
         else:
-            result.check(f"strongly_visible=>visible trial={trial}", True)
+            result.record(f"strongly_visible=>visible trial={trial}", PASS)
 
 
 def _strongly_far(result: SuiteResult, given: Optional[Mesh],
@@ -265,8 +255,8 @@ def _strongly_far(result: SuiteResult, given: Optional[Mesh],
     if given is not None and not any(
         _witness_and_free(given, t)[1] for t in _off_hull_triangles(given)
     ):
-        result.skip("strongly_far generation",
-                    "no strongly-far configuration in the mesh; skipped")
+        result.record("strongly_far generation", PASS,
+                      "no strongly-far configuration in the mesh; skipped")
         return
     seed, trials = result.seed, result.trials
     produced = 0
@@ -371,20 +361,17 @@ def _delaunay_characterizations(result: SuiteResult, given: Optional[Mesh],
             label = f"mesh={m_idx} {rep.operands[0]}"
             if rep.verdict:
                 # A route skipped on a loaded clip box passes with its note.
-                result.records.append(CheckRecord(label, PASS, rep.note))
+                result.record(label, PASS, rep.note)
                 continue
             verdicts = rep.witness[1]
             walls = _cocircular_walls(m, t_idx, verdicts)
             if walls:
-                result.records.append(CheckRecord(
-                    label, DIVERGENCE,
-                    "shared wall has no length: " + ", ".join(
-                        f"edge {e} with cocircular site {d}"
-                        for e, d in walls)
-                    + f" verdicts={verdicts} seed={seed}",
-                ))
+                result.record(label, DIVERGENCE, "shared wall has no length: "
+                              + ", ".join(f"edge {e} with cocircular site {d}"
+                                          for e, d in walls)
+                              + f" verdicts={verdicts} seed={seed}")
             else:
-                result.check(label, False, f"verdicts={verdicts} seed={seed}")
+                result.record(label, FAIL, f"verdicts={verdicts} seed={seed}")
 
 
 def _cocircular_walls(
@@ -433,14 +420,12 @@ def _segment_visibility(
     for rep in reports:
         kind = "visible" if rep.relation == "segment_visibility" else "blocked"
         label = f"{kind} pair {rep.operands[0]},{rep.operands[1]}"
-        if not rep.verdict:
-            result.records.append(
-                CheckRecord(label, FAIL, f"{rep.counterexample} seed={seed}")
-            )
-        else:
+        if rep.verdict:
             # A reading-divergence note (endpoint-only constraint contact)
             # flags the pair without failing it.
-            result.records.append(CheckRecord(label, PASS, rep.note))
+            result.record(label, PASS, rep.note)
+        else:
+            result.record(label, FAIL, f"{rep.counterexample} seed={seed}")
 
 
 def _regions(result: SuiteResult, mode: str, **_) -> Suite:
@@ -458,21 +443,16 @@ def _regions(result: SuiteResult, mode: str, **_) -> Suite:
         rng = random.Random(seed * 22_695_477 + trial)
         region = sampler(m, rng)
         if region is None:
-            result.skip(f"region trial={trial}",
-                        "no traceable region sampled; skipped")
+            result.record(f"region trial={trial}", PASS,
+                          "no traceable region sampled; skipped")
             continue
         report = rg.region_convexity(region)
         if report.is_convex:
-            result.check(f"region convex trial={trial}", True)
+            result.record(f"region convex trial={trial}", PASS)
         else:
-            result.records.append(
-                CheckRecord(
-                    f"region non-convex trial={trial}",
-                    DIVERGENCE,
-                    "edge-adjacent region with non-convex union: "
-                    f"t={sorted(region.triangles)} seed={seed}",
-                )
-            )
+            result.record(f"region non-convex trial={trial}", DIVERGENCE,
+                          "edge-adjacent region with non-convex union: "
+                          f"t={sorted(region.triangles)} seed={seed}")
         other = sampler(m, rng)
         if other is not None:
             rel = rg.regions_proximal(region, other)
@@ -531,7 +511,7 @@ def _leader(result: SuiteResult, **_) -> Suite:
         rng = random.Random(seed * 67_867_967 + trial)
         region = sample_chain_region(m, rng, max_size=8)
         if region is None:
-            result.skip(f"leader trial={trial}", "skipped")
+            result.record(f"leader trial={trial}", PASS, "skipped")
             continue
         family = [
             _random_region_member(region, rng) for _ in range(rng.randint(2, 5))

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Iterator, Sequence, Union
 
 from .geometry import Point2
-from .mesh import Mesh, Rect, SiteSet, make_triangle
+from .mesh import Mesh, MeshError, Rect, SiteSet, make_triangle
 from .rational import MAX_DIGITS, ParseError, format_rational, parse_rational
 from .visibility import ConstraintSet
 
@@ -223,13 +223,16 @@ def read_mesh(path: PathLike) -> Mesh:
         ]
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: malformed mesh document: {exc}") from exc
-    site_set = SiteSet(sites, clip_margin=margin)
-    # Cells are built from the box only on first access, so check it now.
-    for i, p in enumerate(sites):
-        if not box.contains(p):
-            raise FileFormatError(f"{path}: clip_box does not contain site {i}")
-    triangles = [make_triangle(i, j, k, site_set) for i, j, k in tri_rows]
-    return Mesh(site_set, triangles, clip_box=box)
+    try:
+        site_set = SiteSet(sites, clip_margin=margin)
+        # Cells are built from the box only on first access, so check it now.
+        for i, p in enumerate(sites):
+            if not box.contains(p):
+                raise MeshError(f"clip_box does not contain site {i}")
+        triangles = [make_triangle(i, j, k, site_set) for i, j, k in tri_rows]
+        return Mesh(site_set, triangles, clip_box=box)
+    except MeshError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
 
 
 def _array(doc: dict, field: str) -> list:

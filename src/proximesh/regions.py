@@ -10,7 +10,7 @@ are rejected by the tracer rather than approximated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional, Sequence
 
 from .complexes import (
@@ -142,12 +142,8 @@ def regions_proximal(r1: Region, r2: Region) -> RelationReport:
     """Regions share at least one vertex (of their closures)."""
     if r1.mesh is not r2.mesh:
         raise RegionError("regions belong to different meshes")
-    report = visible(r1.subcomplex(), r2.subcomplex())
-    return RelationReport(
-        relation="regions_proximal",
-        verdict=report.verdict,
-        witness=report.witness,
-    )
+    return replace(visible(r1.subcomplex(), r2.subcomplex()),
+                   relation="regions_proximal")
 
 
 def leader_topology(

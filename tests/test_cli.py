@@ -450,6 +450,49 @@ class TestListFields:
         assert not (tmp_path / "x.svg").exists()
 
 
+class TestErrorsNameTheFile:
+    """A mesh file that breaks a mesh contract, and a constraint file
+    that names no edge of the loaded mesh, end in one `error:` line that
+    names the file, then the contract."""
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("triangles", [], "mesh has no triangles"),
+        ("triangles", [[0, 4, 2], [1, 3, 4], [2, 4, 3], [0, 4, 2]],
+         "directed edge (0, 4) used by two triangles"),
+        ("sites", [["0", "0"], ["4", "0"], ["0", "4"], ["4", "4"],
+                   ["0", "0"]],
+         "duplicate sites at indices 0 and 4: (0, 0)"),
+        ("triangles", [[0, 4, 1], [1, 3, 4], [2, 4, 3]],
+         "degenerate triangle (0, 4, 1): collinear sites"),
+        ("triangles", [[0, 1, 2]], "sites missing from triangulation: [3, 4]"),
+    ], ids=["no-triangles", "repeated-triangle", "repeated-site",
+            "collinear-row", "skipped-sites"])
+    def test_mesh(self, tmp_path, capsys, field, value, message):
+        doc = TestMalformedMeshRows._doc()
+        doc[field] = value
+        mesh_file = tmp_path / "mesh.json"
+        mesh_file.write_text(json.dumps(doc))
+        assert main(["check", "--suite", "thm36", "--mesh",
+                     str(mesh_file)]) == 2
+        assert _one_error_line(capsys.readouterr()) == (
+            f"error: {mesh_file}: {message}")
+
+    @pytest.mark.parametrize("pair,message", [
+        ("0,99", "constraint indices out of range: (0, 99)"),
+        ("1,1", "constraint endpoints coincide: 1"),
+        ("0,-1", "constraint indices out of range: (-1, 0)"),
+    ], ids=["too-large", "coincident", "negative"])
+    def test_constraints(self, tmp_path, capsys, pair, message):
+        mesh_file = tmp_path / "mesh.json"
+        mesh_file.write_text(json.dumps(TestMalformedMeshRows._doc()))
+        constraints = tmp_path / "constraints.txt"
+        constraints.write_text(pair + "\n")
+        assert main(["check", "--suite", "thm37", "--mesh", str(mesh_file),
+                     "--constraints", str(constraints)]) == 2
+        assert _one_error_line(capsys.readouterr()) == (
+            f"error: {constraints}: {message}")
+
+
 class TestDeeplyNestedJson:
     @pytest.mark.parametrize("target", ["mesh", "subcomplex"])
     def test_exit_two_with_one_error_line(self, workspace, capsys, target):

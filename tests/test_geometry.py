@@ -331,7 +331,7 @@ class TestRect:
         inside = xs[0] < x < xs[1] and ys[0] < y < ys[1]
         closed = xs[0] <= x <= xs[1] and ys[0] <= y <= ys[1]
         assert box.place(p) == (1 if inside else 0 if closed else -1)
-        assert box.strictly_contains(p) == inside
+        assert (box.place(p) > 0) == inside
         assert box.contains(p) == closed
         assert box.on_boundary(p) == (closed and not inside)
 

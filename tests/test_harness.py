@@ -237,16 +237,27 @@ class TestSuites:
         r.records.append(CheckRecord("c", FAIL, "boom"))
         assert not r.ok()
 
-    def test_passing_checks_render_no_operands(self, fan_mesh, monkeypatch):
+    def test_passing_checks_render_no_operands(self, fan_mesh, wheel_mesh,
+                                               monkeypatch):
         # lemma31 is exhaustive on this 3-triangle mesh; its failure
-        # detail must not be rendered for the 64 passing pairs.
-        def refuse(self):
-            raise AssertionError("describe() called")
+        # detail must not be rendered for the 64 passing pairs. On the
+        # wheel, lemma33 describes its two operands for each failure or
+        # divergence it reports, and never for a pass.
+        calls = []
+        describe = cx.SubComplex.describe
 
-        monkeypatch.setattr(cx.SubComplex, "describe", refuse)
+        def counted(self):
+            calls.append(self)
+            return describe(self)
+
+        monkeypatch.setattr(cx.SubComplex, "describe", counted)
         for name in ("axioms", "lemma31"):
             (result,) = run_suite(name, 4, seed=1, mesh=fan_mesh)
             assert result.failed == 0 and result.records
+            assert calls == []
+        (result,) = run_suite("lemma33", 60, seed=2, mesh=wheel_mesh)
+        assert result.passed > 0 and result.divergences > 0
+        assert len(calls) == 2 * (result.failed + result.divergences)
 
     def test_check_keeps_detail_only_on_failure(self):
         r = SuiteResult("x", 0, 2)

@@ -263,3 +263,42 @@ def test_the_rule_finds_coordinate_reads_and_scale_rules():
         "_on_scale"}
     assert functions_where(source, scale_none_comparisons) == {
         "Lattice.nearer", "Lattice.compare"}
+
+
+def check_records_outside_record(source: str) -> list[int]:
+    """Lines that call `CheckRecord` anywhere but in a `record` method of
+    a `SuiteResult` class."""
+    tree = ast.parse(source)
+    allowed = {id(node)
+               for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) and cls.name == "SuiteResult"
+               for f in cls.body
+               if isinstance(f, ast.FunctionDef) and f.name == "record"
+               for node in ast.walk(f)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and ast.unparse(node.func).split(".")[-1] == "CheckRecord"
+                  and id(node) not in allowed)
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_suite_checks_are_recorded_in_one_place(module):
+    # `SuiteResult.record` is the one place a suite check becomes a
+    # `CheckRecord`; `check` and every suite go through it.
+    assert check_records_outside_record((SRC / module).read_text()) == []
+
+
+def test_the_rule_finds_check_records():
+    source = ("class SuiteResult:\n"
+              "    def record(self, label, status, detail=''):\n"
+              "        self.records.append(CheckRecord(label, status, detail))\n"
+              "    def skip(self, label, detail):\n"
+              "        self.records.append(CheckRecord(label, PASS, detail))\n"
+              "class Other:\n"
+              "    def record(self, label):\n"
+              "        return hs.CheckRecord(label, PASS)\n"
+              "def _suite(result):\n"
+              "    result.records.append(CheckRecord('a', FAIL, 'x'))\n"
+              "    result.record('b', PASS)\n"
+              "r = CheckRecord\n")
+    assert check_records_outside_record(source) == [5, 8, 10]

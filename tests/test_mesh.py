@@ -802,7 +802,7 @@ class TestVoronoi:
         box = Rect(min(xs), min(ys), max(xs), max(ys))
         mesh = Mesh(base.site_set, base.triangles, clip_box=box)
         ring = {
-            i: all(box.strictly_contains(mesh.circumcenters[t])
+            i: all(box.place(mesh.circumcenters[t]) > 0
                    for t in mesh.vertex_triangles[i])
             for i in range(len(mesh.sites))
             if not mesh.is_hull_site(i)
