@@ -136,10 +136,16 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_build_mesh(args: argparse.Namespace) -> int:
-    from .mesh import SiteSet
+    from .mesh import MeshError, SiteSet
 
+    # A bad flag is not the sites file's fault.
+    if args.clip_margin <= 0:
+        raise ValueError("clip margin must be positive")
     points = io.read_sites(args.sites)
-    site_set = SiteSet(points, clip_margin=args.clip_margin)
+    try:
+        site_set = SiteSet(points, clip_margin=args.clip_margin)
+    except MeshError as exc:
+        raise MeshError(f"{args.sites}: {exc}") from exc
     mesh = triangulate(site_set)
     io.write_mesh(args.out, mesh, include_voronoi=args.include_voronoi)
     return 0

@@ -12,10 +12,10 @@ normalization, and of `contains`, from those lines.
 its edge, by a line: each crossing is the cross product of two lines, so
 corners do not widen from clip to clip, and no Fraction is made. `Rect`,
 the Voronoi clip box, gives the first such ring, each corner in lowest
-terms and each side's line built from its bound.
-`Polygon.contains`, `Rect.place` (behind the box's containment tests)
-and `circumcenter` work in integers; the last makes a Fraction only of
-each of its two coordinates.
+terms and each side's line built once from its bound. `Rect.place`, the
+library's one clip-box test, takes the least sign of a corner on those
+lines. `Polygon.contains` and `circumcenter` work in integers; the
+latter makes a Fraction only of each of its two coordinates.
 `orient2d` and `incircle` scale their points to integers per call and
 run `rational`'s integer kernels; they serve callers outside the
 library, which takes all its signs on lattices and lines.
@@ -24,7 +24,7 @@ library, which takes all its signs on lattices and lines.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
@@ -210,12 +210,25 @@ def _area2(rows: Sequence[Corner]) -> Fraction:
 
 @dataclass(frozen=True, slots=True)
 class Rect:
-    """Axis-aligned rectangle used as the Voronoi clip box."""
+    """Axis-aligned rectangle used as the Voronoi clip box. Its side
+    along the bound n/d is the line (0, d, -n) of y = n/d, or (d, 0, -n)
+    of x = n/d, signed positive inside, built once for `place` and
+    `ring`."""
 
     xmin: Fraction
     ymin: Fraction
     xmax: Fraction
     ymax: Fraction
+    _lines: tuple[Line, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        xmin, ymin, xmax, ymax = self.xmin, self.ymin, self.xmax, self.ymax
+        object.__setattr__(self, "_lines", (
+            (0, ymin.denominator, -ymin.numerator),
+            (-xmax.denominator, 0, xmax.numerator),
+            (0, -ymax.denominator, ymax.numerator),
+            (xmin.denominator, 0, -xmin.numerator),
+        ))
 
     def corners(self) -> list[Point2]:
         return [
@@ -225,43 +238,22 @@ class Rect:
             Point2(self.xmin, self.ymax),
         ]
 
-    def contains(self, p: Point2) -> bool:
-        return self.place(p) >= 0
-
-    def on_boundary(self, p: Point2) -> bool:
-        return self.place(p) == 0
-
-    def place(self, p: Point2) -> int:
-        """+1 when p is strictly inside, 0 on the boundary, -1 outside;
-        each coordinate is compared with the box's by integer
-        cross-multiplication of numerators and denominators."""
-        inside = 1
-        for v, lo, hi in ((p.x, self.xmin, self.xmax),
-                          (p.y, self.ymin, self.ymax)):
-            n, d = v.numerator, v.denominator
-            above = n * lo.denominator - lo.numerator * d
-            below = hi.numerator * d - n * hi.denominator
-            if above < 0 or below < 0:
-                return -1
-            if not (above and below):
-                inside = 0
-        return inside
+    def place(self, corner: Corner) -> int:
+        """+1 when the point of the corner (X, Y, W), W > 0, is strictly
+        inside the box, 0 on its boundary, -1 outside: the sign of the
+        least of its dot products with the four side lines."""
+        x, y, w = corner
+        # Each side's line has one zero coefficient.
+        (_, b0, c0), (a1, _, c1), (_, b2, c2), (a3, _, c3) = self._lines
+        least = min(b0 * y + c0 * w, a1 * x + c1 * w, b2 * y + c2 * w,
+                    a3 * x + c3 * w)
+        return (least > 0) - (least < 0)
 
     def ring(self) -> list[tuple[Corner, Line]]:
         """The corners counterclockwise from (xmin, ymin), each in lowest
         terms, over the lcm of its own two denominators, with the line of
-        its edge to the next: the ring that `clip_halfplane` cuts. A side
-        along the bound n/d is the line (0, d, -n) of y = n/d, or
-        (d, 0, -n) of x = n/d, signed positive inside the box."""
-        corners = map(_corner, self.corners())
-        xmin, ymin, xmax, ymax = self.xmin, self.ymin, self.xmax, self.ymax
-        lines = [
-            (0, ymin.denominator, -ymin.numerator),
-            (-xmax.denominator, 0, xmax.numerator),
-            (0, -ymax.denominator, ymax.numerator),
-            (xmin.denominator, 0, -xmin.numerator),
-        ]
-        return list(zip(corners, lines))
+        its edge to the next: the ring that `clip_halfplane` cuts."""
+        return list(zip(map(_corner, self.corners()), self._lines))
 
 
 def orient2d(a: Point2, b: Point2, c: Point2) -> int:

@@ -225,10 +225,6 @@ def read_mesh(path: PathLike) -> Mesh:
         raise FileFormatError(f"{path}: malformed mesh document: {exc}") from exc
     try:
         site_set = SiteSet(sites, clip_margin=margin)
-        # Cells are built from the box only on first access, so check it now.
-        for i, p in enumerate(sites):
-            if not box.contains(p):
-                raise MeshError(f"clip_box does not contain site {i}")
         triangles = [make_triangle(i, j, k, site_set) for i, j, k in tri_rows]
         return Mesh(site_set, triangles, clip_box=box)
     except MeshError as exc:

@@ -31,16 +31,15 @@ Voronoi cells are the Delaunay dual, built on corners, the integer
 triples (X, Y, W) of `geometry.Corner`. Each triangle's circumcenter is
 computed once per mesh as a corner, and as a `Point2` from it, for the
 clip box and the cells alike. An interior site's cell is the ring of its
-fan's circumcenters when they all lie strictly inside the clip box, on
-the positive side of each of the four side lines of its ring; hull
-sites, and sites whose fan reaches the box, get that ring, its corners
-in lowest terms, cut by the integer bisector lines toward their
-Delaunay neighbors, each line built once per edge. A `Point2` is made
-only for a corner that a clipped cell keeps. Only the `voronoi` output,
-rendering and the Delaunay-characterization audit read the
-circumcenters, the derived clip box and the cells. The tests keep an
-all-sites bisector construction as an independent oracle for these
-cells.
+fan's circumcenters when `Rect.place` puts all their corners strictly
+inside the clip box; hull sites, and sites whose fan reaches the box,
+get the box's ring, its corners in lowest terms, cut by the integer
+bisector lines toward their Delaunay neighbors, each line built once per
+edge. A `Point2` is made only for a corner that a clipped cell keeps.
+Only the `voronoi` output, rendering and the Delaunay-characterization
+audit read the circumcenters, the derived clip box and the cells. The
+tests keep an all-sites bisector construction as an independent oracle
+for these cells.
 """
 
 from __future__ import annotations
@@ -180,6 +179,13 @@ class Mesh:
         triangles: Sequence[Triangle],
         clip_box: Optional[Rect] = None,
     ) -> None:
+        if clip_box is not None:
+            # Cells read the box only on first access: check it now.
+            for i, (xy, w) in enumerate(zip(site_set.lattice,
+                                            site_set.scales)):
+                if clip_box.place((*xy, w)) < 0:
+                    raise MeshError(f"clip_box does not contain site {i}")
+            self.clip_box = clip_box  # Shadows the derived box.
         self.site_set = site_set
         self.triangles = tuple(triangles)
         check_indices([v for t in self.triangles for v in t.indices],
@@ -195,8 +201,6 @@ class Mesh:
         self.edge_triangles = {e: tuple(ts) for e, ts in sorted(edge_map.items())}
         self.vertex_triangles = {v: tuple(ts) for v, ts in vertex_map.items()}
         self._hull_sites = frozenset(self._validate())
-        if clip_box is not None:
-            self.clip_box = clip_box  # Shadows the derived box.
         self._masks = None
 
     @cached_property
@@ -222,15 +226,10 @@ class Mesh:
     @cached_property
     def centers_inside(self) -> tuple[bool, ...]:
         """Whether each triangle's circumcenter lies strictly inside the
-        clip box, on the positive side of the four side lines of
-        `Rect.ring`, by triangle index; the cells and the mesh writer
-        share it."""
-        # Each side's line has one zero coefficient.
-        (_, b0, c0), (a1, _, c1), (_, b2, c2), (a3, _, c3) = (
-            line for _, line in self.clip_box.ring())
-        return tuple(b0 * y + c0 * w > 0 and a1 * x + c1 * w > 0
-                     and b2 * y + c2 * w > 0 and a3 * x + c3 * w > 0
-                     for x, y, w in self._corners)
+        clip box, by `Rect.place` on its corner, by triangle index; the
+        cells and the mesh writer share it."""
+        box = self.clip_box
+        return tuple(box.place(c) > 0 for c in self._corners)
 
     @cached_property
     def voronoi(self) -> tuple[VoronoiRegion, ...]:
@@ -373,13 +372,14 @@ def voronoi(mesh: Mesh) -> list[VoronoiRegion]:
     """Voronoi cells of all mesh sites, clipped to the mesh clip box.
 
     An interior site whose fan circumcenters all lie strictly inside the
-    clip box, on the positive side of the four side lines of
-    `Rect.ring`, has the ring of those circumcenters, in fan order, as
-    its cell: the mesh's own `Point2`s, with their corners; `Polygon`
-    drops the coincident ones of cocircular fans. Every other cell is
-    that ring, each corner in lowest terms, cut by the closed bisector
-    half-planes toward the site's Delaunay neighbors, in integers, and a
-    `Point2` is made for each corner left. On a Delaunay triangulation
+    clip box, by `Rect.place` on their corners, has the ring of those
+    circumcenters, in fan order, as its cell: the mesh's own `Point2`s,
+    with their corners; `Polygon` drops the coincident ones of
+    cocircular fans. Every other cell is the box's ring, each corner in
+    lowest terms, cut by the closed bisector half-planes toward the
+    site's Delaunay neighbors, in integers, and a `Point2` is made for
+    each corner left; it is clipped when its site is on the hull or
+    `place` finds a kept corner on the box. On a Delaunay triangulation
     both are the cell that all other sites cut.
     """
     sites = mesh.sites
@@ -417,8 +417,7 @@ def voronoi(mesh: Mesh) -> list[VoronoiRegion]:
             raise MeshError(f"voronoi cell of site {i} excludes its site")
         # A ring lies strictly inside the box and belongs to an interior site.
         clipped = not ring and (
-            mesh.is_hull_site(i)
-            or any(box.on_boundary(v) for v in cell.vertices)
+            mesh.is_hull_site(i) or any(box.place(c) == 0 for c in kept)
         )
         regions.append(VoronoiRegion(site=i, cell=cell, clipped=clipped))
     return regions

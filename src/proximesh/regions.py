@@ -200,7 +200,7 @@ def audit_delaunay_characterizations(mesh: Mesh) -> list[RelationReport]:
     set which sites of that center's slab are `nearer` than the
     triangle's first site, by integer distances to its corner on either
     scale rule. The two share only `slab`. Route 2's center is placed
-    against the clip box once, by `Rect.place`, in integers.
+    against the clip box once, by `Rect.place` on that same corner.
     """
     reports = []
     sites = mesh.site_set
@@ -209,11 +209,11 @@ def audit_delaunay_characterizations(mesh: Mesh) -> list[RelationReport]:
         empty_circle = is_delaunay_triangle(tri, sites)
         points = mesh.triangle_points(tri)
         center = circumcenter(*points)
-        dual_vertex = all(s in tri
-                          for s in sites.nearer(_corner(center), tri.v0))
+        corner = _corner(center)
+        dual_vertex = all(s in tri for s in sites.nearer(corner, tri.v0))
         note = ""
         shared_walls: Optional[bool] = None
-        place = mesh.clip_box.place(center)
+        place = mesh.clip_box.place(corner)
         if place > 0:
             shared_walls = all(walls[e] for e in mesh.triangle_edges[t_idx])
         else:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .complexes import RelationReport
@@ -26,9 +26,11 @@ from .mesh import SiteSet, check_indices
 
 @dataclass(frozen=True, slots=True)
 class ConstraintSet:
-    """Constraining segments given as pairs of site indices."""
+    """Constraining segments given as pairs of site indices. `validate`
+    remembers the last site count it passed the pairs for."""
 
     pairs: frozenset[tuple[int, int]]
+    _valid_for: int = field(default=-1, init=False, repr=False, compare=False)
 
     @classmethod
     def of(cls, pairs: Iterable[tuple[int, int]]) -> "ConstraintSet":
@@ -40,6 +42,8 @@ class ConstraintSet:
 
     def validate(self, sites: SiteSet) -> None:
         n = len(sites)
+        if n == self._valid_for:
+            return
         for p, q in self.pairs:
             if type(p) is not int or type(q) is not int:
                 raise ValueError(
@@ -48,6 +52,7 @@ class ConstraintSet:
                 raise ValueError(f"constraint endpoints coincide: {p}")
             if not (0 <= p < n and 0 <= q < n):
                 raise ValueError(f"constraint indices out of range: {(p, q)}")
+        object.__setattr__(self, "_valid_for", n)
 
 
 def segment_visible(

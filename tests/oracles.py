@@ -183,8 +183,11 @@ def all_sites_voronoi(sites, box):
             verts = fraction_clip_halfplane(verts, mid, along)
             reach = max(squared_distance(p, v) for v in verts)
         cell = Polygon(verts)
+        # The cell lies in the closed box, and touches it where a
+        # vertex's coordinate equals one of the box's bounds.
         clipped = on_hull(p) or any(
-            box.on_boundary(v) for v in cell.vertices
+            v.x in (box.xmin, box.xmax) or v.y in (box.ymin, box.ymax)
+            for v in cell.vertices
         )
         regions.append(VoronoiRegion(site=i, cell=cell, clipped=clipped))
     return regions

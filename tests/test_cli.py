@@ -451,9 +451,10 @@ class TestListFields:
 
 
 class TestErrorsNameTheFile:
-    """A mesh file that breaks a mesh contract, and a constraint file
-    that names no edge of the loaded mesh, end in one `error:` line that
-    names the file, then the contract."""
+    """A mesh file that breaks a mesh contract, a constraint file that
+    names no edge of the loaded mesh, and a sites file that is no site
+    set, end in one `error:` line that names the file, then the
+    contract."""
 
     @pytest.mark.parametrize("field,value,message", [
         ("triangles", [], "mesh has no triangles"),
@@ -491,6 +492,34 @@ class TestErrorsNameTheFile:
                      "--constraints", str(constraints)]) == 2
         assert _one_error_line(capsys.readouterr()) == (
             f"error: {constraints}: {message}")
+
+    @pytest.mark.parametrize("command", ["triangulate", "voronoi"])
+    @pytest.mark.parametrize("rows,message", [
+        ("0,0\n4,0\n0,4\n0,0\n",
+         "duplicate sites at indices 0 and 3: (0, 0)"),
+        ("0,0\n1,1\n2,2\n", "all sites are collinear"),
+        ("0,0\n1,0\n", "need at least 3 sites, got 2"),
+    ], ids=["repeated-site", "collinear", "two-sites"])
+    def test_sites(self, tmp_path, capsys, command, rows, message):
+        sites = tmp_path / "s.txt"
+        sites.write_text(rows)
+        out = tmp_path / "m.json"
+        assert main([command, "--sites", str(sites), "--out", str(out)]) == 2
+        assert _one_error_line(capsys.readouterr()) == (
+            f"error: {sites}: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rows", ["0,0\n4,0\n0,4\n", "0,0\n0,0\n"],
+                             ids=["good-sites", "bad-sites"])
+    def test_clip_margin_flag_is_not_the_file(self, tmp_path, capsys, rows):
+        # A margin of 0 is a flag error, reported before the file is read
+        # and without its name.
+        sites = tmp_path / "s.txt"
+        sites.write_text(rows)
+        assert main(["triangulate", "--sites", str(sites), "--clip-margin",
+                     "0", "--out", str(tmp_path / "m.json")]) == 2
+        assert _one_error_line(capsys.readouterr()) == (
+            "error: clip margin must be positive")
 
 
 class TestDeeplyNestedJson:

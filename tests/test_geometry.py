@@ -315,25 +315,34 @@ class TestPoint2:
                 P(bad, 0)
 
 
+# Coordinates each over its own 20-digit denominator.
+wide_coords = st.builds(Fraction, st.integers(-2 * 10**21, 2 * 10**21),
+                        st.integers(10**19, 10**20 - 1))
+
+
 class TestRect:
-    @settings(max_examples=100)
+    @settings(max_examples=200)
     @given(st.data())
     def test_place_matches_fraction_comparisons(self, data):
-        xs = sorted(data.draw(st.lists(coords, min_size=2, max_size=2,
+        values = st.one_of(coords, wide_coords)
+        xs = sorted(data.draw(st.lists(values, min_size=2, max_size=2,
                                        unique=True)))
-        ys = sorted(data.draw(st.lists(coords, min_size=2, max_size=2,
+        ys = sorted(data.draw(st.lists(values, min_size=2, max_size=2,
                                        unique=True)))
         box = Rect(xs[0], ys[0], xs[1], ys[1])
         # Coordinates on the box's own lines are drawn as often as others.
-        x = data.draw(st.one_of(coords, st.sampled_from(xs)))
-        y = data.draw(st.one_of(coords, st.sampled_from(ys)))
+        x = data.draw(st.one_of(values, st.sampled_from(xs)))
+        y = data.draw(st.one_of(values, st.sampled_from(ys)))
         p = P(x, y)
         inside = xs[0] < x < xs[1] and ys[0] < y < ys[1]
         closed = xs[0] <= x <= xs[1] and ys[0] <= y <= ys[1]
-        assert box.place(p) == (1 if inside else 0 if closed else -1)
-        assert (box.place(p) > 0) == inside
-        assert box.contains(p) == closed
-        assert box.on_boundary(p) == (closed and not inside)
+        # The point in lowest terms, over the product of its two
+        # denominators, and over k times that.
+        k = data.draw(st.integers(2, 10**6))
+        unreduced = tuple(k * v for v in _corner(p))
+        for corner in (_lowest(p), _corner(p), unreduced):
+            assert box.place(corner) == (1 if inside else 0 if closed else -1)
+        assert (box.place(unreduced) > 0) == inside
 
     @pytest.mark.parametrize("point, placed", [
         (P(Fraction(1, 3), Fraction(1, 2)), 1),
@@ -346,7 +355,7 @@ class TestRect:
     ])
     def test_place_on_own_denominators(self, point, placed):
         box = Rect(Fraction(0), Fraction(1, 5), Fraction(2, 3), Fraction(3, 4))
-        assert box.place(point) == placed
+        assert box.place(_lowest(point)) == placed
 
 
 class TestIsConvexPolygon:

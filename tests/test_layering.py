@@ -302,3 +302,37 @@ def test_the_rule_finds_check_records():
               "    result.record('b', PASS)\n"
               "r = CheckRecord\n")
     assert check_records_outside_record(source) == [5, 8, 10]
+
+
+def ring_calls(source: str, allowed: str = "") -> list[int]:
+    """Lines that call a `ring` method outside the module-level function
+    named `allowed`."""
+    tree = ast.parse(source)
+    inside = {id(node) for f in tree.body
+              if isinstance(f, ast.FunctionDef) and f.name == allowed
+              for node in ast.walk(f)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "ring" and id(node) not in inside)
+
+
+@pytest.mark.parametrize(
+    "module",
+    sorted(p.name for p in SRC.glob("*.py") if p.name != "geometry.py"),
+)
+def test_only_the_clip_reads_the_box_ring(module):
+    # `Rect.place` is the one clip-box test. The box's ring of corners
+    # and side lines is read only where `mesh.voronoi` cuts cells from it.
+    allowed = "voronoi" if module == "mesh.py" else ""
+    assert ring_calls((SRC / module).read_text(), allowed) == []
+
+
+def test_the_rule_finds_ring_calls():
+    source = ("def voronoi(mesh):\n    return mesh.clip_box.ring()\n"
+              "class Mesh:\n    def centers_inside(self):\n"
+              "        return [l for _, l in self.clip_box.ring()]\n"
+              "def f(box):\n    return box.ring, box.place(c)\n"
+              "g = Rect(0, 0, 1, 1).ring()\n")
+    assert ring_calls(source, "voronoi") == [5, 8]
+    assert ring_calls(source) == [2, 5, 8]

@@ -802,7 +802,7 @@ class TestVoronoi:
         box = Rect(min(xs), min(ys), max(xs), max(ys))
         mesh = Mesh(base.site_set, base.triangles, clip_box=box)
         ring = {
-            i: all(box.place(mesh.circumcenters[t]) > 0
+            i: all(box.place(mesh._corners[t]) > 0
                    for t in mesh.vertex_triangles[i])
             for i in range(len(mesh.sites))
             if not mesh.is_hull_site(i)
@@ -877,6 +877,32 @@ class TestVoronoi:
 
 
 class TestMeshValidation:
+    @pytest.mark.parametrize("box, site", [
+        (Rect(10, 10, 11, 11), 0),
+        (Rect(0, 0, 4, Fraction(29, 10)), 2),
+        (Rect(Fraction(1, 10**20), 0, 4, 3), 0),
+        (Rect(0, 0, Fraction(4 * 10**20 - 1, 10**20), 3), 1),
+    ])
+    def test_given_box_must_hold_every_site(self, fan_mesh, box, site):
+        # The box is refused where it enters the mesh, not when the first
+        # cell is cut from it.
+        with pytest.raises(MeshError, match=rf"^clip_box does not contain "
+                           rf"site {site}$"):
+            Mesh(fan_mesh.site_set, fan_mesh.triangles, clip_box=box)
+
+    def test_given_box_on_own_scales(self):
+        sites = SiteSet(own_denominator_sites(5, 30, 20))
+        assert sites.scale is None
+        base = triangulate(sites)
+        xs = [p.x for p in sites.sites]
+        ys = [p.y for p in sites.sites]
+        Mesh(sites, base.triangles, clip_box=Rect(min(xs), min(ys), max(xs),
+                                                  max(ys)))
+        narrow = Rect(min(xs), min(ys), max(xs) - Fraction(1, 10**45), max(ys))
+        with pytest.raises(MeshError, match=rf"^clip_box does not contain "
+                           rf"site {xs.index(max(xs))}$"):
+            Mesh(sites, base.triangles, clip_box=narrow)
+
     def test_missing_site_rejected(self, fan_mesh):
         tris = [t for t in fan_mesh.triangles if 3 not in t.indices]
         with pytest.raises(MeshError):

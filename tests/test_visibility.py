@@ -100,6 +100,38 @@ class TestSegmentVisible:
         with pytest.raises(ValueError):
             segment_visible(0, 9, ss, ConstraintSet.empty())
 
+    def test_constraints_validated_once_per_site_count(
+            self, collinear_row_sites):
+        # The index scan runs once per set and site count; each call then
+        # iterates the pairs once more, for its overlap tests.
+        class Counted(frozenset):
+            scans = 0
+
+            def __iter__(self):
+                Counted.scans += 1
+                return super().__iter__()
+
+        sites = collinear_row_sites
+        constraints = ConstraintSet(Counted({(0, 3)}))
+        for _ in range(5):
+            assert segment_visible(0, 1, sites, constraints)
+        assert Counted.scans == 1 + 5
+        wider = SiteSet([*sites.sites, P(7, 7)])
+        assert segment_visible(0, 4, wider, constraints)
+        assert Counted.scans == 1 + 5 + 2
+        # The audit validates the set, sorts it, and tests each of the
+        # six pairs of four sites once, without a scan per pair.
+        Counted.scans = 0
+        audit_segment_visibility(sites, ConstraintSet(Counted({(0, 3)})),
+                                 trials=100, seed=0)
+        assert Counted.scans == 2 + 6
+        # A set that fails is not remembered: every call rejects it.
+        bad = ConstraintSet.of([(0, 9)])
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"^constraint indices out "
+                               r"of range: \(0, 9\)$"):
+                segment_visible(0, 1, sites, bad)
+
     def test_symmetric(self):
         rng = random.Random(5)
         ss = SiteSet(
