@@ -18,7 +18,7 @@ from typing import Iterator, Optional, Sequence
 from . import complexes as cx
 from . import harness, io, render
 from .mesh import DEFAULT_CLIP_MARGIN, triangulate
-from .rational import parse_rational
+from .rational import ParseError, parse_rational
 
 RELATIONS = {
     "near": cx.near,
@@ -67,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
             + (" with voronoi cells included" if include_voronoi else ""),
         )
         p.add_argument("--sites", required=True)
-        p.add_argument("--clip-margin", type=parse_rational,
+        p.add_argument("--clip-margin", type=_parse_flag,
                        default=DEFAULT_CLIP_MARGIN)
         p.add_argument("--out", required=True)
         p.set_defaults(func=_cmd_build_mesh, include_voronoi=include_voronoi)
@@ -106,13 +106,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_flag(text: str) -> Fraction:
+    """A rational flag value; argparse prints the reason it is not one."""
+    try:
+        return parse_rational(text)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _parse_box(text: str) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 4:
         raise argparse.ArgumentTypeError(
             "box must be xmin,ymin,xmax,ymax"
         )
-    vals = tuple(parse_rational(p) for p in parts)
+    vals = tuple(_parse_flag(p) for p in parts)
     return vals  # type: ignore[return-value]
 
 
@@ -152,6 +160,8 @@ def _cmd_build_mesh(args: argparse.Namespace) -> int:
 
 
 def _cmd_relate(args: argparse.Namespace) -> int:
+    if args.witness and args.relation != "sfar":
+        raise ValueError("--witness only applies to sfar")
     mesh = io.read_mesh(args.mesh)
     a = io.read_subcomplex(args.a, mesh)
     b = io.read_subcomplex(args.b, mesh)
@@ -161,8 +171,6 @@ def _cmd_relate(args: argparse.Namespace) -> int:
         )
         report = cx.strongly_far(a, b, witness)
     else:
-        if args.witness:
-            raise ValueError("--witness only applies to sfar")
         report = RELATIONS[args.relation](a, b)
     print(f"relation {args.relation} verdict={str(report.verdict).lower()}")
     if report.witness is not None:
@@ -181,14 +189,16 @@ def _cmd_check(args: argparse.Namespace) -> int:
     from .regions import EDGE_CHAIN, PAIRWISE_STRONG
 
     region_mode = PAIRWISE_STRONG if args.mode == "pairwise" else EDGE_CHAIN
-    mesh = io.read_mesh(args.mesh) if args.mesh else None
-    constraints = None
+    # Flag combinations are checked before any file is read.
     if args.constraints:
         if args.suite not in ("thm37", "all"):
             raise ValueError("--constraints only applies to the thm37 suite")
-        constraints = io.read_constraints(args.constraints)
-        if mesh is None:
+        if not args.mesh:
             raise ValueError("--constraints requires --mesh")
+    mesh = io.read_mesh(args.mesh) if args.mesh else None
+    constraints = None
+    if args.constraints:
+        constraints = io.read_constraints(args.constraints)
         try:
             constraints.validate(mesh.site_set)
         except ValueError as exc:

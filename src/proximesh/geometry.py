@@ -14,8 +14,8 @@ corners do not widen from clip to clip, and no Fraction is made. `Rect`,
 the Voronoi clip box, gives the first such ring, each corner in lowest
 terms and each side's line built once from its bound. `Rect.place`, the
 library's one clip-box test, takes the least sign of a corner on those
-lines. `Polygon.contains` and `circumcenter` work in integers; the
-latter makes a Fraction only of each of its two coordinates.
+lines; `Polygon.contains` takes a corner too. `circumcenter` works in
+integers, making a Fraction only of each of its two coordinates.
 `orient2d` and `incircle` scale their points to integers per call and
 run `rational`'s integer kernels; they serve callers outside the
 library, which takes all its signs on lattices and lines.
@@ -105,7 +105,7 @@ class Polygon:
       its edges change between right and left twice (Fenchel), and then
       its least vertex is the one whose edge out points right and whose
       edge in does not;
-    - `contains` tests a point's own (X, Y, W) against each line.
+    - `contains` tests a corner (X, Y, W), W > 0, against each line.
 
     Deleting a collinear vertex rebuilds only the line across it and the
     turns at its two neighbors. A ring that is not convex takes the sign
@@ -191,14 +191,15 @@ class Polygon:
     def area(self) -> Fraction:
         return _area2(self._rows) / 2
 
-    def contains(self, p: Point2) -> bool:
-        """Closed-region membership of a convex polygon: p's own
-        (X, Y, W) is on the positive side of, or on, each edge's line.
-        A polygon that is not convex raises DegenerateInputError."""
+    def contains(self, corner: Corner) -> bool:
+        """Closed-region membership of a convex polygon: the point of the
+        corner (X, Y, W), W > 0, in lowest terms or not, is on the
+        positive side of, or on, each edge's line. A polygon that is not
+        convex raises DegenerateInputError."""
         if not self._convex:
             raise DegenerateInputError("contains needs a convex polygon")
-        px, py, w = _corner(p)
-        return all(a * px + b * py + c * w >= 0 for a, b, c in self._lines)
+        x, y, w = corner
+        return all(a * x + b * y + c * w >= 0 for a, b, c in self._lines)
 
 
 def _area2(rows: Sequence[Corner]) -> Fraction:

@@ -23,8 +23,7 @@ from . import complexes as cx
 from . import regions as rg
 from . import visibility as vis
 from .geometry import Point2
-from .mesh import (Edge, Mesh, MeshError, SiteSet, is_delaunay_edge,
-                   triangulate)
+from .mesh import Mesh, MeshError, SiteSet, triangulate
 
 PASS = "pass"
 FAIL = "fail"
@@ -348,55 +347,29 @@ def _delaunay_characterizations(result: SuiteResult, given: Optional[Mesh],
                                 **_) -> Suite:
     """Per-triangle agreement of the circumcircle, dual-vertex, and
     shared-wall characterizations, plus triangle convexity, on a tenth
-    of the trial meshes (or the given one). A triangle that fails only
-    because a wall has no length, each such wall across an edge whose
-    opposite site is cocircular with the triangle, is an expected
-    divergence: the shared-wall characterization holds only in general
-    position."""
+    of the trial meshes (or the given one). A triangle whose audit
+    counterexample names its cocircular walls, walls of no length, is an
+    expected divergence: the shared-wall characterization holds only in
+    general position."""
     seed = result.seed
     count = 1 if given is not None else max(1, result.trials // 10)
     for m_idx in range(count):
         m = yield
-        for t_idx, rep in enumerate(rg.audit_delaunay_characterizations(m)):
+        for rep in rg.audit_delaunay_characterizations(m):
             label = f"mesh={m_idx} {rep.operands[0]}"
             if rep.verdict:
                 # A route skipped on a loaded clip box passes with its note.
                 result.record(label, PASS, rep.note)
                 continue
-            verdicts = rep.witness[1]
-            walls = _cocircular_walls(m, t_idx, verdicts)
-            if walls:
+            verdicts = f"verdicts={rep.witness[1]} seed={seed}"
+            kind, named = rep.counterexample
+            if kind == "cocircular_walls":
                 result.record(label, DIVERGENCE, "shared wall has no length: "
                               + ", ".join(f"edge {e} with cocircular site {d}"
-                                          for e, d in walls)
-                              + f" verdicts={verdicts} seed={seed}")
+                                          for e, d in named)
+                              + " " + verdicts)
             else:
-                result.record(label, FAIL, f"verdicts={verdicts} seed={seed}")
-
-
-def _cocircular_walls(
-    m: Mesh, t: int, verdicts: tuple
-) -> Optional[list[tuple[Edge, int]]]:
-    """Each edge of triangle t whose cells share no wall, with the site
-    opposite t across it, when the empty-circle, dual-vertex and
-    convexity verdicts hold and every such site is cocircular with t;
-    else None."""
-    empty_circle, dual_vertex, _, convex = verdicts
-    if not (empty_circle and dual_vertex and convex):
-        return None
-    tri = m.triangles[t]
-    walls = []
-    for e in m.triangle_edges[t]:
-        if is_delaunay_edge(*e, m):
-            continue
-        across = [u for u in m.edge_triangles[e] if u != t]
-        if not across:
-            return None
-        d = next(v for v in m.triangles[across[0]].indices if v not in e)
-        if m.site_set.incircle(*tri.indices, d) != 0:
-            return None
-        walls.append((e, d))
-    return walls
+                result.record(label, FAIL, verdicts)
 
 
 def _segment_visibility(

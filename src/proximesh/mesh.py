@@ -395,7 +395,8 @@ def voronoi(mesh: Mesh) -> list[VoronoiRegion]:
     # The bisector of an edge, kept negated for the far site's cell.
     bisectors: dict[Edge, Line] = {}
     regions: list[VoronoiRegion] = []
-    for i, p in enumerate(sites):
+    site_set = mesh.site_set
+    for i, (xy, w) in enumerate(zip(site_set.lattice, site_set.scales)):
         fan = None if mesh.is_hull_site(i) else _fan(mesh, i)
         ring = fan is not None and all(inside[t] for t in fan)
         if ring:
@@ -413,7 +414,7 @@ def voronoi(mesh: Mesh) -> list[VoronoiRegion]:
             cell = Polygon([_point(c) for c in kept], kept)
         if not is_convex_polygon(cell):
             raise MeshError(f"voronoi cell of site {i} is not convex")
-        if not cell.contains(p):
+        if not cell.contains((*xy, w)):
             raise MeshError(f"voronoi cell of site {i} excludes its site")
         # A ring lies strictly inside the box and belongs to an interior site.
         clipped = not ring and (

@@ -191,7 +191,10 @@ def audit_delaunay_characterizations(mesh: Mesh) -> list[RelationReport]:
     strictly inside the box, where each of the three walls it ends keeps
     positive length; (4) the triangle is a convex polygon: its three
     sites are not collinear. A report's verdict is True when the routes
-    taken agree and 4 holds; its note names the routes skipped.
+    taken agree and 4 holds; its note names the routes skipped. A
+    triangle that fails only route 3, where the site across each edge
+    without a wall is cocircular with it, has the counterexample
+    ("cocircular_walls", ((edge, site), ...)); any other, ("triangle", t).
 
     Routes 1 and 2 read no mesh adjacency. Route 1 is
     `is_delaunay_triangle`, about the lattice circumcenter. Route 2
@@ -199,17 +202,15 @@ def audit_delaunay_characterizations(mesh: Mesh) -> list[RelationReport]:
     and calls no `Lattice` method, as its own center, and asks the site
     set which sites of that center's slab are `nearer` than the
     triangle's first site, by integer distances to its corner on either
-    scale rule. The two share only `slab`. Route 2's center is placed
-    against the clip box once, by `Rect.place` on that same corner.
+    scale rule. The two share only `slab`. `Rect.place`, once, and the
+    cells' `contains` place route 2's center by that same corner.
     """
     reports = []
     sites = mesh.site_set
     walls = {e: is_delaunay_edge(*e, mesh) for e in mesh.edges}
     for t_idx, tri in enumerate(mesh.triangles):
         empty_circle = is_delaunay_triangle(tri, sites)
-        points = mesh.triangle_points(tri)
-        center = circumcenter(*points)
-        corner = _corner(center)
+        corner = _corner(circumcenter(*mesh.triangle_points(tri)))
         dual_vertex = all(s in tri for s in sites.nearer(corner, tri.v0))
         note = ""
         shared_walls: Optional[bool] = None
@@ -220,7 +221,7 @@ def audit_delaunay_characterizations(mesh: Mesh) -> list[RelationReport]:
             note = "circumcenter on clip box; shared-wall route skipped"
         if place >= 0:
             in_cells = all(
-                mesh.voronoi[s].cell.contains(center) for s in tri.indices
+                mesh.voronoi[s].cell.contains(corner) for s in tri.indices
             )
             dual_vertex = dual_vertex and in_cells
         else:
@@ -229,6 +230,10 @@ def audit_delaunay_characterizations(mesh: Mesh) -> list[RelationReport]:
         convex = sites.orient(*tri.indices) != 0
         agree = (empty_circle == dual_vertex
                  and shared_walls in (None, empty_circle) and convex)
+        counterexample = None if agree else ("triangle", t_idx)
+        if not agree and empty_circle and dual_vertex and convex:
+            counterexample = (_cocircular_walls(mesh, t_idx, walls)
+                              or counterexample)
         reports.append(
             RelationReport(
                 relation="delaunay_characterizations",
@@ -238,11 +243,28 @@ def audit_delaunay_characterizations(mesh: Mesh) -> list[RelationReport]:
                     "verdicts",
                     (empty_circle, dual_vertex, shared_walls, convex),
                 ),
-                counterexample=None if agree else ("triangle", t_idx),
+                counterexample=counterexample,
                 note=note,
             )
         )
     return reports
+
+
+def _cocircular_walls(mesh: Mesh, t: int, walls: dict) -> Optional[tuple]:
+    """("cocircular_walls", ((edge, site), ...)) of the edges of triangle t
+    that have no wall, when each site across one is cocircular with t;
+    else None."""
+    tri = mesh.triangles[t]
+    found = []
+    for e in mesh.triangle_edges[t]:
+        if walls[e]:
+            continue
+        across = [v for u in mesh.edge_triangles[e] if u != t
+                  for v in mesh.triangles[u].indices if v not in e]
+        if not across or mesh.site_set.incircle(*tri.indices, *across):
+            return None
+        found.append((e, *across))
+    return "cocircular_walls", tuple(found)
 
 
 def _edge_connected(mesh: Mesh, tris: frozenset[int]) -> bool:

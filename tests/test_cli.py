@@ -656,7 +656,28 @@ class TestCoordinateBounds:
             main(["triangulate", "--sites", str(sites), "--clip-margin",
                   f"1e-{MAX_EXPONENT + 1}", "--out", str(tmp_path / "m.json")])
         assert exc.value.code == 2
-        assert "--clip-margin" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--clip-margin" in err
+        assert f"exponent magnitude exceeds {MAX_EXPONENT}" in err
+
+    @pytest.mark.parametrize("command, flag, value, reason", [
+        ("triangulate", "--clip-margin", "abc", "not an exact rational: 'abc'"),
+        ("generate", "--bbox", "0,0,1,x", "not an exact rational: 'x'"),
+        ("generate", "--bbox", f"0,0,1,1e{MAX_EXPONENT + 1}",
+         f"exponent magnitude exceeds {MAX_EXPONENT}"),
+    ])
+    def test_coordinate_flags_say_why(self, tmp_path, capsys, command, flag,
+                                      value, reason):
+        # The flag's own reason, not the name of the function that parsed it.
+        argv = [command, flag, value, "--out", str(tmp_path / "out")]
+        if command == "triangulate":
+            argv += ["--sites", str(tmp_path / "sites.txt")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: argument {flag}: {reason}\n")
+        assert "invalid" not in err and "_parse" not in err
 
 
 def _suite_section(report: str, suite: str) -> list[str]:
@@ -929,6 +950,38 @@ class TestCheck:
         code = main(["check", "--suite", "axioms", "--mesh", str(mesh_file),
                      "--constraints", str(c)])
         assert code == 2
+
+
+class TestFlagCombinations:
+    """A flag combination that cannot run is refused before any file is
+    read, so a missing or malformed file in another flag does not hide it."""
+
+    def test_constraints_require_a_mesh(self, tmp_path, capsys):
+        code = main(["check", "--suite", "thm37",
+                     "--constraints", str(tmp_path / "missing.txt")])
+        assert code == 2
+        assert _one_error_line(capsys.readouterr()) == (
+            "error: --constraints requires --mesh")
+
+    def test_constraints_only_apply_to_thm37(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{")
+        code = main(["check", "--suite", "axioms", "--mesh", str(bad),
+                     "--constraints", str(tmp_path / "missing.txt")])
+        assert code == 2
+        assert _one_error_line(capsys.readouterr()) == (
+            "error: --constraints only applies to the thm37 suite")
+
+    def test_witness_only_applies_to_sfar(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{")
+        missing = str(tmp_path / "missing.json")
+        code = main(["relate", "--mesh", str(bad), "--a", missing,
+                     "--b", missing, "--relation", "near",
+                     "--witness", missing])
+        assert code == 2
+        assert _one_error_line(capsys.readouterr()) == (
+            "error: --witness only applies to sfar")
 
 
 class TestRender:

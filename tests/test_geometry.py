@@ -255,14 +255,14 @@ class TestPolygon:
         # those of the ring left after normalization.
         poly = Polygon(ring)
         for p in (P(1, 1), P(0, 1), P(1, 2), P(2, 2), P(0, 0)):
-            assert poly.contains(p), p
+            assert poly.contains(_corner(p)), p
         for p in (P(3, 1), P(1, -1), P(-1, 1), P(1, 3), P(Fraction(5, 2), 2)):
-            assert not poly.contains(p), p
+            assert not poly.contains(_corner(p)), p
 
     def test_cached_lines_leave_equality_alone(self):
         ring = [P(0, 0), P(Fraction(1, 3), 0), P(0, Fraction(1, 5))]
         used, fresh = Polygon(ring), Polygon(ring)
-        assert used.contains(P(Fraction(1, 9), Fraction(1, 20)))
+        assert used.contains(_corner(P(Fraction(1, 9), Fraction(1, 20))))
         assert used == fresh and hash(used) == hash(fresh)
         assert repr(used) == repr(fresh)
 
@@ -275,7 +275,7 @@ class TestPolygon:
         for p in (P(Fraction(1, 2), Fraction(3, 2)),
                   P(Fraction(3, 2), Fraction(1, 2)), P(5, 5)):
             with pytest.raises(DegenerateInputError):
-                ell.contains(p)
+                ell.contains(_corner(p))
 
 
 class TestPoint2:
@@ -451,7 +451,8 @@ class TestIntersectConvex:
         except DegenerateInputError:
             return  # Degenerate operands, or no positive-area overlap.
         assert is_convex_polygon(got)
-        assert all(a.contains(v) and b.contains(v) for v in got.vertices)
+        assert all(a.contains(_corner(v)) and b.contains(_corner(v))
+                   for v in got.vertices)
 
 
 # Rings on both sides of the lattice rule. Integer points times one unit
@@ -553,10 +554,11 @@ def _assert_matches_fractions(ring, own_scales):
     probes = [*vertices, *mids, inner, P(inner.x + 100, inner.y)]
     if not convex:
         with pytest.raises(DegenerateInputError):
-            poly.contains(inner)
+            poly.contains(_corner(inner))
         return
     for p in probes:
-        assert poly.contains(p) == all(_side(a, b, p) >= 0 for a, b in edges)
+        assert poly.contains(_corner(p)) == all(_side(a, b, p) >= 0
+                                                for a, b in edges)
     lines = [(vertices[0], mids[len(mids) // 2]), (inner, vertices[1]),
              (mids[1], inner), (vertices[-1], vertices[1])]
     for a, b in lines:
@@ -595,7 +597,7 @@ def test_cell_contains_matches_fraction_sides(name):
     for cell in cells:
         vertices = cell.vertices
         edges = list(zip(vertices, vertices[1:] + vertices[:1]))
-        inside = [p for p in probes if cell.contains(p)]
+        inside = [p for p in probes if cell.contains(_corner(p))]
         assert inside == [
             p for p in probes if all(_side(a, b, p) >= 0 for a, b in edges)
         ]
@@ -728,13 +730,14 @@ class TestNormalizationMatchesReference:
                   sum(v.y for v in vertices) / len(vertices))
         if not convex:
             with pytest.raises(DegenerateInputError):
-                poly.contains(inner)
+                poly.contains(_corner(inner))
             return
         probes = [*ring, inner, P(inner.x + 100, inner.y),
                   *(_mid(a, b) for a, b in zip(vertices, vertices[1:])),
                   *(P(2 * v.x - inner.x, 2 * v.y - inner.y) for v in vertices)]
         for p in probes:
-            assert poly.contains(p) == lattice_contains(lattice, order, p)
+            assert (poly.contains(_corner(p))
+                    == lattice_contains(lattice, order, p))
 
     @settings(max_examples=300, deadline=None)
     @given(degenerate_rings())

@@ -182,16 +182,34 @@ class TestSuites:
         # Every grid triangle has a cocircular diagonal with no wall.
         assert result.divergences == len(result.records)
 
+    def test_thm36_decides_each_wall_once(self, grid_mesh, monkeypatch):
+        # The audit decides every wall once, in its table, and names the
+        # cocircular ones; the suite maps its reports and asks no wall.
+        wall = rg.is_delaunay_edge
+        calls = []
+
+        def counted(p, q, mesh):
+            calls.append((p, q))
+            return wall(p, q, mesh)
+
+        for module in (rg, hs):
+            if getattr(module, "is_delaunay_edge", None) is wall:
+                monkeypatch.setattr(module, "is_delaunay_edge", counted)
+        (result,) = run_suite("thm36", 1, 0, mesh=grid_mesh)
+        assert result.divergences == len(grid_mesh.triangles)
+        assert len(calls) == len(grid_mesh.edges) == 33
+        assert sorted(calls) == sorted(grid_mesh.edges)
+
     @staticmethod
     def _force_walls_false(monkeypatch, edges):
-        """Make the audit and the suite read no wall on the given edges."""
-        wall = hs.is_delaunay_edge
+        """Make the audit, which decides every wall, read none on the
+        given edges."""
+        wall = rg.is_delaunay_edge
 
         def forced(p, q, mesh):
             return (p, q) not in edges and wall(p, q, mesh)
 
         monkeypatch.setattr(rg, "is_delaunay_edge", forced)
-        monkeypatch.setattr(hs, "is_delaunay_edge", forced)
 
     def test_forced_false_wall_in_general_position_fails(self, monkeypatch):
         # No fourth site is cocircular with a triangle here, so a wall

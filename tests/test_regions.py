@@ -316,7 +316,7 @@ class TestDelaunayCharacterizationsAudit:
         reports = audit_delaunay_characterizations(mesh)
         assert reports[0].verdict
         center = circumcenter(*mesh.triangle_points(mesh.triangles[0]))
-        assert all(r.cell.contains(center) for r in mesh.voronoi)
+        assert all(r.cell.contains(_corner(center)) for r in mesh.voronoi)
 
     def test_circumcenter_on_box_skips_walls(self):
         # The square's extent box holds the four circumcenters on its
@@ -417,13 +417,43 @@ class TestDelaunayCharacterizationsAudit:
         assert len(compared) == len(centers) == len(mesh.triangles)
         assert all(a == _corner(b) for a, b in zip(compared, centers))
 
+    def test_cells_are_asked_with_the_audit_corner(self, monkeypatch):
+        # `contains` takes a corner and makes none; the audit makes one
+        # per triangle, for `nearer`, `place` and the three cells alike.
+        rng = random.Random(7)
+        mesh = triangulate(SiteSet(
+            [P(Fraction(rng.random()), Fraction(rng.random()))
+             for _ in range(16)]
+        ))
+        cells = [r.cell for r in mesh.voronoi]
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return _corner(p)
+
+        for module in (geometry_module, regions_module):
+            monkeypatch.setattr(module, "_corner", counted)
+        sites = mesh.site_set
+        assert all(cell.contains((*xy, w)) for cell, xy, w
+                   in zip(cells, sites.lattice, sites.scales))
+        assert calls == []
+        reports = audit_delaunay_characterizations(mesh)
+        assert all(r.verdict for r in reports)
+        assert len(calls) == len(mesh.triangles)
+
     def test_cocircular_divergence_reported(self, square_mesh):
         # Degenerate quads break the shared-wall route: the tie-break
         # diagonal's cells meet at a single point, so the audit reports
-        # the disagreement rather than hiding it.
+        # the disagreement rather than hiding it, naming each wall-less
+        # edge with the cocircular site across it.
         reports = audit_delaunay_characterizations(square_mesh)
         assert all(not r.verdict for r in reports)
         for r in reports:
             empty_circle, dual_vertex, shared_walls, convex = r.witness[1]
             assert empty_circle and dual_vertex and convex
             assert not shared_walls
+        assert [r.counterexample for r in reports] == [
+            ("cocircular_walls", (((0, 2), 3),)),
+            ("cocircular_walls", (((0, 2), 1),)),
+        ]
