@@ -5,14 +5,16 @@ in this module decides its sign exactly, and no function here returns a
 float. The points of one `convex_hull` call are scaled once to a
 `rational.Lattice`, which takes every sign on them by point index. A
 `Polygon` keeps each vertex as a corner, a homogeneous integer triple
-(X, Y, W): the one given, else the vertex in lowest terms. It builds the
-integer line of each edge once and takes every sign of its
-normalization, and of `contains`, from those lines.
-`clip_halfplane` cuts a ring of corners, each with the integer line of
-its edge, by a line: each crossing is the cross product of two lines, so
-corners do not widen from clip to clip, and no Fraction is made. `Rect`,
-the Voronoi clip box, gives the first such ring, each corner in lowest
-terms and each side's line built once from its bound. `Rect.place`, the
+(X, Y, W), in its public `corners`: the one given, else the vertex in
+lowest terms. It builds the integer line of each edge once and takes
+every sign of its normalization, and of `contains`, from those lines. A
+polygon built from corners alone makes its `Point2` vertices only when a
+caller reads them. `clip_halfplane` cuts a ring of corners, each with
+the integer line of its edge, by a line: each crossing is the cross
+product of two lines, so corners do not widen from clip to clip, and no
+Fraction is made. `Rect`, the Voronoi clip box, gives the first such
+ring, each corner in lowest terms, made from the bounds' integers, and
+each side's line built once from its bound. `Rect.place`, the
 library's one clip-box test, takes the least sign of a corner on those
 lines; `Polygon.contains` takes a corner too. `circumcenter` works in
 integers, making a Fraction only of each of its two coordinates.
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .rational import (Lattice, _corner, _cross, _incircle, _orient,
+from .rational import (Lattice, _corner, _cross, _incircle, _lowest, _orient,
                        scaled_ints)
 
 Coord = Union[Fraction, int, str]
@@ -92,10 +94,13 @@ class Polygon:
 
     Each vertex is a row, the integer triple (X, Y, W), W > 0, of the
     point (X/W, Y/W): vertex i's `corners[i]` when given, else its own
-    coordinates in lowest terms. Each edge is its integer line (a, b, c),
-    the `_cross` of its ends' rows, built once in `__init__` and kept for
-    the normalized ring with the rows of its vertices. Every sign comes
-    from those lines:
+    coordinates in lowest terms. `vertices` may be None when `corners`
+    are given. The normalized ring's rows are the read-only `corners`;
+    its `vertices` are the given points, or, without them, the points of
+    its corners, made on first read. Equality, hashing and `repr` go by
+    `vertices`. Each edge is its integer line (a, b, c), the `_cross` of
+    its ends' rows, built once in `__init__` and kept for the normalized
+    ring. Every sign comes from those lines:
 
     - an edge between two equal points is a line with a = b = 0;
     - the turn at a vertex is the line into it at the next vertex, the
@@ -112,14 +117,14 @@ class Polygon:
     of its area from its rows and starts at its least (x, y) vertex.
     """
 
-    __slots__ = ("vertices", "_rows", "_lines", "_convex")
+    __slots__ = ("_corners", "_vertices", "_lines", "_convex")
 
     def __init__(
         self,
-        vertices: Sequence[Point2],
+        vertices: Optional[Sequence[Point2]],
         corners: Optional[Sequence[Corner]] = None,
     ) -> None:
-        points = tuple(vertices)
+        points = None if vertices is None else tuple(vertices)
         rows = list(map(_corner, points) if corners is None else corners)
         lines = list(map(_cross, rows, rows[1:] + rows[:1]))
         # A line with a = b = 0 joins two equal points. The later one
@@ -173,11 +178,26 @@ class Polygon:
             start = next(k for k, r in enumerate(right)
                          if r and not right[k - 1])
         else:
-            start = min(range(len(ring)),
-                        key=lambda k: (points[ring[k]].x, points[ring[k]].y))
-        self.vertices = tuple(points[k] for k in ring[start:] + ring[:start])
-        self._rows = tuple(rows[start:] + rows[:start])
+            start = min(range(len(ring)), key=lambda k: (
+                Fraction(rows[k][0], rows[k][2]),
+                Fraction(rows[k][1], rows[k][2])))
+        self._corners = tuple(rows[start:] + rows[:start])
         self._lines = tuple(lines[start:] + lines[:start])
+        self._vertices = None if points is None else tuple(
+            points[k] for k in ring[start:] + ring[:start])
+
+    @property
+    def corners(self) -> tuple[Corner, ...]:
+        """The normalized ring's corners (X, Y, W), W > 0."""
+        return self._corners
+
+    @property
+    def vertices(self) -> tuple[Point2, ...]:
+        """The normalized ring's vertices: the given points, else the
+        points of its corners, made on first read."""
+        if self._vertices is None:
+            self._vertices = tuple(map(_point, self._corners))
+        return self._vertices
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Polygon) and self.vertices == other.vertices
@@ -189,7 +209,7 @@ class Polygon:
         return f"Polygon({list(self.vertices)!r})"
 
     def area(self) -> Fraction:
-        return _area2(self._rows) / 2
+        return _area2(self._corners) / 2
 
     def contains(self, corner: Corner) -> bool:
         """Closed-region membership of a convex polygon: the point of the
@@ -200,6 +220,11 @@ class Polygon:
             raise DegenerateInputError("contains needs a convex polygon")
         x, y, w = corner
         return all(a * x + b * y + c * w >= 0 for a, b, c in self._lines)
+
+
+def _point(corner: Corner) -> Point2:
+    x, y, w = corner
+    return Point2(Fraction(x, w), Fraction(y, w))
 
 
 def _area2(rows: Sequence[Corner]) -> Fraction:
@@ -252,9 +277,15 @@ class Rect:
 
     def ring(self) -> list[tuple[Corner, Line]]:
         """The corners counterclockwise from (xmin, ymin), each in lowest
-        terms, over the lcm of its own two denominators, with the line of
-        its edge to the next: the ring that `clip_halfplane` cuts."""
-        return list(zip(map(_corner, self.corners()), self._lines))
+        terms, made from its two bounds' integers, with the line of its
+        edge to the next: the ring that `clip_halfplane` cuts."""
+        x0, y0, x1, y1 = self.xmin, self.ymin, self.xmax, self.ymax
+        return [
+            (_lowest((x.numerator * y.denominator, y.numerator * x.denominator,
+                      x.denominator * y.denominator)), line)
+            for x, y, line in zip((x0, x1, x1, x0), (y0, y0, y1, y1),
+                                  self._lines)
+        ]
 
 
 def orient2d(a: Point2, b: Point2, c: Point2) -> int:

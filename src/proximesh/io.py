@@ -11,7 +11,9 @@ A mesh document is written by its own layout, byte-identical to
 with any indent, `json.dumps` leaves its C encoder for a generator that
 visits every value in Python, and a mesh with cells has hundreds of
 small rows. Subcomplex documents are few and small, and go through
-`json.dumps`.
+`json.dumps`. Every coordinate is written from its integers by one
+formatter, `_coord`: a cell corner (X, Y, W) as X/W and Y/W, keyed by
+the corner, with no `Point2` made.
 """
 
 from __future__ import annotations
@@ -19,11 +21,12 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, Sequence, Union
 
-from .geometry import Point2
+from .geometry import Corner, Point2
 from .mesh import Mesh, MeshError, Rect, SiteSet, make_triangle
 from .rational import MAX_DIGITS, ParseError, format_rational, parse_rational
 from .visibility import ConstraintSet
@@ -89,11 +92,11 @@ def _fields(path: PathLike) -> Iterator[tuple[int, str, list[str]]]:
 def mesh_payload(mesh: Mesh, include_voronoi: bool = False) -> dict:
     payload = {
         "format": MESH_FORMAT,
-        "sites": [[_coord(p.x), _coord(p.y)] for p in mesh.sites],
+        "sites": [[_text(p.x), _text(p.y)] for p in mesh.sites],
         "triangles": [list(t.indices) for t in mesh.triangles],
-        "clip_margin": _coord(mesh.site_set.clip_margin),
+        "clip_margin": _text(mesh.site_set.clip_margin),
         "clip_box": [
-            _coord(v)
+            _text(v)
             for v in (
                 mesh.clip_box.xmin,
                 mesh.clip_box.ymin,
@@ -107,32 +110,42 @@ def mesh_payload(mesh: Mesh, include_voronoi: bool = False) -> dict:
         # Cells that share a corner share its row. A circumcenter strictly
         # inside the box is a corner of its cells: its row is made before
         # the cells are built, so a coordinate past the digit limit fails
-        # first.
-        rows: dict[Point2, list[str]] = {}
+        # first. Corners are in lowest terms, one triple for each point.
+        rows: dict[Corner, list[str]] = {}
 
-        def row(v: Point2) -> list[str]:
-            r = rows.get(v)
+        def row(corner: Corner) -> list[str]:
+            r = rows.get(corner)
             if r is None:
-                r = rows[v] = [_coord(v.x), _coord(v.y)]
+                x, y, w = corner
+                r = rows[corner] = [_coord(x, w), _coord(y, w)]
             return r
 
-        for u, inside in zip(mesh.circumcenters, mesh.centers_inside):
+        for corner, inside in zip(mesh._corners, mesh.centers_inside):
             if inside:
-                row(u)
+                row(corner)
         payload["voronoi"] = [
             {
                 "site": region.site,
                 "clipped": region.clipped,
-                "cell": [row(v) for v in region.cell.vertices],
+                "cell": [row(c) for c in region.cell.corners],
             }
             for region in mesh.voronoi
         ]
     return payload
 
 
-def _coord(value: Fraction) -> str:
+def _text(value: Fraction) -> str:
+    """`_coord` of a Fraction."""
+    return _coord(value.numerator, value.denominator)
+
+
+def _coord(n: int, d: int) -> str:
+    """The number n/d, d > 0, as `str(Fraction(n, d))` writes it."""
+    g = math.gcd(n, d)
+    if g != 1:
+        n, d = n // g, d // g
     try:
-        return format_rational(value)
+        return str(n) if d == 1 else f"{n}/{d}"
     except ValueError as exc:  # CPython's int-to-text digit limit
         raise FileFormatError(
             f"a mesh coordinate needs more than {MAX_DIGITS} digits"

@@ -29,17 +29,20 @@ every interior edge implies a Delaunay triangulation (Delaunay lemma).
 
 Voronoi cells are the Delaunay dual, built on corners, the integer
 triples (X, Y, W) of `geometry.Corner`. Each triangle's circumcenter is
-computed once per mesh as a corner, and as a `Point2` from it, for the
-clip box and the cells alike. An interior site's cell is the ring of its
-fan's circumcenters when `Rect.place` puts all their corners strictly
-inside the clip box; hull sites, and sites whose fan reaches the box,
-get the box's ring, its corners in lowest terms, cut by the integer
-bisector lines toward their Delaunay neighbors, each line built once per
-edge. A `Point2` is made only for a corner that a clipped cell keeps.
-Only the `voronoi` output, rendering and the Delaunay-characterization
-audit read the circumcenters, the derived clip box and the cells. The
-tests keep an all-sites bisector construction as an independent oracle
-for these cells.
+computed once per mesh as a corner in lowest terms, which is unique for
+each point, for the clip box and the cells alike. An interior site's
+cell is the ring of its fan's circumcenter corners when `Rect.place`
+puts them all strictly inside the clip box; hull sites, and sites whose
+fan reaches the box, get the box's ring, its corners in lowest terms,
+cut by the integer bisector lines toward their Delaunay neighbors, each
+line built once per edge, and each corner kept is put in lowest terms.
+So each cell is a `Polygon` of corners alone, and two cells share a
+corner exactly when they share the integer triple. No library path makes
+a `Point2` of a corner: the public `circumcenters` and a cell's
+`vertices` are made when a caller reads them. Only the `voronoi` output,
+rendering and the Delaunay-characterization audit read the derived clip
+box and the cells. The tests keep an all-sites bisector construction as
+an independent oracle for these cells.
 """
 
 from __future__ import annotations
@@ -49,9 +52,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .geometry import (Corner, Line, Point2, Polygon, Rect, clip_halfplane,
-                       is_convex_polygon)
-from .rational import Lattice
+from .geometry import (Corner, Line, Point2, Polygon, Rect, _point,
+                       clip_halfplane, is_convex_polygon)
+from .rational import Lattice, _lowest
 
 DEFAULT_CLIP_MARGIN = Fraction(1, 10)
 
@@ -84,15 +87,15 @@ class SiteSet(Lattice):
         sites = tuple(sites)
         if len(sites) < 3:
             raise MeshError(f"need at least 3 sites, got {len(sites)}")
-        seen: dict[Point2, int] = {}
-        for i, p in enumerate(sites):
-            if p in seen:
-                raise MeshError(
-                    f"duplicate sites at indices {seen[p]} and {i}: "
-                    f"({p.x}, {p.y})"
-                )
-            seen[p] = i
         super().__init__(sites)
+        # A point's lattice row and scale are unique to it on either rule.
+        seen: dict[tuple[tuple[int, int], int], int] = {}
+        for i, key in enumerate(zip(self.lattice, self.scales)):
+            j = seen.setdefault(key, i)
+            if j != i:
+                p = sites[i]
+                raise MeshError(f"duplicate sites at indices {j} and {i}: "
+                                f"({p.x}, {p.y})")
         if all(self.orient(0, 1, k) == 0 for k in range(2, len(sites))):
             raise MeshError("all sites are collinear")
         if clip_margin <= 0:
@@ -168,9 +171,10 @@ class Mesh:
     the index maps built here. Validation needs each triangle's edges,
     the triangles on each edge and at each site, so `__init__` builds
     those; every other table is a cached property, built on first access
-    and kept: each triangle's neighbors, its circumcenter (as a corner and
-    as a `Point2`), the derived clip box, the Voronoi cells and their
-    vertex sets. `complexes` keeps its bit-mask tables in `_masks`.
+    and kept: each triangle's neighbors, its circumcenter (as a corner and,
+    for a caller that reads them, as a `Point2`), the derived clip box,
+    the Voronoi cells and their corner sets. `complexes` keeps its
+    bit-mask tables in `_masks`.
     """
 
     def __init__(
@@ -214,13 +218,15 @@ class Mesh:
 
     @cached_property
     def _corners(self) -> tuple[Corner, ...]:
-        """Circumcenter of each triangle as a corner, by triangle index."""
-        return tuple(self.site_set.center(*t.indices) for t in self.triangles)
+        """Circumcenter of each triangle as a corner in lowest terms, by
+        triangle index; the derived clip box and the cells share them."""
+        center = self.site_set.center
+        return tuple(_lowest(center(*t.indices)) for t in self.triangles)
 
     @cached_property
     def circumcenters(self) -> tuple[Point2, ...]:
         """Circumcenter of each triangle, by triangle index, made from its
-        corner; the derived clip box and the cells share them."""
+        corner; no library path reads them."""
         return tuple(map(_point, self._corners))
 
     @cached_property
@@ -238,9 +244,10 @@ class Mesh:
         return tuple(voronoi(self))
 
     @cached_property
-    def _vertex_sets(self) -> tuple[frozenset[Point2], ...]:
-        """The set of corners of each Voronoi cell, by site."""
-        return tuple(frozenset(region.cell.vertices) for region in self.voronoi)
+    def _vertex_sets(self) -> tuple[frozenset[Corner], ...]:
+        """The set of corners, each in lowest terms, of each Voronoi cell,
+        by site."""
+        return tuple(frozenset(region.cell.corners) for region in self.voronoi)
 
     @cached_property
     def clip_box(self) -> Rect:
@@ -255,7 +262,7 @@ class Mesh:
         depend on how far the fixed-margin box happens to reach.
         """
         sites = self.site_set
-        centers = Lattice(self.circumcenters, self._corners)
+        centers = Lattice(corners=self._corners)
         ends = []
         for axis in (0, 1):
             (a, b), (c, d) = sites.extremes(axis), centers.extremes(axis)
@@ -373,18 +380,17 @@ def voronoi(mesh: Mesh) -> list[VoronoiRegion]:
 
     An interior site whose fan circumcenters all lie strictly inside the
     clip box, by `Rect.place` on their corners, has the ring of those
-    circumcenters, in fan order, as its cell: the mesh's own `Point2`s,
-    with their corners; `Polygon` drops the coincident ones of
-    cocircular fans. Every other cell is the box's ring, each corner in
-    lowest terms, cut by the closed bisector half-planes toward the
-    site's Delaunay neighbors, in integers, and a `Point2` is made for
-    each corner left; it is clipped when its site is on the hull or
-    `place` finds a kept corner on the box. On a Delaunay triangulation
-    both are the cell that all other sites cut.
+    circumcenters, in fan order, as its cell: the mesh's own corners;
+    `Polygon` drops the coincident ones of cocircular fans. Every other
+    cell is the box's ring, each corner in lowest terms, cut by the
+    closed bisector half-planes toward the site's Delaunay neighbors, in
+    integers, and each corner left is put in lowest terms; it is clipped
+    when its site is on the hull or `place` finds a kept corner on the
+    box. On a Delaunay triangulation both are the cell that all other
+    sites cut. No cell makes a `Point2`.
     """
     sites = mesh.sites
     box = mesh.clip_box
-    centers = mesh.circumcenters
     corners = mesh._corners
     box_ring = box.ring()
     inside = mesh.centers_inside
@@ -400,8 +406,7 @@ def voronoi(mesh: Mesh) -> list[VoronoiRegion]:
         fan = None if mesh.is_hull_site(i) else _fan(mesh, i)
         ring = fan is not None and all(inside[t] for t in fan)
         if ring:
-            cell = Polygon([centers[t] for t in fan],
-                           [corners[t] for t in fan])
+            cell = Polygon(None, [corners[t] for t in fan])
         else:
             edges = box_ring
             for j in neighbors[i]:
@@ -410,8 +415,8 @@ def voronoi(mesh: Mesh) -> list[VoronoiRegion]:
                     line = mesh.site_set.bisector(i, j)
                     bisectors[j, i] = (-line[0], -line[1], -line[2])
                 edges = clip_halfplane(edges, line)
-            kept = [c for c, _ in edges]
-            cell = Polygon([_point(c) for c in kept], kept)
+            kept = [_lowest(c) for c, _ in edges]
+            cell = Polygon(None, kept)
         if not is_convex_polygon(cell):
             raise MeshError(f"voronoi cell of site {i} is not convex")
         if not cell.contains((*xy, w)):
@@ -452,13 +457,13 @@ def is_delaunay_edge(p: int, q: int, mesh: Mesh) -> bool:
     Let L be the p-q bisector. Both cells are clipped to the same box, so
     cell p and cell q meet L in the same set. Each lies on its own site's
     side of L, so a wall is one edge of both, with the same two exact
-    `Point2` ends. A shared corner lies on L, and a normalized convex ring
-    has at most two corners on one line: one shared corner means the cells
-    meet at a point (the cocircular case), and two span a wall. The two
-    cells' sets of corners are intersected: `Point2` hashes and compares
-    the numerators and denominators of its coordinates in lowest terms.
-    A mesh's first wall test builds the set of every cell, once, as
-    `Mesh._vertex_sets`.
+    ends. A shared corner lies on L, and a normalized convex ring has at
+    most two corners on one line: one shared corner means the cells meet
+    at a point (the cocircular case), and two span a wall. The two cells'
+    sets of corners are intersected: each corner is an integer triple in
+    lowest terms, unique for its point, so plain int tuples hash and
+    compare. A mesh's first wall test builds the set of every cell, once,
+    as `Mesh._vertex_sets`.
     """
     check_indices((p, q), len(mesh.site_set))
     if p == q:
@@ -469,11 +474,6 @@ def is_delaunay_edge(p: int, q: int, mesh: Mesh) -> bool:
 
 def _edge(i: int, j: int) -> Edge:
     return (i, j) if i < j else (j, i)
-
-
-def _point(corner: Corner) -> Point2:
-    x, y, w = corner
-    return Point2(Fraction(x, w), Fraction(y, w))
 
 
 def _bowyer_watson(site_set: SiteSet) -> list[Triangle]:

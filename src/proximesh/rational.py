@@ -7,7 +7,8 @@ sign-of-determinant predicate runs. The integer kernels live here:
 `_orient` and `_incircle` on points over one scale, `_orient_w` on
 homogeneous points (X, Y, W), and `_cross`, the line through two such
 points or the point where two lines meet; `_corner` puts one point in
-lowest terms as such a triple.
+lowest terms as such a triple, and `_lowest` puts a triple in lowest
+terms.
 `geometry.orient2d` and `geometry.incircle` rescale their points on every
 call (`scaled_ints`); no library module calls them. A `Lattice` rescales
 a whole point set once, to one shared scale where that stays narrow, and
@@ -23,7 +24,8 @@ bisects the lattice's (x, y) order, sorted once, for the points in a
 circle's x-range, and `nearer` keeps those nearer than a given point.
 `mesh.SiteSet` is a lattice of its sites, `geometry.convex_hull` builds
 one for its points and walks that order, and a mesh's derived clip box
-builds one for its circumcenters.
+builds one for its circumcenters' corners; `extremes` makes the bounds
+from the lattice, so such a lattice needs no points.
 """
 
 from __future__ import annotations
@@ -100,12 +102,12 @@ class Lattice:
 
     def __init__(
         self,
-        points: Iterable,
+        points: Iterable = (),
         corners: Optional[Sequence[tuple[int, int, int]]] = None,
     ) -> None:
         """Scale `points`, each with Fraction coordinates `x` and `y`;
-        or, given `corners`, the points' integer triples in the same
-        order, hold each point on its own W."""
+        or, given `corners`, the points' integer triples, hold each point
+        on its own W, and keep `points`, if any, as given."""
         points = self.points = tuple(points)
         self._ordered = None
         if corners is not None:
@@ -196,15 +198,16 @@ class Lattice:
 
     def extremes(self, axis: int) -> tuple[Fraction, Fraction]:
         """The least and the greatest coordinate `axis` of the points,
-        found by `compare`."""
+        found by `compare` and made from the lattice."""
         lo = hi = 0
         for k in range(1, len(self.lattice)):
             if self.compare(k, lo, axis) > 0:
                 lo = k
             elif self.compare(hi, k, axis) > 0:
                 hi = k
-        lo, hi = self.points[lo], self.points[hi]
-        return (lo.x, hi.x) if axis == 0 else (lo.y, hi.y)
+        lattice, w = self.lattice, self.scales
+        return (Fraction(lattice[lo][axis], w[lo]),
+                Fraction(lattice[hi][axis], w[hi]))
 
     def between(self, i: int, j: int, k: int) -> bool:
         """Point k lies on segment ij strictly between its ends. On one
@@ -295,6 +298,16 @@ def _corner(p) -> tuple[int, int, int]:
     the lcm of its two denominators."""
     w = math.lcm(p.x.denominator, p.y.denominator)
     return (*_on_scale(p, w), w)
+
+
+def _lowest(corner: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The corner (X, Y, W), W > 0, in lowest terms: over gcd(X, Y, W).
+    That triple is unique for each point, and equals `_corner`'s."""
+    g = math.gcd(*corner)
+    if g == 1:
+        return corner
+    x, y, w = corner
+    return x // g, y // g, w // g
 
 
 # The integer kernels behind every orientation and incircle sign. `_orient`

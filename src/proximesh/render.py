@@ -1,10 +1,12 @@
 """Deterministic SVG rendering of meshes, cells, and subcomplexes.
 
 World coordinates are mapped into a fixed 1000-unit viewport; rounding
-to three decimals happens only here, at emission. Each distinct
-coordinate is mapped once, by one integer true division, which CPython
-rounds correctly, as `float(Fraction)` does. Identical inputs produce
-byte-identical documents.
+to three decimals happens only here, at emission. Each coordinate is
+read as an integer pair (n, d), d > 0: a site's from its lattice row
+and scale, a cell corner's (X, Y, W) as (X, W) and (Y, W). Each distinct
+pair is mapped once, by one integer true division, which CPython rounds
+correctly, as `float(Fraction)` does, so a pair not in lowest terms
+gives the same text. Identical inputs produce byte-identical documents.
 """
 
 from __future__ import annotations
@@ -41,6 +43,9 @@ def render_svg(
     sx = _axis(box.xmin, scale, lambda f: f + PAD)
     # SVG y axis points down.
     sy = _axis(box.ymin, scale, lambda f: VIEWPORT - PAD - f)
+    site_set = mesh.site_set
+    at = [(sx(x, w), sy(y, w))
+          for (x, y), w in zip(site_set.lattice, site_set.scales)]
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{VIEWPORT}" '
@@ -51,46 +56,38 @@ def render_svg(
         out.append('<g stroke="#999999" stroke-dasharray="4 3" fill="none">')
         for region in mesh.voronoi:
             pts = " ".join(
-                f"{sx(v.x)},{sy(v.y)}" for v in region.cell.vertices
+                f"{sx(x, w)},{sy(y, w)}" for x, y, w in region.cell.corners
             )
             out.append(f'<polygon points="{pts}"/>')
         out.append("</g>")
     out.append('<g stroke="#222222" stroke-width="1.5">')
     for (i, j) in mesh.edges:
-        a, b = mesh.site_set[i], mesh.site_set[j]
-        out.append(
-            f'<line x1="{sx(a.x)}" y1="{sy(a.y)}" '
-            f'x2="{sx(b.x)}" y2="{sy(b.y)}"/>'
-        )
+        (x1, y1), (x2, y2) = at[i], at[j]
+        out.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}"/>')
     out.append("</g>")
     for layer, sub in enumerate(subcomplexes):
         stroke, fill = HIGHLIGHTS[layer % len(HIGHLIGHTS)]
         out.append(f'<g stroke="{stroke}" stroke-width="3" fill="{fill}">')
         for t_idx in sorted(sub.triangles):
-            pts = " ".join(
-                f"{sx(p.x)},{sy(p.y)}"
-                for p in mesh.triangle_points(mesh.triangles[t_idx])
-            )
+            pts = " ".join(",".join(at[v])
+                           for v in mesh.triangles[t_idx].indices)
             out.append(f'<polygon points="{pts}"/>')
         for (i, j) in sorted(sub.edges):
-            a, b = mesh.site_set[i], mesh.site_set[j]
-            out.append(
-                f'<line x1="{sx(a.x)}" y1="{sy(a.y)}" '
-                f'x2="{sx(b.x)}" y2="{sy(b.y)}"/>'
-            )
+            (x1, y1), (x2, y2) = at[i], at[j]
+            out.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}"/>')
         for v in sorted(sub.vertices):
-            p = mesh.site_set[v]
+            x, y = at[v]
             out.append(
-                f'<circle cx="{sx(p.x)}" cy="{sy(p.y)}" r="6" '
+                f'<circle cx="{x}" cy="{y}" r="6" '
                 f'fill="{stroke}" stroke="none"/>'
             )
         out.append("</g>")
     out.append('<g fill="#000000">')
-    for i, p in enumerate(mesh.sites):
-        out.append(f'<circle cx="{sx(p.x)}" cy="{sy(p.y)}" r="3.5"/>')
+    for i, (x, y) in enumerate(at):
+        out.append(f'<circle cx="{x}" cy="{y}" r="3.5"/>')
         if include_labels:
             out.append(
-                f'<text x="{sx(p.x)}" y="{sy(p.y)}" dx="6" dy="-6" '
+                f'<text x="{x}" y="{y}" dx="6" dy="-6" '
                 f'font-size="14" font-family="monospace">{i}</text>'
             )
     out.append("</g>")
@@ -100,18 +97,17 @@ def render_svg(
 
 def _axis(
     low: Fraction, scale: Fraction, place: Callable[[float], float]
-) -> Callable[[Fraction], str]:
-    """The text of each coordinate v at `place(float((v - low) * scale))`,
-    computed once per distinct v."""
+) -> Callable[[int, int], str]:
+    """The text of each coordinate v = n/d, d > 0, at
+    `place(float((v - low) * scale))`, computed once per distinct (n, d)."""
     a, b = low.numerator, low.denominator
     c, e = scale.numerator, scale.denominator
     memo: dict[tuple[int, int], str] = {}
 
-    def text(v: Fraction) -> str:
-        key = (v.numerator, v.denominator)
+    def text(n: int, d: int) -> str:
+        key = (n, d)
         out = memo.get(key)
         if out is None:
-            n, d = key
             out = memo[key] = f"{place((n * b - a * d) * c / (d * b * e)):.3f}"
         return out
 

@@ -382,6 +382,14 @@ def bisector_wall_overlap(p, q, mesh):
     return segments_overlap(*walls)
 
 
+def point_set_wall(p, q, mesh):
+    """The cells of sites p and q share two corners, found by
+    intersecting the sets of their `Point2` vertices: Fractions in lowest
+    terms, whatever integer triples the cells keep."""
+    a, b = (set(mesh.voronoi[s].cell.vertices) for s in (p, q))
+    return len(a & b) >= 2
+
+
 def collinear_visible(p, q, sites):
     """True when no third site lies strictly between points p and q."""
     return not any(segment_contains(p, q, s) for s in sites)

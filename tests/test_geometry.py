@@ -851,5 +851,5 @@ def test_clipped_cell_corners_stay_narrow():
     cells = [region.cell for region in mesh.voronoi if region.clipped]
     assert cells
     bits = max(abs(v).bit_length() for cell in cells
-               for row in cell._rows for v in row)
+               for row in cell.corners for v in row)
     assert bits < 2 * widest + 64

@@ -215,16 +215,49 @@ class TestMeshLayout:
     def test_each_cell_corner_formatted_once(self, tmp_path, monkeypatch,
                                              mesh):
         # Two values per site, the margin, the four box bounds, and two
-        # per distinct cell corner however many cells share it.
+        # per distinct cell corner however many cells share it. Corners
+        # are in lowest terms, one triple for each point.
         m = mesh(tmp_path)
         formatted = []
         coord = io._coord
         monkeypatch.setattr(
-            io, "_coord", lambda v: formatted.append(v) or coord(v)
+            io, "_coord", lambda n, d: formatted.append((n, d)) or coord(n, d)
         )
         io.write_mesh(tmp_path / "mesh.json", m, include_voronoi=True)
-        corners = {v for r in m.voronoi for v in r.cell.vertices}
+        corners = {c for r in m.voronoi for c in r.cell.corners}
         assert len(formatted) == 2 * len(m.sites) + 5 + 2 * len(corners)
+
+
+def test_a_build_makes_no_point_after_reading_sites(tmp_path, monkeypatch):
+    # The cells, their corner sets, the mesh document and the SVG work
+    # on integer corners: the sites read are the only points, and no
+    # point is hashed.
+    path = tmp_path / "sites.txt"
+    io.write_sites(path, harness.generate_sites(7, 100)[0].sites)
+    sites = io.read_sites(path)
+    made = hashed = 0
+    init, point_hash = Point2.__init__, Point2.__hash__
+
+    def counted_init(self, x, y):
+        nonlocal made
+        made += 1
+        init(self, x, y)
+
+    def counted_hash(self):
+        nonlocal hashed
+        hashed += 1
+        return point_hash(self)
+
+    monkeypatch.setattr(Point2, "__init__", counted_init)
+    monkeypatch.setattr(Point2, "__hash__", counted_hash)
+    mesh = triangulate(SiteSet(sites))
+    io.write_mesh(tmp_path / "mesh.json", mesh, include_voronoi=True)
+    render_svg(mesh, include_voronoi=True)
+    assert (made, hashed) == (0, 0)
+    assert "circumcenters" not in vars(mesh)
+    assert "voronoi" in vars(mesh)
+    mesh.circumcenters
+    assert made == len(mesh.triangles)
 
 
 class TestSubComplexFile:

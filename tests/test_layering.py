@@ -233,13 +233,13 @@ def functions_where(source: str, found) -> set[str]:
 
 def test_the_lattice_reads_coordinates_only_to_build_and_bound():
     # A `Lattice` reads its points' Fraction coordinates once, to scale
-    # them, and again only to return the clip box's bounds; every query
-    # after that runs on the integers. Of its methods, only the two hot
-    # predicates, and `scaled` behind them, ask which scale rule holds.
+    # them; every query after that, the clip box's bounds among them,
+    # runs on the integers. Of its methods, only the two hot predicates,
+    # and `scaled` behind them, ask which scale rule holds.
     source = (SRC / "rational.py").read_text()
     reads = {name for name in functions_where(source, coordinate_reads)
              if name.startswith("Lattice.")}
-    assert reads == {"Lattice.__init__", "Lattice.extremes"}
+    assert reads == {"Lattice.__init__"}
     assert functions_where(source, scale_none_comparisons) == {
         "Lattice.scaled", "Lattice.orient", "Lattice.incircle"}
 

@@ -15,6 +15,7 @@ from oracles import (
     bisector_wall_overlap,
     brute_force_delaunay,
     is_delaunay_triangulation,
+    point_set_wall,
     squared_distance,
 )
 import proximesh.geometry as geometry_module
@@ -120,6 +121,19 @@ class TestSiteSet:
         with pytest.raises(MeshError, match="indices 0 and 2"):
             SiteSet([P(0, 0), P(1, 1), P(0, 0)])
 
+    def test_duplicates_named_on_own_scales(self):
+        # Sites are compared by lattice row and scale. On own scales,
+        # (1/3, 1/3) and (1/2, 1/2) share the row (1, 1), not the scale.
+        sites = own_denominator_sites(0, 10, 60) + [
+            P(Fraction(1, 3), Fraction(1, 3)),
+            P(Fraction(1, 2), Fraction(1, 2)),
+        ]
+        assert SiteSet(sites).scale is None
+        p = sites[4]
+        with pytest.raises(MeshError, match=(
+                rf"^duplicate sites at indices 4 and 12: \({p.x}, {p.y}\)$")):
+            SiteSet(sites + [p, p])
+
     def test_collinear(self):
         with pytest.raises(MeshError, match="collinear"):
             SiteSet([P(0, 0), P(1, 1), P(2, 2), P(3, 3)])
@@ -210,12 +224,15 @@ class TestSiteSet:
 
     @pytest.mark.parametrize("read", ["clip_box", "circumcenters", "voronoi"])
     def test_circumcenters_wait_for_a_reader(self, read):
+        # The clip box and the cells read the circumcenters' corners; the
+        # circumcenters as points are made only for a reader of their own.
         mesh = triangulate(random_sites(2, 12))
         assert mesh.edge_triangles
         assert not {"_corners", "circumcenters"} & vars(mesh).keys()
         getattr(mesh, read)
-        assert {"_corners", "circumcenters"} <= vars(mesh).keys()
+        assert "_corners" in vars(mesh)
         assert mesh.clip_box is mesh.clip_box
+        assert ("circumcenters" in vars(mesh)) == (read == "circumcenters")
 
     def test_triangulate_builds_no_derived_table(self):
         # A triangulation alone reads none of these; each is built on
@@ -599,6 +616,39 @@ def wall_meshes(draw):
     return _in_extent_box(mesh) if draw(st.booleans()) else mesh
 
 
+@st.composite
+def corner_meshes(draw):
+    """A mesh over generated sites, a shuffled grid, rational points on
+    one circle with its center or not, sites with unrelated 20-digit
+    denominators, or generated sites on one shared scale of over 300
+    digits; its clip box derived, or loaded as the sites' extent."""
+    kind = draw(st.sampled_from(["generated", "grid", "circle", "own",
+                                 "wide"]))
+    seed = draw(st.integers(0, 2**32))
+    if kind == "generated":
+        sites = list(generate_sites(seed, draw(st.integers(3, 20)))[0].sites)
+    elif kind == "grid":
+        k = draw(st.integers(2, 6))
+        sites = [P(i, j) for j in range(k) for i in range(k)]
+        random.Random(seed).shuffle(sites)
+    elif kind == "circle":
+        ts = draw(st.lists(st.fractions(-3, 3, max_denominator=12),
+                           min_size=3, max_size=10, unique=True))
+        sites = [_on_unit_circle(t) for t in ts]
+        if draw(st.booleans()):
+            sites.append(P(0, 0))
+    elif kind == "own":
+        sites = own_denominator_sites(seed, draw(st.integers(6, 12)), 20)
+    else:
+        unit = Fraction(1, 10**300)
+        sites = [P(1 + p.x * unit, 1 + p.y * unit) for p in
+                 generate_sites(seed, draw(st.integers(3, 12)))[0].sites]
+    site_set = SiteSet(sites)
+    assert (site_set.scale is None) == (kind == "own")
+    mesh = triangulate(site_set)
+    return _in_extent_box(mesh) if draw(st.booleans()) else mesh
+
+
 def _in_extent_box(mesh):
     """The mesh loaded with the sites' extent as its clip box."""
     xs, ys = [p.x for p in mesh.sites], [p.y for p in mesh.sites]
@@ -655,7 +705,7 @@ class TestIsDelaunayEdge:
         assert "_vertex_sets" not in vars(mesh)
         assert is_delaunay_edge(0, 1, mesh)
         assert vars(mesh)["_vertex_sets"] == tuple(
-            frozenset(region.cell.vertices) for region in mesh.voronoi)
+            frozenset(region.cell.corners) for region in mesh.voronoi)
 
     def test_index_out_of_range_rejected(self, fan_mesh):
         # Python would read cell -1 as the last site's.
@@ -678,6 +728,24 @@ class TestIsDelaunayEdge:
                     assert is_delaunay_edge(p, q, mesh) == (
                         bisector_wall_overlap(p, q, mesh)
                     ), (p, q)
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(corner_meshes())
+    def test_corner_sets_match_point_sets(self, mesh):
+        # Each cell keeps its corners in lowest terms, one triple for each
+        # point, so its corner set is its point set and a wall test on
+        # int tuples answers as one on `Point2`s.
+        cells = mesh.voronoi
+        for region in cells:
+            assert frozenset(region.cell.corners) == {
+                _corner(v) for v in region.cell.vertices}
+        n = len(mesh.sites)
+        for p in range(n):
+            for q in range(p + 1, n):
+                assert is_delaunay_edge(p, q, mesh) == point_set_wall(
+                    p, q, mesh), (p, q)
+        assert cells == tuple(all_sites_voronoi(mesh.sites, mesh.clip_box))
 
 
 class TestTrianglesSharingEdge:
@@ -771,10 +839,10 @@ class TestVoronoi:
         rings = [r for r in mesh.voronoi if not r.clipped]
         assert rings
         for r in rings:
-            centers = [mesh.circumcenters[t]
+            centers = [mesh._corners[t]
                        for t in mesh.vertex_triangles[r.site]]
-            assert all(any(v is u for u in centers)
-                       for v in r.cell.vertices)
+            assert all(any(c is u for u in centers)
+                       for c in r.cell.corners)
 
     @pytest.mark.parametrize(
         "sites",
