@@ -2,7 +2,9 @@
 
 A `SiteSet` is the `rational.Lattice` of its sites: every orientation,
 incircle and circumcenter on sites runs on their integer coordinates, by
-site index. `is_delaunay_triangle` tests the empty circle only on the
+site index. An orientation or incircle sign may come from the lattice's
+double copies of those integers instead, only where Shewchuk's error
+bound certifies it, so every sign is the exact one. `is_delaunay_triangle` tests the empty circle only on the
 sites of the lattice's `slab` about the circumcenter, taken as the
 corner `center` builds, those whose x lies within the circle's x-range.
 

@@ -15,6 +15,11 @@ a whole point set once, to one shared scale where that stays narrow, and
 is the one place that knows which: its `orient`, `incircle`, `compare`,
 `order`, `between`, `overlap` and `crossings` decide by point index, and
 `center` and `bisector` build a circumcenter and a bisector in integers.
+On one shared scale whose coordinates all lie within ±2^53, `orient` and
+`incircle` first evaluate their determinant on exact double copies of
+the coordinates, and return its sign when Shewchuk's static error bound
+certifies it (a filter in the sense of Fortune and Van Wyk); every other
+call runs the integer kernel, so no float decides a sign unbounded.
 On own scales, `orient` takes the homogeneous determinant over each
 point's (X, Y, W), which needs no common scale, and `compare` weighs each
 coordinate by the other point's scale on either rule. The disk queries
@@ -43,6 +48,20 @@ from typing import Iterable, Optional, Sequence
 # back.
 MAX_DIGITS = 4300
 MAX_EXPONENT = 1000
+
+
+# The floating-point filters of `Lattice.orient` and `Lattice.incircle`
+# (Shewchuk, "Adaptive Precision Floating-Point Arithmetic and Fast Robust
+# Geometric Predicates", 1997: ccwerrboundA and iccerrboundA). With exact
+# double inputs, a determinant evaluated in doubles has the true sign
+# when its magnitude exceeds the bound times the sum of the magnitudes of
+# its terms. Integers within ±2^53 are exact doubles; on them every
+# intermediate is integer-valued, so none underflows, and each stays
+# below 2^220, far from overflow.
+_EXACT = 2 ** 53
+_EPS = 2.0 ** -53
+_ORIENT_BOUND = (3.0 + 16.0 * _EPS) * _EPS
+_INCIRCLE_BOUND = (10.0 + 96.0 * _EPS) * _EPS
 
 
 class ParseError(ValueError):
@@ -94,11 +113,15 @@ class Lattice:
     W > 0, keep W as their own scale, whatever its factors. `orient` on
     own scales takes the sign of the homogeneous determinant over
     (X, Y, W); `scaled` puts the points of one predicate on the lcm of
-    their scales. Every sign taken by point index runs here, so no
-    caller asks which of the two rules holds.
+    their scales. On one shared scale whose coordinates all lie within
+    ±2^53, `_floats` holds each row as two doubles, exact copies, for
+    the filters of `orient` and `incircle`; otherwise it is None. Every
+    sign taken by point index runs here, so no caller asks which of the
+    two rules holds.
     """
 
-    __slots__ = ("points", "scale", "scales", "lattice", "_ordered")
+    __slots__ = ("points", "scale", "scales", "lattice", "_floats",
+                 "_ordered")
 
     def __init__(
         self,
@@ -109,7 +132,7 @@ class Lattice:
         or, given `corners`, the points' integer triples, hold each point
         on its own W, and keep `points`, if any, as given."""
         points = self.points = tuple(points)
-        self._ordered = None
+        self._ordered = self._floats = None
         if corners is not None:
             self.scale = None
             self.lattice = tuple((x, y) for x, y, _ in corners)
@@ -131,7 +154,14 @@ class Lattice:
                 break
         self.scale = shared
         self.scales = tuple(own) if shared is None else (shared,) * len(own)
-        self.lattice = tuple(map(_on_scale, points, self.scales))
+        lattice = self.lattice = tuple(map(_on_scale, points, self.scales))
+        # On one scale, coordinates within ±2^53 are exact doubles, which
+        # the filters of `orient` and `incircle` read.
+        if shared is not None and all(
+            -_EXACT <= x <= _EXACT and -_EXACT <= y <= _EXACT
+            for x, y in lattice
+        ):
+            self._floats = tuple((float(x), float(y)) for x, y in lattice)
 
     def scaled(self, *idx: int) -> tuple[int, list[int]]:
         """A common scale of the points idx, and their coordinates, x then
@@ -145,10 +175,24 @@ class Lattice:
         shares = [s // w for w in scales]
         return s, [c * m for v, m in zip(idx, shares) for c in lattice[v]]
 
-    # The two hot predicates read a shared scale's lattice directly.
+    # The two hot predicates read a shared scale's lattice directly, after
+    # its doubles when it has them.
 
     def orient(self, i: int, j: int, k: int) -> int:
-        """`geometry.orient2d` of the points i, j, k."""
+        """`geometry.orient2d` of the points i, j, k. With doubles l and r
+        for the two products of the determinant, the sign of l - r when
+        |l - r| > (3 + 16ε)ε(|l| + |r|), ε = 2^-53; else the integer
+        kernel's."""
+        floats = self._floats
+        if floats is not None:
+            ax, ay = floats[i]
+            bx, by = floats[j]
+            cx, cy = floats[k]
+            left = (ax - cx) * (by - cy)
+            right = (ay - cy) * (bx - cx)
+            det = left - right
+            if abs(det) > _ORIENT_BOUND * (abs(left) + abs(right)):
+                return 1 if det > 0 else -1
         lattice = self.lattice
         if self.scale is None:
             w = self.scales
@@ -158,7 +202,31 @@ class Lattice:
 
     def incircle(self, i: int, j: int, k: int, d: int) -> int:
         """`geometry.incircle` of point d against the non-collinear points
-        i, j, k."""
+        i, j, k. The sign of the determinant in doubles when it exceeds
+        (10 + 96ε)ε times its permanent, the same sum with each product
+        taken in magnitude, ε = 2^-53; else the integer kernel's."""
+        floats = self._floats
+        if floats is not None:
+            dx, dy = floats[d]
+            ax, ay = floats[i]
+            bx, by = floats[j]
+            cx, cy = floats[k]
+            adx, ady = ax - dx, ay - dy
+            bdx, bdy = bx - dx, by - dy
+            cdx, cdy = cx - dx, cy - dy
+            bdxcdy, cdxbdy = bdx * cdy, cdx * bdy
+            cdxady, adxcdy = cdx * ady, adx * cdy
+            adxbdy, bdxady = adx * bdy, bdx * ady
+            alift = adx * adx + ady * ady
+            blift = bdx * bdx + bdy * bdy
+            clift = cdx * cdx + cdy * cdy
+            det = (alift * (bdxcdy - cdxbdy) + blift * (cdxady - adxcdy)
+                   + clift * (adxbdy - bdxady))
+            permanent = ((abs(bdxcdy) + abs(cdxbdy)) * alift
+                         + (abs(cdxady) + abs(adxcdy)) * blift
+                         + (abs(adxbdy) + abs(bdxady)) * clift)
+            if abs(det) > _INCIRCLE_BOUND * permanent:
+                return 1 if det > 0 else -1
         if self.scale is None:
             return _incircle(*self.scaled(i, j, k, d)[1])
         lattice = self.lattice

@@ -18,7 +18,6 @@ from oracles import (
     point_set_wall,
     squared_distance,
 )
-import proximesh.geometry as geometry_module
 import proximesh.mesh as mesh_module
 import proximesh.rational as rational_module
 from proximesh.geometry import (
@@ -41,7 +40,7 @@ from proximesh.mesh import (
     triangulate,
     voronoi,
 )
-from proximesh.rational import _corner
+from proximesh.rational import Lattice, _corner
 
 P = Point2
 
@@ -264,6 +263,166 @@ class TestSiteSet:
         expected = Rect(min(xs) - mx, min(ys) - my, max(xs) + mx,
                         max(ys) + my)
         assert mesh.clip_box == expected == Rect(*box)
+
+
+def _float_sign(det):
+    return (det > 0) - (det < 0)
+
+
+def unfiltered_orient(a, b, c):
+    """The sign of `Lattice.orient`'s double determinant, taken with no
+    error bound."""
+    (ax, ay), (bx, by), (cx, cy) = a, b, c
+    return _float_sign((ax - cx) * (by - cy) - (ay - cy) * (bx - cx))
+
+
+def unfiltered_incircle(a, b, c, d):
+    """The sign of `Lattice.incircle`'s double determinant, taken with no
+    error bound."""
+    (adx, ady), (bdx, bdy), (cdx, cdy) = (
+        (x - d[0], y - d[1]) for x, y in (a, b, c))
+    return _float_sign(
+        (adx * adx + ady * ady) * (bdx * cdy - cdx * bdy)
+        + (bdx * bdx + bdy * bdy) * (cdx * ady - adx * cdy)
+        + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady))
+
+
+EXACT = 2 ** 53
+
+
+def near_collinear_triples(seed, n):
+    """Integer triples within 2^53, the third point on or one step off
+    the line through the first two, rounded; about a third of the
+    coordinates are exactly ±2^53."""
+    rng = random.Random(seed)
+
+    def coord():
+        return rng.choice([EXACT, -EXACT, rng.randint(-EXACT, EXACT)])
+
+    for _ in range(n):
+        a, b = (coord(), coord()), (coord(), coord())
+        t = Fraction(rng.randrange(1, 1000), 1000)
+        yield a, b, tuple(
+            max(-EXACT, min(EXACT, round(u + t * (v - u)) + rng.randint(-1, 1)))
+            for u, v in zip(a, b))
+
+
+# Integer points of the circle of radius 5 about the origin.
+_RADIUS_FIVE = [(5, 0), (4, 3), (3, 4), (0, 5), (-3, 4), (-4, 3), (-5, 0),
+                (-4, -3), (-3, -4), (0, -5), (3, -4), (4, -3)]
+
+
+def near_cocircular_quadruples(seed, n):
+    """Four integer points of a circle of radius up to 5·2^45 about a
+    center within 2^52, the fourth moved by one step or not: cocircular
+    ties and their nearest neighbors, all within 2^53."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        k = rng.randint(1, 2 ** 45)
+        ox, oy = (rng.randint(-EXACT // 2, EXACT // 2) for _ in "xy")
+        *abc, (dx, dy) = [(ox + k * x, oy + k * y)
+                          for x, y in rng.sample(_RADIUS_FIVE, 4)]
+        yield *abc, (dx + rng.randint(-1, 1), dy)
+
+
+class TestFloatFilter:
+    # `Lattice.orient` and `incircle` take a sign from doubles when the
+    # error bound certifies it, and otherwise from the integer kernel.
+
+    def test_near_ties_match_the_kernels(self):
+        triples = list(near_collinear_triples(11, 600))
+        quadruples = list(near_cocircular_quadruples(12, 600))
+        rows = [p for case in triples + quadruples for p in case]
+        assert {EXACT, -EXACT} <= {c for p in rows for c in p}
+        assert max(abs(c) for p in rows for c in p) == EXACT
+        lattice = Lattice([P(x, y) for x, y in rows])
+        assert lattice._floats is not None
+        floats = lattice._floats
+        wrong = 0
+        for n, case in enumerate(triples):
+            idx = range(3 * n, 3 * n + 3)
+            side = rational_module._orient(*(c for p in case for c in p))
+            assert lattice.orient(*idx) == side
+            wrong += unfiltered_orient(*(floats[i] for i in idx)) != side
+        # Unbounded, the doubles take some of these signs wrongly.
+        assert wrong > 0
+        wrong = 0
+        base = 3 * len(triples)
+        for n, case in enumerate(quadruples):
+            idx = range(base + 4 * n, base + 4 * n + 4)
+            side = rational_module._incircle(*(c for p in case for c in p))
+            assert lattice.incircle(*idx) == side
+            wrong += unfiltered_incircle(*(floats[i] for i in idx)) != side
+        assert wrong > 0
+
+    def test_wide_coordinates_take_the_exact_path(self):
+        # Near 2^60, doubles round these coordinates and then certify the
+        # wrong sign.
+        rows = [(1152921504606847230, -291), (1152921504606847066, -79),
+                (1152921504606847108, -271)]
+        lattice = Lattice([P(x, y) for x, y in rows])
+        assert lattice._floats is None
+        assert lattice.orient(0, 1, 2) == 1
+        assert rational_module._orient(*(c for p in rows for c in p)) == 1
+        assert unfiltered_orient(*((float(x), float(y)) for x, y in rows)) == -1
+
+    @pytest.mark.parametrize("widest, filtered", [
+        (EXACT, True), (EXACT + 1, False), (-EXACT - 1, False),
+    ])
+    def test_gate_at_two_to_the_53(self, widest, filtered):
+        lattice = Lattice([P(0, 0), P(1, 0), P(0, widest)])
+        assert (lattice._floats is not None) == filtered
+
+    @staticmethod
+    def count_calls(monkeypatch, build):
+        """The signs `Lattice.orient` and `incircle` return while `build`
+        runs, and how many calls reach an integer kernel."""
+        signs, kernel_calls = [], 0
+        for name in ("orient", "incircle"):
+            predicate = getattr(Lattice, name)
+
+            def recorded(self, *idx, predicate=predicate):
+                signs.append(predicate(self, *idx))
+                return signs[-1]
+
+            monkeypatch.setattr(Lattice, name, recorded)
+        for name in ("_orient", "_orient_w", "_incircle"):
+            kernel = getattr(rational_module, name)
+
+            def counted(*coords, kernel=kernel):
+                nonlocal kernel_calls
+                kernel_calls += 1
+                return kernel(*coords)
+
+            monkeypatch.setattr(rational_module, name, counted)
+        build()
+        return signs, kernel_calls
+
+    def test_only_ties_on_a_small_grid_reach_the_kernels(self, monkeypatch):
+        # On small integers every double operation is exact, so the bound
+        # settles every sign but 0.
+        grid = [P(x, y) for x in range(10) for y in range(10)]
+        signs, kernel_calls = self.count_calls(
+            monkeypatch, lambda: triangulate(SiteSet(grid)).voronoi)
+        assert 0 < kernel_calls == signs.count(0) < len(signs)
+
+    def test_generated_sites_rarely_reach_the_kernels(self, monkeypatch):
+        site_set, _ = generate_sites(7, 100)
+        signs, kernel_calls = self.count_calls(
+            monkeypatch, lambda: triangulate(site_set).voronoi)
+        assert len(signs) > 1000
+        assert kernel_calls <= len(signs) // 100
+
+    @pytest.mark.parametrize("sites", [
+        own_denominator_sites(3, 30, 20),
+        [P(Fraction(1, 10**1000), 0), P(10**1000, 0), P(0, 10**1000),
+         P(Fraction(1, 10**1000), Fraction(1, 10**1000))],
+    ], ids=["own-scale", "ten-to-the-1000"])
+    def test_wide_sets_reach_the_kernels_on_every_call(self, sites,
+                                                        monkeypatch):
+        signs, kernel_calls = self.count_calls(
+            monkeypatch, lambda: triangulate(SiteSet(sites)).voronoi)
+        assert 0 < len(signs) == kernel_calls
 
 
 class TestTriangulate:
@@ -1060,16 +1219,16 @@ class TestMeshValidation:
         ])
         tris = triangulate(ss).triangles
         calls = 0
-        kernel = rational_module._orient
+        orient = SiteSet.orient
 
-        def counted(*coords):
+        # Counted at the predicate, which may settle a sign before its
+        # integer kernel.
+        def counted(self, i, j, k):
             nonlocal calls
             calls += 1
-            return kernel(*coords)
+            return orient(self, i, j, k)
 
-        # The geometry module holds the kernel under its own name too.
-        monkeypatch.setattr(rational_module, "_orient", counted)
-        monkeypatch.setattr(geometry_module, "_orient", counted)
+        monkeypatch.setattr(SiteSet, "orient", counted)
         mesh = Mesh(ss, tris)
         assert sum(map(mesh.is_hull_site, range(len(ss)))) == 400
         assert 0 < calls <= 10 * len(ss)
